@@ -11,8 +11,6 @@ Subpackages:
 - :mod:`sl2star.expr` / :mod:`sl2star.cli`: expression language and CLI.
 """
 
-from ._backend import BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

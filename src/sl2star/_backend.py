@@ -1,20 +1,7 @@
-"""Selects the arithmetic kernel at import time.
+"""The arithmetic kernel that the series layer calls.
 
-Preference order: compiled Cython kernel if built, else the pure-Python twin.
-Set ``SL2STAR_PURE_PYTHON=1`` to force the fallback (used by the benchmark and
-the backend-parity tests).
+There is one kernel, the pure-Python ``_kernel_py``.  Callers reach it as
+``_backend.kernel`` so that a tracer can wrap its functions in one place.
 """
 
-from __future__ import annotations
-
-import os
-
-if os.environ.get("SL2STAR_PURE_PYTHON"):
-    from . import _kernel_py as kernel
-else:
-    try:
-        from . import _kernel_cy as kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as kernel
-
-BACKEND = kernel.BACKEND_NAME
+from . import _kernel_py as kernel  # noqa: F401

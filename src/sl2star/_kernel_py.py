@@ -2,16 +2,12 @@
 
 Rationals are reduced ``(numerator, denominator)`` int pairs with a positive
 denominator; series payloads are sparse ``{exponent: rational}`` dicts with no
-stored zeros.  The Cython twin ``_kernel_cy`` exports the same names; callers
-import whichever backend ``_backend`` selected and must not rely on anything
-beyond this shared surface.
+stored zeros.  Callers reach these functions through ``_backend.kernel``.
 """
 
 from __future__ import annotations
 
 from math import gcd
-
-BACKEND_NAME = "python"
 
 
 def qnorm(n, d):

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: normalize, product, commutator, coproduct, check, gauge,
-poisson verify, uh verify-z|verify-xi|limits, bench.  Global flags (order,
+poisson verify, uh verify-z|verify-xi|limits.  Global flags (order,
 A-series, seed, tolerance, output format) may also come from a config file
 (--config) or SL2STAR_* environment variables; explicit flags win.  The
 exit code is 0 exactly when every requested check passed.
@@ -16,10 +16,10 @@ from typing import Optional
 
 from . import checks as checks_mod
 from . import coalg, gauge, poisson, uhsl2
-from ._backend import BACKEND
 from .config import Config, load_config, parse_a_coeffs, parse_b_coeffs
 from .expr import choose_alphabet, evaluate, parse
 from .ncalg import x_algebra
+from .series import HBoundError
 from .uhsl2 import xi_algebra
 
 
@@ -187,26 +187,6 @@ def cmd_uh(args) -> int:
     return 0 if payload["passed"] else 1
 
 
-def cmd_bench(args) -> int:
-    from .bench import run_benchmark
-
-    results = run_benchmark(repeat=args.repeat)
-    config = _config_from(args)
-
-    def text():
-        print(f"active backend: {BACKEND}")
-        for row in results["rows"]:
-            line = f"{row['name']:<34} python {row['python']*1e3:8.2f} ms"
-            if row.get("cython") is not None:
-                line += (f"   cython {row['cython']*1e3:8.2f} ms"
-                         f"   speedup x{row['speedup']:.2f}")
-            else:
-                line += "   cython unavailable"
-            print(line)
-    _emit(results, config, text)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sl2star",
@@ -266,11 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(pu)
         pu.set_defaults(fn=cmd_uh, mode=mode)
 
-    p = sub.add_parser("bench", help="compare the compiled and pure kernels")
-    p.add_argument("--repeat", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(fn=cmd_bench)
-
     return parser
 
 
@@ -279,6 +254,11 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except HBoundError as exc:
+        print(f"error: {exc} (the setting xi_h_min; lower it with "
+              f"'xi_h_min = N' in the --config file or SL2STAR_XI_H_MIN=N "
+              f"in the environment)", file=sys.stderr)
+        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -397,7 +397,11 @@ class BivectorSample:
 
 
 def right_translation_jacobian(g: DualGroupPoint, step: float = 1e-5) -> np.ndarray:
-    """J[i, k] = d coords_i(h g) / d coords_k(h) at h = identity, central differences."""
+    """J[i, k] = d coords_i(h g) / d coords_k(h) at h = identity, central differences.
+
+    Kept as a check of ``right_translation_jacobian_exact`` against
+    ``group_mul``; its error of about 1e-10 is too large for ``bivector_at``.
+    """
     J = np.zeros((3, 3))
     for k in range(3):
         e = np.zeros(3)
@@ -416,7 +420,8 @@ def right_translation_jacobian_exact(g: DualGroupPoint) -> np.ndarray:
         (y1, y2, y3) . (x1, x2, x3)
             = (y1 + x1, y2 e^{-x1} + e^{y1} x2, e^{y1} x3 + y3 e^{-x1}).
 
-    Used where the identity being tested needs machine-precision inputs.
+    ``bivector_at`` and ``w_reference`` use it: the kappa fit of the
+    integration lemma needs the bivector to machine precision.
     """
     x1, x2, x3 = g.coords()
     s = math.exp(-x1)
@@ -428,7 +433,7 @@ def bivector_at(x: Sequence[float], kappa: float = DEFAULT_KAPPA,
     """The integrated Poisson bivector at the group point e^X, in coordinates."""
     w = integrate_cobracket_adaptive(x, kappa, tol)
     g = exp_point(x)
-    J = right_translation_jacobian(g)
+    J = right_translation_jacobian_exact(g)
     return BivectorSample(tuple(g.coords()), J @ w @ J.T)
 
 

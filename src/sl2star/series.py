@@ -9,8 +9,8 @@ used by the two-parameter algebra; it is truncated by total degree and its
 All values are immutable after construction and all operations are pure, so
 instances are safe to share across threads.  Coefficients are stored as
 reduced ``(num, den)`` int pairs and manipulated through the arithmetic
-kernel selected in ``_backend``; ``fractions.Fraction`` appears only at the
-API boundary.
+kernel ``_backend.kernel``; ``fractions.Fraction`` appears only at the API
+boundary.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ class SeriesConfigError(SeriesError):
 
 class SeriesDomainError(SeriesError):
     """Operation not defined for the given series (zero inverse, odd sqrt, ...)."""
+
+
+class HBoundError(SeriesDomainError):
+    """A two-parameter result needs an h exponent below the ring's ``h_min``."""
 
 
 def as_pair(x: RationalLike) -> tuple:
@@ -513,7 +517,7 @@ class BiSeries:
                 if i < 0:
                     raise SeriesDomainError("negative eps exponent in BiSeries")
                 if j < h_min:
-                    raise SeriesDomainError(
+                    raise HBoundError(
                         f"h exponent {j} below Laurent bound {h_min}")
                 if i + j > total:
                     truncated = True
@@ -634,7 +638,7 @@ class BiSeries:
                     flag = True
                     continue
                 if j < self.h_min:
-                    raise SeriesDomainError(
+                    raise HBoundError(
                         f"product underflows h Laurent bound {self.h_min}")
                 p = _q.qmul(c1, c2)
                 cur = out.get((i, j))
@@ -668,7 +672,7 @@ class BiSeries:
         if pi > 0:
             raise SeriesDomainError("cannot invert a positive power of eps")
         if -pj < self.h_min:
-            raise SeriesDomainError(
+            raise HBoundError(
                 f"inverse needs h exponent {-pj}, below bound {self.h_min}")
         c0 = self.terms[(pi, pj)]
         pivot_inv = BiSeries.monomial(Fraction(c0[1], c0[0]), -pi, -pj,

@@ -466,6 +466,9 @@ def limits_report(system: Optional[RewriteSystem] = None) -> List[RelationCheck]
     checks.append(_check_equal(
         "eps->0: [xi1,xi2] -> 0", limit_eps_to_zero(c12), system.zero))
     checks.append(_check_equal(
+        "eps->0: [xi1,xi3] -> 0",
+        limit_eps_to_zero(system.commutator(xi1, xi3)), system.zero))
+    checks.append(_check_equal(
         "eps->0: [xi2,xi3] -> 0", limit_eps_to_zero(c23), system.zero))
     checks.append(_check_equal(
         "eps->0: Delta xi2 unchanged", limit_eps_to_zero(dxi2), dxi2))

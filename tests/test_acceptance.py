@@ -1,229 +1,77 @@
-"""Acceptance criteria, one test per criterion at the stated size and
-tolerance.  Each prints a PASS/FAIL line (run with ``pytest -s`` to see them
-on success).  Everything algebraic is exact rational arithmetic; only the
-Poisson-Lie checks are numeric, with the tolerances given inline.
+"""Acceptance criteria, one test per criterion.
+
+Each test runs that criterion's checks from ``sl2star.checks`` on the
+default ``Config()``; the sizes, seeds and tolerances live there, once, and
+``sl2star check`` runs the same code.  Each check prints a PASS/FAIL line
+(run with ``pytest -s`` to see them on success).
 """
 
-import math
-import random
 import time
-from fractions import Fraction
 
-import pytest
-
-from sl2star import coalg, gauge, poisson, uhsl2
-from sl2star.ncalg import (
-    EM, EP, PbwMonomial, STRATEGY_NAMES, X1, X2, X3,
-    random_element, random_word, word_to_monomial, x_algebra,
-)
-from sl2star.series import EpsSeries, exp_series
+from sl2star import checks
+from sl2star.config import Config
 
 
-def _report(number: int, title: str, passed: bool, detail: str = "") -> None:
-    status = "PASS" if passed else "FAIL"
-    line = f"{status} criterion {number}: {title}"
-    if detail:
-        line += f" [{detail}]"
-    print(line)
-    assert passed, line
-
-
-@pytest.fixture(scope="module")
-def system():
-    return x_algebra(8)
-
-
-def test_criterion_01_rewriting_soundness(system):
-    """Normal forms agree across strategies on 200 random words."""
+def _accept(number, criterion, seconds=None):
     start = time.monotonic()
-    rng = random.Random(101)
-    ok = True
-    for _ in range(200):
-        w = random_word(rng, 6)
-        base = system.normal_form(w, strategy="leftmost")
-        for s in STRATEGY_NAMES[1:]:
-            if system.normal_form(w, strategy=s,
-                                  rng=random.Random(11)) != base:
-                ok = False
+    results = criterion(Config())
     elapsed = time.monotonic() - start
-    _report(1, "rewriting strategy-independent on 200 words",
-            ok and elapsed < 30.0, f"{elapsed:.1f}s (target < 30s)")
+    for c in results:
+        line = f"{'PASS' if c.passed else 'FAIL'} criterion {number}: {c.name}"
+        print(line + (f" [{c.detail}]" if c.detail else ""))
+    assert [c.name for c in results if not c.passed] == []
+    if seconds is not None:
+        print(f"criterion {number}: {elapsed:.1f}s (target < {seconds:g}s)")
+        assert elapsed < seconds
 
 
-def test_criterion_02_associativity(system):
-    rng = random.Random(202)
-    ok = True
-    for _ in range(100):
-        f = random_element(system, rng, max_terms=3, max_word=4)
-        g = random_element(system, rng, max_terms=3, max_word=4)
-        h = random_element(system, rng, max_terms=3, max_word=4)
-        if system.star(system.star(f, g), h) != system.star(f, system.star(g, h)):
-            ok = False
-    _report(2, "star product associative on 100 random triples", ok)
+def test_criterion_01_rewriting_soundness():
+    _accept(1, checks.rewriting_soundness, seconds=30.0)
 
 
-def test_criterion_03_pbw_flatness(system):
-    ok = True
-    for n1 in range(4):
-        for n2 in range(4):
-            for n3 in range(4):
-                for m in range(-3, 4):
-                    mono = PbwMonomial(n1, n2, n3, m)
-                    nf = system.normal_form(mono.word())
-                    if nf.terms != {mono: system.ring.one}:
-                        ok = False
-    rng = random.Random(303)
-    for _ in range(150):
-        w = random_word(rng, 6)
-        nf = system.normal_form(w)
-        at_zero = {mm: c.coefficient(0) for mm, c in nf.terms.items()
-                   if c.coefficient(0)}
-        if at_zero != {word_to_monomial(tuple(sorted(w))): Fraction(1)}:
-            ok = False
-    _report(3, "basis monomials irreducible; eps=0 reduction is the "
-               "commutative sort", ok)
+def test_criterion_02_associativity():
+    _accept(2, checks.associativity)
 
 
-def test_criterion_04_coideal(system):
-    ok = all(coalg.coideal_check(system, rel).is_zero()
-             for _, rel in system.relation_words())
-    rng = random.Random(404)
-    for _ in range(10):
-        tail = [Fraction(4)] + [
-            Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
-            for _ in range(rng.randrange(1, 4))]
-        sys_t = x_algebra(8, tail)
-        ok &= all(coalg.coideal_check(sys_t, rel).is_zero()
-                  for _, rel in sys_t.relation_words())
-    _report(4, "ideal is a coideal (all relations, 10 randomized A tails)", ok)
+def test_criterion_03_pbw_flatness():
+    _accept(3, checks.pbw_flatness)
 
 
-def test_criterion_05_coassociativity_and_counit(system):
-    rng = random.Random(505)
-    ok = True
-    for g in (X1, X2, X3, EP, EM):
-        el = system.generator(g)
-        ok &= coalg.coassoc_defect(el).is_zero()
-        d = coalg.coproduct(el)
-        ok &= coalg.counit_contract(d, "left") == el
-        ok &= coalg.counit_contract(d, "right") == el
-    for _ in range(50):
-        f = random_element(system, rng)
-        ok &= coalg.coassoc_defect(f).is_zero()
-        d = coalg.coproduct(f)
-        ok &= coalg.counit_contract(d, "left") == f
-        ok &= coalg.counit_contract(d, "right") == f
-    _report(5, "coassociativity and counit axioms (generators + 50 random)",
-            ok)
+def test_criterion_04_coideal():
+    _accept(4, checks.coideal)
 
 
-def test_criterion_06_nontrivial_deformation(system):
-    x2sq = system.star(system.generator(X2), system.generator(X2))
-    order = coalg.deformation_order(x2sq)
-    diff = coalg.coproduct(x2sq) - coalg.classical_coproduct(x2sq)
-    key = (PbwMonomial(0, 1, 0, 1), PbwMonomial(0, 1, 0, -1))
-    # 2 cosh(2 eps) - 2 = 4 eps^2 + 4/3 eps^4 + ... built independently
-    defect = EpsSeries(
-        {j: 2 * Fraction(2 ** j, math.factorial(j)) for j in range(2, 9, 2)},
-        8, truncated=True)
-    ok = (order == 2 and set(diff.terms) == {key}
-          and diff.terms[key] == defect
-          and defect.coefficient(2) == 4
-          and defect.coefficient(4) == Fraction(4, 3))
-    _report(6, "coproduct deformation order 2 with defect 2cosh(2eps) - 2", ok)
+def test_criterion_05_coassociativity_and_counit():
+    _accept(5, checks.coassociativity_and_counit)
+
+
+def test_criterion_06_nontrivial_deformation():
+    _accept(6, checks.nontrivial_deformation)
 
 
 def test_criterion_07_gauge_solver():
-    rng = random.Random(707)
-    ok = True
-    for _ in range(20):
-        b = {2 * k: Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
-             for k in range(1, rng.randrange(2, 7))}
-        model = gauge.RawX1Model(b)
-        ok &= gauge.verify_gauge(model, gauge.solve_gauge(model, 12), 12)
-    c = Fraction(5, 9)
-    sol = gauge.solve_gauge(gauge.RawX1Model({2: c}), 12)
-    ok &= sol.a_at(2) == c / 2
-    _report(7, "gauge recursion verified for 20 random b inputs; a_2 = c/2",
-            ok)
+    _accept(7, checks.gauge_solver)
 
 
 def test_criterion_08_bernoulli_suite():
-    order = 20
-    lhs = EpsSeries({k: gauge.bernoulli(k) / math.factorial(k)
-                     for k in range(order + 1)}, order, truncated=True)
-    ratio = EpsSeries({k: Fraction(1, math.factorial(k + 1))
-                       for k in range(order + 1)}, order, truncated=True)
-    ok = lhs * ratio == EpsSeries.one(order)
-    ok &= gauge.bernoulli_identity_check(20)
-    ok &= gauge.c_series(1, 12) == exp_series(2, 12) * gauge.c_series(-1, 12)
-    _report(8, "Bernoulli generating function, alternating identity, "
-               "c(+eps) = e^{2eps} c(-eps)", ok)
+    _accept(8, checks.bernoulli_suite)
 
 
 def test_criterion_09_uh_sl2():
-    z_sys = uhsl2.z_system(8)
-    ok = uhsl2.report_passed(uhsl2.z_commutators(z_sys))
-    ok &= uhsl2.report_passed(uhsl2.z_coproducts(z_sys))
-
-    xi = uhsl2.xi_algebra(8, -8)
-    ok &= uhsl2.report_passed(uhsl2.xi_relation_checks(xi))
-    rng = random.Random(909)
-    for _ in range(60):
-        w = random_word(rng, 4)
-        base = xi.normal_form(w, strategy="leftmost", check_termination=True)
-        for s in STRATEGY_NAMES[1:]:
-            ok &= xi.normal_form(w, strategy=s, rng=random.Random(13)) == base
-    for _ in range(15):
-        f = random_element(xi, rng)
-        g = random_element(xi, rng)
-        h = random_element(xi, rng)
-        ok &= xi.star(xi.star(f, g), h) == xi.star(f, xi.star(g, h))
-    ok &= all(coalg.coideal_check(xi, rel).is_zero()
-              for _, rel in xi.relation_words())
-    for g in (X1, X2, X3, EP, EM):
-        ok &= coalg.coassoc_defect(xi.generator(g)).is_zero()
-    for _ in range(10):
-        f = random_element(xi, rng, max_terms=2, max_word=3)
-        ok &= coalg.coassoc_defect(f).is_zero()
-        d = coalg.coproduct(f)
-        ok &= coalg.counit_contract(d, "left") == f
-        ok &= coalg.counit_contract(d, "right") == f
-
-    c23 = xi.commutator(xi.generator(X2), xi.generator(X3))
-    ok &= uhsl2.limit_h_to_zero(c23) \
-        == xi.generator(X1) * xi.ring.monomial(1, 1, 0)
-    for (i, j) in ((X1, X2), (X1, X3), (X2, X3)):
-        ok &= uhsl2.limit_eps_to_zero(
-            xi.commutator(xi.generator(i), xi.generator(j))).is_zero()
-    _report(9, "z-relations and coproducts exact; xi bialgebra suite; "
-               "limits recover the diagram corners", ok)
+    _accept(9, checks.uh_sl2)
 
 
 def test_criterion_10_poisson_lemma():
-    start = time.monotonic()
-    lemma = poisson.verify_integration_lemma(samples=50, tol=1e-6, seed=0,
-                                             kappa_spread_tol=1e-9)
-    mult = poisson.verify_multiplicativity(pairs=50, tol=1e-8, seed=1)
-    jac = poisson.verify_jacobi(points=20, tol=1e-6, seed=2)
-    elapsed = time.monotonic() - start
-    ok = lemma["passed"] and mult["passed"] and jac["passed"] \
-        and elapsed < 10.0
-    _report(10, "integration lemma vs closed form; multiplicativity; Jacobi",
-            ok,
-            f"kappa={lemma['kappa']:.6f} spread={lemma['kappa_spread']:.1e} "
-            f"residuals {lemma['max_residual']:.1e}/"
-            f"{mult['max_residual']:.1e}/{jac['max_residual']:.1e}; "
-            f"{elapsed:.1f}s (target < 10s)")
+    _accept(10, checks.poisson_lemma, seconds=10.0)
 
 
-def test_criterion_11_opposite_product_symmetry(system):
-    rng = random.Random(111)
-    ok = True
-    for _ in range(100):
-        f = random_element(system, rng)
-        g = random_element(system, rng)
-        if system.star(f, g) != system.star(g.eps_flip(),
-                                            f.eps_flip()).eps_flip():
-            ok = False
-    _report(11, "star(f,g) = flip(star(flip g, flip f)) on 100 pairs", ok)
+def test_criterion_11_opposite_product_symmetry():
+    _accept(11, checks.opposite_product_symmetry)
+
+
+def test_every_suite_check_is_a_criterion():
+    """A check added to a suite must get its criterion test above."""
+    tested = {name.split("_", 3)[3] for name in globals()
+              if name.startswith("test_criterion_")}
+    in_suites = [fn.__name__ for fns in checks.SUITES.values() for fn in fns]
+    assert sorted(in_suites) == sorted(tested)

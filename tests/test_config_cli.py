@@ -150,3 +150,13 @@ def test_cli_xi_expression(capsys):
     code, out = run_cli(capsys, "commutator", "xi1", "xi2")
     assert code == 0
     assert out.strip() == "2*eps*xi2"
+
+
+def test_cli_h_underflow_names_the_setting(capsys, monkeypatch):
+    monkeypatch.delenv("SL2STAR_XI_H_MIN", raising=False)
+    assert cli.main(["normalize", "xi3^3*xi2^3"]) == 2
+    err = capsys.readouterr().err
+    assert "h Laurent bound -2" in err
+    assert "xi_h_min" in err and "SL2STAR_XI_H_MIN" in err
+    monkeypatch.setenv("SL2STAR_XI_H_MIN", "-3")
+    assert cli.main(["normalize", "xi3^3*xi2^3"]) == 0

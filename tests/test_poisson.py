@@ -167,8 +167,18 @@ def test_bivector_sample_antisymmetry():
     assert np.allclose(s.components + s.components.T, 0.0)
 
 
-def test_lemma_verification_report():
-    rep = P.verify_integration_lemma(samples=50, tol=1e-6, seed=0)
+def test_exact_jacobian_matches_finite_differences():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        g = P.exp_point(rng.uniform(-1.0, 1.0, size=3))
+        assert np.allclose(P.right_translation_jacobian_exact(g),
+                           P.right_translation_jacobian(g),
+                           rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lemma_verification_report(seed):
+    rep = P.verify_integration_lemma(samples=50, tol=1e-6, seed=seed)
     assert rep["passed"]
     assert rep["kappa"] == pytest.approx(8.0, abs=1e-6)
     assert rep["kappa_spread"] < 1e-9
