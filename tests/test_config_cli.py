@@ -136,6 +136,14 @@ def test_cli_uh(capsys):
     assert "FAIL" not in out
 
 
+def test_cli_poisson_verify(capsys):
+    code, out = run_cli(capsys, "poisson", "verify", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["passed"] is True
+    assert data["integration_lemma"]["kappa"] == pytest.approx(8.0, abs=1e-6)
+
+
 def test_cli_error_exit_code(capsys):
     code = cli.main(["normalize", "x1*(("])
     assert code == 2

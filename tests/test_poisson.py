@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
+from scipy.linalg import expm
 
 from sl2star import poisson as P
 
@@ -113,7 +115,7 @@ def test_integrate_cobracket_closed_form():
     """For X along the torus direction the integrand is kappa x1 e^{4 s x1}
     on the (2,3) slot; integral kappa (e^{4 x1} - 1)/4."""
     x1 = 0.8
-    w = P.integrate_cobracket_adaptive([x1, 0, 0], kappa=8.0)
+    w = P.integrate_cobracket([x1, 0, 0], kappa=8.0)
     expected = 8.0 * (math.exp(4 * x1) - 1) / 4.0
     assert abs(w[1, 2] - expected) < 1e-10
     assert abs(w[2, 1] + expected) < 1e-10
@@ -123,21 +125,36 @@ def test_integrate_cobracket_closed_form():
 
 
 def test_integrate_cobracket_zero_cases():
-    assert np.allclose(P.integrate_cobracket([0, 0, 0], 16), 0.0)
+    assert np.allclose(P.integrate_cobracket([0, 0, 0]), 0.0)
     # X along the torus direction with kappa = 0 has delta(X) = 0, so the
     # integrand vanishes identically
-    w = P.integrate_cobracket([0.7, 0.0, 0.0], 16, kappa=0.0)
+    w = P.integrate_cobracket([0.7, 0.0, 0.0], kappa=0.0)
     assert np.allclose(w, 0.0, atol=1e-15)
 
 
-def test_simpson_rejects_bad_steps():
-    with pytest.raises(ValueError):
-        P.integrate_cobracket([0.1, 0, 0], 0)
+@pytest.mark.parametrize("kappa", [0.0, 8.0])
+def test_integrate_cobracket_matches_quadrature(kappa):
+    """At general points the block exponential agrees with adaptive
+    quadrature of the integrand e^{s ad_X} delta(X) e^{s ad_X}^T."""
+    delta = P.coordinate_cobracket(kappa)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        x = rng.uniform(-1.0, 1.0, size=3)
+        M = P.ad_matrix(x)
+        D = np.einsum("i,ijk->jk", x, delta)
+
+        def integrand(s):
+            A = expm(s * M)
+            return A @ D @ A.T
+
+        expected, _ = quad_vec(integrand, 0.0, 1.0, epsabs=1e-13)
+        assert np.allclose(P.integrate_cobracket(x, kappa), expected,
+                           rtol=0.0, atol=1e-10)
 
 
 def test_bivector_exact_on_x1_zero_plane():
-    """At x1 = 0 the lemma value and the closed form agree to quadrature
-    precision, component by component (derived: the pushforward is exact
+    """At x1 = 0 the lemma value and the closed form agree to round-off,
+    component by component (derived: the pushforward is exact
     there)."""
     b = P.bivector_at([0.0, 0.7, -0.4], kappa=8.0)
     ref = P.alpha_reference(P.exp_point([0.0, 0.7, -0.4]).coords())
@@ -176,7 +193,7 @@ def test_exact_jacobian_matches_finite_differences():
                            rtol=0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(20))
 def test_lemma_verification_report(seed):
     rep = P.verify_integration_lemma(samples=50, tol=1e-6, seed=seed)
     assert rep["passed"]
