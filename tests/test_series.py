@@ -16,6 +16,7 @@ from sl2star.series import (
     BiSeries,
     BiSeriesRing,
     EpsSeries,
+    HBoundError,
     SeriesConfigError,
     SeriesDomainError,
     cosh_series,
@@ -273,3 +274,80 @@ def test_biseries_slices_and_specialize():
 def test_biseries_json_roundtrip():
     a = BiSeries({(1, -1): Fraction(1, 2), (2, 0): -3}, 8, -2)
     assert BiSeries.from_json(a.to_json()) == a
+
+
+def test_biseries_config_mismatch():
+    a = BiSeries.one(8, -2)
+    with pytest.raises(SeriesConfigError):
+        a + BiSeries.one(6, -2)
+    with pytest.raises(SeriesConfigError):
+        a * BiSeries.one(8, -1)
+
+
+def test_biseries_h_bound_errors():
+    with pytest.raises(HBoundError):
+        BiSeries({(0, -3): 1}, 8, -2)
+    with pytest.raises(HBoundError):
+        BiSeries.monomial(1, 1, -2, 8, -2) * BiSeries.monomial(1, 1, -1, 8, -2)
+    with pytest.raises(HBoundError):
+        BiSeries.monomial(1, 0, 1, 8, 0).invert()
+
+
+# -- ring axioms of the two-parameter series --------------------------------
+
+BI_TOTAL = 8
+BI_H_MIN = -2
+
+
+@st.composite
+def bi_series(draw, h_low=BI_H_MIN):
+    """Terms of nonnegative total degree with h exponents >= h_low."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    terms = {}
+    for _ in range(n):
+        j = draw(st.integers(min_value=h_low, max_value=BI_TOTAL))
+        i = draw(st.integers(min_value=max(0, -j), max_value=BI_TOTAL - j))
+        terms[(i, j)] = draw(coeffs)
+    return BiSeries(terms, BI_TOTAL, BI_H_MIN)
+
+
+@st.composite
+def bi_unit(draw):
+    """A nonzero constant plus terms of positive total degree, h exponents >= 0."""
+    a = draw(bi_series(h_low=0))
+    c0 = draw(coeffs.filter(bool))
+    return a - BiSeries.constant(a.coefficient(0, 0) - c0, BI_TOTAL, BI_H_MIN)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bi_series(), bi_series(), bi_series())
+def test_biseries_sum_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a - a == BiSeries.zero(BI_TOTAL, BI_H_MIN)
+    assert -(-a) == a
+    assert a + BiSeries.zero(BI_TOTAL, BI_H_MIN) == a
+
+
+# two factors with h^-1 terms meet the h_min of -2 at worst, so the third
+# factor of a product of three is drawn polynomial in h
+@settings(max_examples=60, deadline=None)
+@given(bi_series(h_low=-1), bi_series(h_low=-1), bi_series(h_low=0))
+def test_biseries_product_axioms(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * BiSeries.one(BI_TOTAL, BI_H_MIN) == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(bi_series(), coeffs)
+def test_biseries_rational_scale(a, q):
+    assert a * q == a * BiSeries.constant(q, BI_TOTAL, BI_H_MIN)
+    assert q * a == a * q
+
+
+@settings(max_examples=40, deadline=None)
+@given(bi_unit())
+def test_biseries_invert_is_right_inverse(a):
+    assert a * a.invert() == BiSeries.one(BI_TOTAL, BI_H_MIN)
