@@ -2,7 +2,10 @@
 
 Rationals are reduced ``(numerator, denominator)`` int pairs with a positive
 denominator; series payloads are sparse ``{exponent: rational}`` dicts with no
-stored zeros.  Callers reach these functions through ``_backend.kernel``.
+stored zeros.  ``s_add``, ``s_sub``, ``s_neg`` and ``s_scale`` work for any
+exponent key; ``s_mul`` and ``s_eps_flip`` take ``int`` exponents and
+``s_mul_total`` takes ``(eps, h)`` exponent pairs.  Callers reach these
+functions through ``_backend.kernel``.
 """
 
 from __future__ import annotations
@@ -126,6 +129,31 @@ def s_mul(a, b, hi):
     return out
 
 
+def s_mul_total(a, b, hi):
+    """Product of two {(i, j): rational} dicts, dropping total degree i + j
+    above hi."""
+    out = {}
+    for (ia, ja), ca in a.items():
+        for (ib, jb), cb in b.items():
+            i = ia + ib
+            j = ja + jb
+            if i + j > hi:
+                continue
+            p = qmul(ca, cb)
+            key = (i, j)
+            cur = out.get(key)
+            if cur is None:
+                out[key] = p
+            else:
+                s = qadd(cur, p)
+                if s[0] == 0:
+                    del out[key]
+                else:
+                    out[key] = s
+    return out
+
+
 def s_eps_flip(a):
     """Substitute eps -> -eps: negate coefficients at odd exponents."""
     return {e: ((-n, d) if e & 1 else (n, d)) for e, (n, d) in a.items()}
+

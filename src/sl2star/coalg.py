@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .ncalg import NCElement, PbwMonomial, RewriteSystem, UNIT
+from .ncalg import NCElement, PbwMonomial, RewriteSystem, UNIT, add_term
 
 
 class TensorElement:
@@ -58,12 +58,7 @@ class TensorElement:
             raise ValueError("tensor elements are not compatible")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            cur = out.get(key)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_term(out, key, c)
         return TensorElement(self.system, out, self.legs)
 
     def __neg__(self):
@@ -75,13 +70,16 @@ class TensorElement:
             return NotImplemented
         return self + (-other)
 
-    def scale(self, scalar) -> "TensorElement":
+    def map_coefficients(self, fn) -> "TensorElement":
         out = {}
         for key, c in self.terms.items():
-            s = c * scalar
+            s = fn(c)
             if not s.is_zero():
                 out[key] = s
         return TensorElement(self.system, out, self.legs)
+
+    def scale(self, scalar) -> "TensorElement":
+        return self.map_coefficients(lambda c: c * scalar)
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
@@ -143,14 +141,7 @@ def star_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
                 keys = [(key + (m,), (c if cc is one else c * cc))
                         for key, c in keys for m, cc in leg.items()]
             for key, c in keys:
-                if c.is_zero():
-                    continue
-                cur = out.get(key)
-                acc = c if cur is None else cur + c
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                add_term(out, key, c)
     return TensorElement(system, out, s.legs)
 
 
@@ -207,16 +198,7 @@ def _expand_leg(t: TensorElement, leg: int) -> TensorElement:
     out = {}
     for key, c in t.terms.items():
         for pair, cc in _monomial_coproduct(system, key[leg]).items():
-            new_key = key[:leg] + pair + key[leg + 1:]
-            s = c * cc
-            if s.is_zero():
-                continue
-            cur = out.get(new_key)
-            acc = s if cur is None else cur + s
-            if acc.is_zero():
-                out.pop(new_key, None)
-            else:
-                out[new_key] = acc
+            add_term(out, key[:leg] + pair + key[leg + 1:], c * cc)
     return TensorElement(system, out, t.legs + 1)
 
 
@@ -266,14 +248,8 @@ def classical_coproduct(f: NCElement) -> TensorElement:
             acc = {}
             for key, cc in t.terms.items():
                 for pair, c2 in letter_cop:
-                    new_key = tuple(a.classical_mul(b) for a, b in zip(key, pair))
-                    s = cc * c2
-                    cur = acc.get(new_key)
-                    tot = s if cur is None else cur + s
-                    if tot.is_zero():
-                        acc.pop(new_key, None)
-                    else:
-                        acc[new_key] = tot
+                    add_term(acc, tuple(a.classical_mul(b) for a, b in zip(key, pair)),
+                             cc * c2)
             t = TensorElement(system, acc)
         out = out + t.scale(c)
     return out

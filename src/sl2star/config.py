@@ -61,6 +61,16 @@ class Config:
     def validate(self) -> "Config":
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        if self.laurent_min > 0:
+            raise ValueError("laurent_min must be <= 0")
+        if self.xi_total < 1:
+            raise ValueError("xi_total must be >= 1")
+        if self.xi_h_min > 0:
+            raise ValueError("xi_h_min must be <= 0")
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
+        if not self.tol > 0:
+            raise ValueError("tol must be > 0")
         if self.fmt not in ("text", "json"):
             raise ValueError("format must be text or json")
         if self.a_coeffs and self.a_coeffs[0] == 0:

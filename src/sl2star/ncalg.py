@@ -127,6 +127,17 @@ _NAMED_STRATEGIES = {
 STRATEGY_NAMES = ("leftmost", "rightmost", "middle", "random", "cycle")
 
 
+def add_term(out: dict, key, c) -> None:
+    """Add the series ``c`` into ``out[key]``, dropping the key at zero."""
+    cur = out.get(key)
+    if cur is not None:
+        c = cur + c
+    if c.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = c
+
+
 class RewriteSystem:
     """Oriented two-letter rules plus the data shared by all elements.
 
@@ -220,13 +231,7 @@ class RewriteSystem:
             word, coeff = pending.pop()
             positions = self.reducible_positions(word)
             if not positions:
-                mono = word_to_monomial(word)
-                cur = out.get(mono)
-                s = coeff if cur is None else cur + coeff
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
+                add_term(out, word_to_monomial(word), coeff)
                 continue
             i = choose(positions, rng)
             if check_termination:
@@ -262,13 +267,7 @@ class RewriteSystem:
                 if cab.is_zero():
                     continue
                 for mono, c in self._basis_star(ma, mb).items():
-                    term = cab if c is self.ring.one else cab * c
-                    cur = out.get(mono)
-                    s = term if cur is None else cur + term
-                    if s.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = s
+                    add_term(out, mono, cab if c is self.ring.one else cab * c)
         return NCElement(self, out)
 
     def commutator(self, f: "NCElement", g: "NCElement") -> "NCElement":
@@ -288,12 +287,7 @@ class RewriteSystem:
             name = f"{self.symbols[l1]}.{self.symbols[l2]}"
             rel = {(l1, l2): one}
             for word, c in expansion:
-                cur = rel.get(word)
-                s = -c if cur is None else cur - c
-                if s.is_zero():
-                    rel.pop(word, None)
-                else:
-                    rel[word] = s
+                add_term(rel, word, -c)
             out.append((name, rel))
         return out
 
@@ -346,12 +340,7 @@ class NCElement:
         self._check(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            cur = out.get(mono)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+            add_term(out, mono, c)
         return NCElement(self.system, out)
 
     def __sub__(self, other):
@@ -372,17 +361,7 @@ class NCElement:
         return self._scale(other)
 
     def _scale(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            if scalar == 0:
-                return self.system.zero
-            out = {m: c * scalar for m, c in self.terms.items()}
-            return NCElement(self.system, out)
-        out = {}
-        for m, c in self.terms.items():
-            s = c * scalar
-            if not s.is_zero():
-                out[m] = s
-        return NCElement(self.system, out)
+        return self.map_coefficients(lambda c: c * scalar)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -398,14 +377,7 @@ class NCElement:
         out = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                mono = ma.classical_mul(mb)
-                c = ca * cb
-                cur = out.get(mono)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
+                add_term(out, ma.classical_mul(mb), ca * cb)
         return NCElement(self.system, out)
 
     def eps_flip(self) -> "NCElement":

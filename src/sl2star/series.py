@@ -1,10 +1,14 @@
 """Exact truncated formal series in the deformation parameters.
 
-``EpsSeries`` is a sparse truncated power series in one parameter ``eps``
-over arbitrary-precision rationals, optionally Laurent with a finite lower
-exponent bound.  ``BiSeries`` is the two-parameter variant in ``(eps, h)``
-used by the two-parameter algebra; it is truncated by total degree and its
-``h`` exponent may go below zero (for 1/sinh(h)).
+There is one ring core, ``_Series``, with two key types.  ``EpsSeries``
+keys its terms by an ``int`` exponent: a sparse truncated power series in
+one parameter ``eps`` over arbitrary-precision rationals, optionally Laurent
+with a finite lower exponent bound.  ``BiSeries`` keys them by an ``(i, j)``
+exponent pair: the two-parameter variant in ``(eps, h)`` used by the
+two-parameter algebra, truncated by total degree, with an ``h`` exponent
+that may go below zero (for 1/sinh(h)).  Sums, differences, negation,
+rational multiples, equality and powers are the core's; each key type has
+its own product, inverse and substitutions.
 
 All values are immutable after construction and all operations are pure, so
 instances are safe to share across threads.  Coefficients are stored as
@@ -63,115 +67,86 @@ def pair_str(q: tuple) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-class EpsSeries:
-    """Truncated (optionally Laurent) power series in eps with exact coefficients.
+class _Series:
+    """The ring core shared by ``EpsSeries`` and ``BiSeries``.
 
-    Invariants: no stored zero coefficients; all exponents lie in
-    ``[min_exp, order]``.  ``truncated`` records that terms beyond ``order``
-    were discarded somewhere in the history of the value; it is informational
-    and ignored by equality.
+    A value is ``terms``, a sparse dict from an exponent key to a reduced
+    rational pair with no stored zeros, plus the two bounds of its ring:
+    the truncation degree and the lowest admissible exponent.  Everything
+    that is blind to the key type lives here: sums, differences, negation
+    and rational multiples through the kernel's ``s_add``/``s_sub``/
+    ``s_neg``/``s_scale``, the constructors ``zero``/``one``/``constant``
+    (each taking the two bounds), coercion of ints and Fractions, equality,
+    powers and printing.  A subclass supplies its key type: the key check of
+    its constructor, ``_mul``, ``invert`` and the rest.
+
+    ``truncated`` records that terms beyond the truncation were discarded
+    somewhere in the history of the value; it is informational and, like
+    the lower bound, ignored by equality.
     """
 
-    __slots__ = ("order", "min_exp", "terms", "truncated")
+    __slots__ = ("terms", "_bounds", "truncated")
 
-    def __init__(self, terms: Mapping[int, tuple], order: int, min_exp: int = 0,
-                 truncated: bool = False, _raw: bool = False):
-        if order < 1:
-            raise SeriesConfigError("truncation order must be >= 1")
-        if min_exp > 0:
-            raise SeriesConfigError("min_exp must be <= 0")
-        self.order = order
-        self.min_exp = min_exp
-        if _raw:
-            self.terms = dict(terms)
-        else:
-            clean = {}
-            for e, c in terms.items():
-                c = as_pair(c)
-                if c[0] == 0:
-                    continue
-                if e > order:
-                    truncated = True
-                    continue
-                if e < min_exp:
-                    raise SeriesDomainError(
-                        f"exponent {e} below Laurent bound {min_exp}")
-                clean[e] = c
-            self.terms = clean
-        self.truncated = truncated
+    #: names of the two bounds, for display
+    _BOUND_NAMES = ("hi", "lo")
+    #: the key of the constant term
+    _UNIT_KEY = None
 
-    # -- constructors -------------------------------------------------
+    def _wrap(self, terms: dict, truncated: bool):
+        """A value of this ring whose terms are already clean (not copied)."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        out._bounds = self._bounds
+        out.truncated = truncated
+        return out
 
     @classmethod
-    def zero(cls, order: int, min_exp: int = 0) -> "EpsSeries":
-        return cls({}, order, min_exp, _raw=True)
+    def zero(cls, hi: int, lo: int = 0):
+        return cls({}, hi, lo)
 
     @classmethod
-    def constant(cls, value: RationalLike, order: int, min_exp: int = 0) -> "EpsSeries":
-        return cls({0: value}, order, min_exp)
+    def constant(cls, value: RationalLike, hi: int, lo: int = 0):
+        return cls({cls._UNIT_KEY: value}, hi, lo)
 
     @classmethod
-    def one(cls, order: int, min_exp: int = 0) -> "EpsSeries":
-        return cls.constant(1, order, min_exp)
-
-    @classmethod
-    def eps_power(cls, value: RationalLike, k: int, order: int, min_exp: int = 0) -> "EpsSeries":
-        """The single-term series value * eps^k."""
-        return cls({k: value}, order, min_exp)
-
-    # -- misc queries ---------------------------------------------------
+    def one(cls, hi: int, lo: int = 0):
+        return cls.constant(1, hi, lo)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def low(self) -> int:
-        """Lowest exponent with a nonzero coefficient."""
-        if not self.terms:
-            raise SeriesDomainError("zero series has no lowest term")
-        return min(self.terms)
-
-    def high(self) -> int:
-        if not self.terms:
-            raise SeriesDomainError("zero series has no highest term")
-        return max(self.terms)
-
-    def coefficient(self, k: int) -> Fraction:
-        n, d = self.terms.get(k, (0, 1))
-        return Fraction(n, d)
-
-    def items(self):
-        return sorted((e, Fraction(n, d)) for e, (n, d) in self.terms.items())
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, EpsSeries):
-            return self.order == other.order and self.terms == other.terms
+        if isinstance(other, type(self)):
+            return self._bounds[0] == other._bounds[0] and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self == EpsSeries.constant(other, self.order, self.min_exp)
+            return self == self.constant(other, *self._bounds)
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"EpsSeries({self!s}, order={self.order})"
+        return (f"{type(self).__name__}({self!s}, "
+                f"{self._BOUND_NAMES[0]}={self._bounds[0]})")
 
     def __str__(self) -> str:
-        return format_terms(self.terms, lambda e: _eps_power_str(e))
+        return format_terms(self.terms, self._power_str)
 
-    # -- ring operations ------------------------------------------------
+    def _check(self, other) -> None:
+        if self._bounds != other._bounds:
+            (hi, lo), (ohi, olo) = self._bounds, other._bounds
+            if hi != ohi:
+                raise SeriesConfigError(f"truncation mismatch: {hi} vs {ohi}")
+            raise SeriesConfigError(f"Laurent bound mismatch: {lo} vs {olo}")
 
-    def _check(self, other: "EpsSeries") -> None:
-        if self.order != other.order:
-            raise SeriesConfigError(
-                f"truncation mismatch: {self.order} vs {other.order}")
-        if self.min_exp != other.min_exp:
-            raise SeriesConfigError(
-                f"Laurent bound mismatch: {self.min_exp} vs {other.min_exp}")
-
-    def _wrap(self, terms: dict, truncated: bool) -> "EpsSeries":
-        return EpsSeries(terms, self.order, self.min_exp, truncated, _raw=True)
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.constant(other, *self._bounds)
+        return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -200,39 +175,106 @@ class EpsSeries:
     def __neg__(self):
         return self._wrap(_q.s_neg(self.terms), self.truncated)
 
-    def _coerce(self, other):
-        if isinstance(other, EpsSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return EpsSeries.constant(other, self.order, self.min_exp)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = as_pair(other)
-            return self._wrap(_q.s_scale(self.terms, q), self.truncated)
-        if not isinstance(other, EpsSeries):
+            return self._wrap(_q.s_scale(self.terms, as_pair(other)),
+                              self.truncated)
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
-        if not self.terms or not other.terms:
-            return self._wrap({}, False)
-        if min(self.terms) + min(other.terms) < self.min_exp:
-            raise SeriesDomainError(
-                "product underflows the Laurent bound "
-                f"{self.min_exp}")
-        flag = self.truncated or other.truncated \
-            or (max(self.terms) + max(other.terms) > self.order)
-        return self._wrap(_q.s_mul(self.terms, other.terms, self.order), flag)
+        return self._mul(other)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             return self.invert() ** (-n)
-        out = EpsSeries.one(self.order, self.min_exp)
+        out = self.one(*self._bounds)
         for _ in range(n):
             out = out * self
         return out
+
+
+class EpsSeries(_Series):
+    """Truncated (optionally Laurent) power series in eps with exact coefficients.
+
+    Keys are ``int`` exponents in ``[min_exp, order]``; the two bounds of the
+    constructors are ``(order, min_exp)``.
+    """
+
+    __slots__ = ()
+
+    _BOUND_NAMES = ("order", "min_exp")
+    _UNIT_KEY = 0
+
+    order = property(lambda self: self._bounds[0])
+    min_exp = property(lambda self: self._bounds[1])
+
+    def __init__(self, terms: Mapping[int, tuple], order: int, min_exp: int = 0,
+                 truncated: bool = False):
+        if order < 1:
+            raise SeriesConfigError("truncation order must be >= 1")
+        if min_exp > 0:
+            raise SeriesConfigError("min_exp must be <= 0")
+        clean = {}
+        for e, c in terms.items():
+            c = as_pair(c)
+            if c[0] == 0:
+                continue
+            if e > order:
+                truncated = True
+                continue
+            if e < min_exp:
+                raise SeriesDomainError(
+                    f"exponent {e} below Laurent bound {min_exp}")
+            clean[e] = c
+        self.terms = clean
+        self._bounds = (order, min_exp)
+        self.truncated = truncated
+
+    @classmethod
+    def eps_power(cls, value: RationalLike, k: int, order: int, min_exp: int = 0) -> "EpsSeries":
+        """The single-term series value * eps^k."""
+        return cls({k: value}, order, min_exp)
+
+    # -- misc queries ---------------------------------------------------
+
+    def low(self) -> int:
+        """Lowest exponent with a nonzero coefficient."""
+        if not self.terms:
+            raise SeriesDomainError("zero series has no lowest term")
+        return min(self.terms)
+
+    def high(self) -> int:
+        if not self.terms:
+            raise SeriesDomainError("zero series has no highest term")
+        return max(self.terms)
+
+    def coefficient(self, k: int) -> Fraction:
+        n, d = self.terms.get(k, (0, 1))
+        return Fraction(n, d)
+
+    def items(self):
+        return sorted((e, Fraction(n, d)) for e, (n, d) in self.terms.items())
+
+    @staticmethod
+    def _power_str(e: int) -> str:
+        if e == 0:
+            return ""
+        return "eps" if e == 1 else f"eps^{e}"
+
+    # -- ring operations ------------------------------------------------
+
+    def _mul(self, other: "EpsSeries") -> "EpsSeries":
+        if not self.terms or not other.terms:
+            return self._wrap({}, False)
+        order, min_exp = self._bounds
+        if min(self.terms) + min(other.terms) < min_exp:
+            raise SeriesDomainError(
+                f"product underflows the Laurent bound {min_exp}")
+        flag = self.truncated or other.truncated \
+            or (max(self.terms) + max(other.terms) > order)
+        return self._wrap(_q.s_mul(self.terms, other.terms, order), flag)
 
     def invert(self) -> "EpsSeries":
         """Multiplicative inverse up to truncation.
@@ -361,14 +403,6 @@ def _rational_sqrt(q: tuple):
     return (rn, rd)
 
 
-def _eps_power_str(e: int) -> str:
-    if e == 0:
-        return ""
-    if e == 1:
-        return "eps"
-    return f"eps^{e}"
-
-
 def format_terms(terms: Mapping, power_str) -> str:
     """Human-readable sum of rational-coefficient monomials, ascending key."""
     if not terms:
@@ -405,23 +439,22 @@ def exp_series(k: RationalLike, order: int, min_exp: int = 0) -> EpsSeries:
     for j in range(0, order + 1):
         if j:
             c = _q.qmul(c, _q.qdiv(kq, (j, 1)))
-        if c[0]:
-            terms[j] = c
-    return EpsSeries(terms, order, min_exp, truncated=kq[0] != 0, _raw=True)
+        terms[j] = c
+    return EpsSeries(terms, order, min_exp, truncated=kq[0] != 0)
 
 
 def sinh_series(k: RationalLike, order: int, min_exp: int = 0) -> EpsSeries:
     """Odd part of exp(k*eps)."""
     e = exp_series(k, order, min_exp)
-    terms = {j: c for j, c in e.terms.items() if j % 2 == 1}
-    return EpsSeries(terms, order, min_exp, truncated=e.truncated, _raw=True)
+    return EpsSeries({j: c for j, c in e.terms.items() if j % 2 == 1},
+                     order, min_exp, e.truncated)
 
 
 def cosh_series(k: RationalLike, order: int, min_exp: int = 0) -> EpsSeries:
     """Even part of exp(k*eps)."""
     e = exp_series(k, order, min_exp)
-    terms = {j: c for j, c in e.terms.items() if j % 2 == 0}
-    return EpsSeries(terms, order, min_exp, truncated=e.truncated, _raw=True)
+    return EpsSeries({j: c for j, c in e.terms.items() if j % 2 == 0},
+                     order, min_exp, e.truncated)
 
 
 def even_series(coeffs: Iterable[RationalLike], order: int, min_exp: int = 0) -> EpsSeries:
@@ -436,27 +469,38 @@ def even_series(coeffs: Iterable[RationalLike], order: int, min_exp: int = 0) ->
     return EpsSeries(terms, order, min_exp)
 
 
-class EpsSeriesRing:
-    """Factory facade fixing (order, min_exp) for one computation."""
+class _SeriesRing:
+    """Factory facade fixing the two bounds of one series type for one
+    computation."""
+
+    series = _Series
+
+    def __init__(self, hi: int, lo: int):
+        self._bounds = (hi, lo)
+        self.one = self.series.one(hi, lo)
+        self.zero = self.series.zero(hi, lo)
+
+    def constant(self, value: RationalLike):
+        return self.series.constant(value, *self._bounds)
+
+    def __repr__(self) -> str:
+        (n_hi, n_lo), (hi, lo) = self.series._BOUND_NAMES, self._bounds
+        return f"{type(self).__name__}({n_hi}={hi}, {n_lo}={lo})"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._bounds == other._bounds
+
+
+class EpsSeriesRing(_SeriesRing):
+    """The ring of ``EpsSeries`` with fixed (order, min_exp)."""
 
     kind = "eps"
+    series = EpsSeries
 
     def __init__(self, order: int = DEFAULT_ORDER, min_exp: int = 0):
+        super().__init__(order, min_exp)
         self.order = order
         self.min_exp = min_exp
-        self._one = EpsSeries.one(order, min_exp)
-        self._zero = EpsSeries.zero(order, min_exp)
-
-    @property
-    def one(self) -> EpsSeries:
-        return self._one
-
-    @property
-    def zero(self) -> EpsSeries:
-        return self._zero
-
-    def constant(self, value: RationalLike) -> EpsSeries:
-        return EpsSeries.constant(value, self.order, self.min_exp)
 
     def eps_power(self, value: RationalLike, k: int) -> EpsSeries:
         return EpsSeries.eps_power(value, k, self.order, self.min_exp)
@@ -473,23 +517,17 @@ class EpsSeriesRing:
     def even(self, coeffs: Iterable[RationalLike]) -> EpsSeries:
         return even_series(coeffs, self.order, self.min_exp)
 
-    def __repr__(self) -> str:
-        return f"EpsSeriesRing(order={self.order}, min_exp={self.min_exp})"
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, EpsSeriesRing)
-                and self.order == other.order and self.min_exp == other.min_exp)
-
 
 # ----------------------------------------------------------------------
 # two-parameter series in (eps, h)
 # ----------------------------------------------------------------------
 
-class BiSeries:
+class BiSeries(_Series):
     """Sparse series in (eps, h), truncated by total degree.
 
     Keys are ``(eps_exp, h_exp)`` pairs; ``eps_exp >= 0`` always, while
     ``h_exp`` may go down to ``h_min`` (Laurent in h only, for 1/sinh(h)).
+    The two bounds of the constructors are ``(total, h_min)``.
 
     Truncation is a window on total degree.  For operands whose stored
     terms all have nonnegative total degree the windowed product is exact
@@ -498,166 +536,64 @@ class BiSeries:
     by the two-parameter rewrite system have that property.
     """
 
-    __slots__ = ("total", "h_min", "terms", "truncated")
+    __slots__ = ()
+
+    _BOUND_NAMES = ("total", "h_min")
+    _UNIT_KEY = (0, 0)
+
+    total = property(lambda self: self._bounds[0])
+    h_min = property(lambda self: self._bounds[1])
 
     def __init__(self, terms: Mapping[tuple, tuple], total: int, h_min: int = 0,
-                 truncated: bool = False, _raw: bool = False):
+                 truncated: bool = False):
         if total < 1:
             raise SeriesConfigError("total degree bound must be >= 1")
-        self.total = total
-        self.h_min = h_min
-        if _raw:
-            self.terms = dict(terms)
-        else:
-            clean = {}
-            for (i, j), c in terms.items():
-                c = as_pair(c)
-                if c[0] == 0:
-                    continue
-                if i < 0:
-                    raise SeriesDomainError("negative eps exponent in BiSeries")
-                if j < h_min:
-                    raise HBoundError(
-                        f"h exponent {j} below Laurent bound {h_min}")
-                if i + j > total:
-                    truncated = True
-                    continue
-                clean[(i, j)] = c
-            self.terms = clean
+        clean = {}
+        for (i, j), c in terms.items():
+            c = as_pair(c)
+            if c[0] == 0:
+                continue
+            if i < 0:
+                raise SeriesDomainError("negative eps exponent in BiSeries")
+            if j < h_min:
+                raise HBoundError(
+                    f"h exponent {j} below Laurent bound {h_min}")
+            if i + j > total:
+                truncated = True
+                continue
+            clean[(i, j)] = c
+        self.terms = clean
+        self._bounds = (total, h_min)
         self.truncated = truncated
-
-    @classmethod
-    def zero(cls, total: int, h_min: int = 0) -> "BiSeries":
-        return cls({}, total, h_min, _raw=True)
-
-    @classmethod
-    def constant(cls, value: RationalLike, total: int, h_min: int = 0) -> "BiSeries":
-        return cls({(0, 0): value}, total, h_min)
-
-    @classmethod
-    def one(cls, total: int, h_min: int = 0) -> "BiSeries":
-        return cls.constant(1, total, h_min)
 
     @classmethod
     def monomial(cls, value: RationalLike, i: int, j: int, total: int,
                  h_min: int = 0) -> "BiSeries":
         return cls({(i, j): value}, total, h_min)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, i: int, j: int) -> Fraction:
         n, d = self.terms.get((i, j), (0, 1))
         return Fraction(n, d)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    @staticmethod
+    def _power_str(key: tuple) -> str:
+        i, j = key
+        parts = []
+        if i:
+            parts.append("eps" if i == 1 else f"eps^{i}")
+        if j:
+            parts.append("h" if j == 1 else f"h^{j}")
+        return "*".join(parts)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BiSeries):
-            return self.total == other.total and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == BiSeries.constant(other, self.total, self.h_min)
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __str__(self) -> str:
-        return format_terms(self.terms, _bi_power_str)
-
-    def __repr__(self) -> str:
-        return f"BiSeries({self!s}, total={self.total})"
-
-    def _check(self, other: "BiSeries") -> None:
-        if self.total != other.total:
-            raise SeriesConfigError(
-                f"truncation mismatch: {self.total} vs {other.total}")
-        if self.h_min != other.h_min:
-            raise SeriesConfigError(
-                f"Laurent bound mismatch: {self.h_min} vs {other.h_min}")
-
-    def _wrap(self, terms: dict, truncated: bool) -> "BiSeries":
-        return BiSeries(terms, self.total, self.h_min, truncated, _raw=True)
-
-    def _coerce(self, other):
-        if isinstance(other, BiSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BiSeries.constant(other, self.total, self.h_min)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = out.get(k)
-            s = c if cur is None else _q.qadd(cur, c)
-            if s[0] == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return self._wrap(out, self.truncated or other.truncated)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._wrap({k: (-n, d) for k, (n, d) in self.terms.items()},
-                          self.truncated)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = as_pair(other)
-            if q[0] == 0:
-                return self._wrap({}, False)
-            return self._wrap({k: _q.qmul(c, q) for k, c in self.terms.items()},
-                              self.truncated)
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        self._check(other)
-        out = {}
-        flag = self.truncated or other.truncated
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j > self.total:
-                    flag = True
-                    continue
-                if j < self.h_min:
-                    raise HBoundError(
-                        f"product underflows h Laurent bound {self.h_min}")
-                p = _q.qmul(c1, c2)
-                cur = out.get((i, j))
-                s = p if cur is None else _q.qadd(cur, p)
-                if s[0] == 0:
-                    out.pop((i, j), None)
-                else:
-                    out[(i, j)] = s
+    def _mul(self, other: "BiSeries") -> "BiSeries":
+        total, h_min = self._bounds
+        a, b = self.terms, other.terms
+        out = _q.s_mul_total(a, b, total)
+        if out and min(j for _, j in out) < h_min:
+            raise HBoundError(f"product underflows h Laurent bound {h_min}")
+        flag = self.truncated or other.truncated or (
+            bool(a and b) and _top_degree(a) + _top_degree(b) > total)
         return self._wrap(out, flag)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.invert() ** (-n)
-        out = BiSeries.one(self.total, self.h_min)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def invert(self) -> "BiSeries":
         """Inverse when the minimal-total-degree part is a single monomial."""
@@ -671,16 +607,16 @@ class BiSeries:
         (pi, pj) = pivots[0]
         if pi > 0:
             raise SeriesDomainError("cannot invert a positive power of eps")
-        if -pj < self.h_min:
+        total, h_min = self._bounds
+        if -pj < h_min:
             raise HBoundError(
-                f"inverse needs h exponent {-pj}, below bound {self.h_min}")
+                f"inverse needs h exponent {-pj}, below bound {h_min}")
         c0 = self.terms[(pi, pj)]
         pivot_inv = BiSeries.monomial(Fraction(c0[1], c0[0]), -pi, -pj,
-                                      self.total, self.h_min)
+                                      total, h_min)
         u = self * pivot_inv - 1
-        acc = BiSeries.one(self.total, self.h_min)
-        result = BiSeries.one(self.total, self.h_min)
-        for _ in range(self.total + abs(dmin) + 1):
+        acc = result = self.one(total, h_min)
+        for _ in range(total + abs(dmin) + 1):
             acc = acc * (-u)
             if acc.is_zero():
                 break
@@ -715,29 +651,12 @@ class BiSeries:
     def specialize_h(self, factor: RationalLike, order: int,
                      min_exp: int = 0) -> EpsSeries:
         """Substitute h -> factor * eps, producing a one-parameter series."""
-        f = as_pair(factor)
-        out = {}
-        flag = self.truncated
-        for (i, j), c in self.terms.items():
-            e = i + j
-            if e > order:
-                flag = True
-                continue
-            if e < min_exp:
-                raise SeriesDomainError(
-                    f"specialized exponent {e} below Laurent bound {min_exp}")
-            fj = _q.qdiv((1, 1), f) if j < 0 else f
-            scale = (1, 1)
-            for _ in range(abs(j)):
-                scale = _q.qmul(scale, fj)
-            p = _q.qmul(c, scale)
-            cur = out.get(e)
-            s = p if cur is None else _q.qadd(cur, p)
-            if s[0] == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return EpsSeries(out, order, min_exp, flag, _raw=True)
+        f = Fraction(*as_pair(factor))
+        out = EpsSeries({}, order, min_exp, self.truncated)
+        for (i, j), (n, d) in self.terms.items():
+            out = out + EpsSeries.eps_power(Fraction(n, d) * f ** j, i + j,
+                                            order, min_exp)
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -753,14 +672,8 @@ class BiSeries:
         return cls(terms, int(data["total"]), int(data.get("h_min", 0)))
 
 
-def _bi_power_str(key: tuple) -> str:
-    i, j = key
-    parts = []
-    if i:
-        parts.append("eps" if i == 1 else f"eps^{i}")
-    if j:
-        parts.append("h" if j == 1 else f"h^{j}")
-    return "*".join(parts)
+def _top_degree(terms: Mapping[tuple, tuple]) -> int:
+    return max(i + j for i, j in terms)
 
 
 def exp_bi(value: RationalLike, i: int, j: int, total: int, h_min: int = 0) -> BiSeries:
@@ -774,40 +687,28 @@ def exp_bi(value: RationalLike, i: int, j: int, total: int, h_min: int = 0) -> B
     while k * (i + j) <= total:
         if k:
             c = _q.qmul(c, _q.qdiv(v, (k, 1)))
-        if c[0]:
-            terms[(k * i, k * j)] = c
+        terms[(k * i, k * j)] = c
         k += 1
-    return BiSeries(terms, total, h_min, truncated=v[0] != 0, _raw=True)
+    return BiSeries(terms, total, h_min, truncated=v[0] != 0)
 
 
 def sinh_h(value: RationalLike, total: int, h_min: int = 0) -> BiSeries:
     """sinh(value * h) as a BiSeries in h alone."""
     e = exp_bi(value, 0, 1, total, h_min)
-    terms = {k: c for k, c in e.terms.items() if k[1] % 2 == 1}
-    return BiSeries(terms, total, h_min, truncated=e.truncated, _raw=True)
+    return BiSeries({k: c for k, c in e.terms.items() if k[1] % 2 == 1},
+                    total, h_min, e.truncated)
 
 
-class BiSeriesRing:
-    """Factory facade fixing (total, h_min) for the two-parameter algebra."""
+class BiSeriesRing(_SeriesRing):
+    """The ring of ``BiSeries`` with fixed (total, h_min)."""
 
     kind = "bi"
+    series = BiSeries
 
     def __init__(self, total: int = DEFAULT_ORDER, h_min: int = -2):
+        super().__init__(total, h_min)
         self.total = total
         self.h_min = h_min
-        self._one = BiSeries.one(total, h_min)
-        self._zero = BiSeries.zero(total, h_min)
-
-    @property
-    def one(self) -> BiSeries:
-        return self._one
-
-    @property
-    def zero(self) -> BiSeries:
-        return self._zero
-
-    def constant(self, value: RationalLike) -> BiSeries:
-        return BiSeries.constant(value, self.total, self.h_min)
 
     def monomial(self, value: RationalLike, i: int, j: int) -> BiSeries:
         return BiSeries.monomial(value, i, j, self.total, self.h_min)
@@ -817,10 +718,3 @@ class BiSeriesRing:
 
     def sinh_h(self, value: RationalLike = 1) -> BiSeries:
         return sinh_h(value, self.total, self.h_min)
-
-    def __repr__(self) -> str:
-        return f"BiSeriesRing(total={self.total}, h_min={self.h_min})"
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BiSeriesRing)
-                and self.total == other.total and self.h_min == other.h_min)

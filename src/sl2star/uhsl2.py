@@ -40,6 +40,7 @@ from .ncalg import (
     X1,
     X2,
     X3,
+    add_term,
     x_algebra,
 )
 from .series import BiSeries, BiSeriesRing, EpsSeries, SeriesDomainError
@@ -378,63 +379,35 @@ def limit_h_to_zero(obj):
     """
     if isinstance(obj, coalg.TensorElement):
         system = obj.system
-        out = coalg.tensor_zero(system, obj.legs)
+        terms = {}
         for key, c in obj.terms.items():
-            legs = [expand_exponentials(system.monomial_element(m)) for m in key]
-            # cartesian product over expanded legs
+            # cartesian product over the expanded legs
             acc = [((), c)]
-            for leg in legs:
-                acc = [(ks + (m,), cc * c2)
-                       for ks, cc in acc for m, c2 in leg.terms.items()]
-            terms = {}
+            for m in key:
+                leg = expand_exponentials(system.monomial_element(m)).terms
+                acc = [(ks + (m2,), cc * c2)
+                       for ks, cc in acc for m2, c2 in leg.items()]
             for ks, cc in acc:
-                if cc.is_zero():
-                    continue
-                cur = terms.get(ks)
-                s = cc if cur is None else cur + cc
-                if s.is_zero():
-                    terms.pop(ks, None)
-                else:
-                    terms[ks] = s
-            out = out + coalg.TensorElement(system, terms, obj.legs)
-        return _take_h_constant_tensor(out)
-    expanded = expand_exponentials(obj)
-    return _take_h_constant(expanded)
+                add_term(terms, ks, cc)
+        expanded = coalg.TensorElement(system, terms, obj.legs)
+    else:
+        expanded = expand_exponentials(obj)
+    return expanded.map_coefficients(_h_constant_scalar)
 
 
 def _h_constant_scalar(c: BiSeries) -> BiSeries:
     if c.h_pole_order() < 0:
         raise PoleAtHZeroError(f"pole at h = 0 remains in {c}")
     return BiSeries({k: v for k, v in c.terms.items() if k[1] == 0},
-                    c.total, c.h_min, c.truncated, _raw=True)
-
-
-def _take_h_constant(f: NCElement) -> NCElement:
-    return f.map_coefficients(_h_constant_scalar)
-
-
-def _take_h_constant_tensor(t: coalg.TensorElement) -> coalg.TensorElement:
-    terms = {}
-    for k, c in t.terms.items():
-        s = _h_constant_scalar(c)
-        if not s.is_zero():
-            terms[k] = s
-    return coalg.TensorElement(t.system, terms, t.legs)
+                    c.total, c.h_min, c.truncated)
 
 
 def limit_eps_to_zero(obj):
     """eps -> 0: keep the eps-constant slice of every coefficient.
 
     Commutators die (they are O(eps)); the coproducts keep their
-    h-deformation.
+    h-deformation.  Accepts elements and tensors.
     """
-    if isinstance(obj, coalg.TensorElement):
-        terms = {}
-        for k, c in obj.terms.items():
-            s = c.eps_slice(0)
-            if not s.is_zero():
-                terms[k] = s
-        return coalg.TensorElement(obj.system, terms, obj.legs)
     return obj.map_coefficients(lambda c: c.eps_slice(0))
 
 

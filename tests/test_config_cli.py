@@ -144,6 +144,22 @@ def test_cli_poisson_verify(capsys):
     assert data["integration_lemma"]["kappa"] == pytest.approx(8.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("setting, argv, env", [
+    ("samples", ["poisson", "verify", "--samples", "0"], {}),
+    ("tol", ["poisson", "verify", "--tol", "-1"], {}),
+    ("laurent_min", ["normalize", "x1", "--laurent-min", "1"], {}),
+    ("xi_total", ["normalize", "xi1"], {"SL2STAR_XI_TOTAL": "0"}),
+    ("xi_h_min", ["normalize", "xi1"], {"SL2STAR_XI_H_MIN": "1"}),
+])
+def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert setting in captured.err
+    assert captured.out == ""
+
+
 def test_cli_error_exit_code(capsys):
     code = cli.main(["normalize", "x1*(("])
     assert code == 2
