@@ -115,10 +115,8 @@ def cmd_check(args) -> int:
 
 def cmd_gauge(args) -> int:
     config = _config_from(args)
-    b = args.b if args.b is not None else dict(config.b_coeffs)
-    kmax = args.kmax if args.kmax is not None else config.gauge_kmax
-    nmax = args.nmax if args.nmax is not None else config.gauge_nmax
-    model = gauge.RawX1Model(b)
+    kmax, nmax = config.gauge_kmax, config.gauge_nmax
+    model = gauge.RawX1Model(dict(config.b_coeffs))
     solution = gauge.solve_gauge(model, kmax)
     verdict = gauge.verify_gauge(model, solution, nmax)
     payload = {
@@ -222,10 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("gauge", help="solve and verify the gauge recursion")
-    p.add_argument("--b", type=parse_b_coeffs, default=None,
+    p.add_argument("--b", dest="b_coeffs", type=parse_b_coeffs, default=None,
                    metavar="k:p/q,...", help="raw even b coefficients")
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--kmax", dest="gauge_kmax", type=int, default=None,
+                   help="solve for a_k up to k = kmax (even, >= nmax)")
+    p.add_argument("--nmax", dest="gauge_nmax", type=int, default=None,
+                   help="verify the solution up to n = nmax")
     _add_common(p)
     p.set_defaults(fn=cmd_gauge)
 

@@ -13,73 +13,36 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .ncalg import NCElement, PbwMonomial, RewriteSystem, UNIT, add_term
+from .ncalg import (
+    Combination, NCElement, PbwMonomial, RewriteSystem, UNIT, Word, add_term,
+    monomial_str,
+)
 
 
-class TensorElement:
+class TensorElement(Combination):
     """Sum of elementary tensors of basis monomials with series coefficients.
 
-    ``legs`` is 2 for coproduct values and 3 for the coassociativity defect.
-    All legs are stored in PBW normal form.
+    ``legs`` is 2 for coproduct values and 3 for the coassociativity defect;
+    only tensors of one system and one ``legs`` combine.  All legs are
+    stored in PBW normal form.
     """
 
-    __slots__ = ("system", "legs", "terms")
+    __slots__ = ("legs",)
 
     def __init__(self, system: RewriteSystem, terms: Mapping, legs: int = 2):
-        self.system = system
+        super().__init__(system, terms)
         self.legs = legs
-        self.terms = dict(terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _compatible(self, other) -> bool:
+        return super()._compatible(other) and self.legs == other.legs
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TensorElement):
-            return (self.system is other.system and self.legs == other.legs
-                    and self.terms == other.terms)
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
+    def _new(self, terms) -> "TensorElement":
+        return TensorElement(self.system, terms, self.legs)
 
     def coefficient(self, key):
         key = tuple(k if isinstance(k, PbwMonomial) else PbwMonomial(*k)
                     for k in key)
         return self.terms.get(key, self.system.ring.zero)
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if self.system is not other.system or self.legs != other.legs:
-            raise ValueError("tensor elements are not compatible")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            add_term(out, key, c)
-        return TensorElement(self.system, out, self.legs)
-
-    def __neg__(self):
-        return TensorElement(self.system,
-                             {k: -c for k, c in self.terms.items()}, self.legs)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def map_coefficients(self, fn) -> "TensorElement":
-        out = {}
-        for key, c in self.terms.items():
-            s = fn(c)
-            if not s.is_zero():
-                out[key] = s
-        return TensorElement(self.system, out, self.legs)
-
-    def scale(self, scalar) -> "TensorElement":
-        return self.map_coefficients(lambda c: c * scalar)
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
@@ -87,8 +50,6 @@ class TensorElement:
         return self.scale(other)
 
     def __str__(self) -> str:
-        from .ncalg import monomial_str
-
         if not self.terms:
             return "0"
         parts = []
@@ -124,8 +85,7 @@ def tensor_zero(system: RewriteSystem, legs: int = 2) -> TensorElement:
 
 def star_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise star product of tensors (no braiding)."""
-    if s.system is not t.system or s.legs != t.legs:
-        raise ValueError("tensor elements are not compatible")
+    s._check(t)
     system = s.system
     one = system.ring.one
     out = {}
@@ -145,17 +105,25 @@ def star_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
     return TensorElement(system, out, s.legs)
 
 
+def _word_coproduct(system: RewriteSystem, word: Word) -> TensorElement:
+    """Star product of the generator coproducts of the letters of a word.
+
+    Both legs are reduced in the quotient as the product is built up, so the
+    result is the image in (F/I) (x) (F/I).
+    """
+    t = tensor_unit(system)
+    for letter in word:
+        t = star_tensor(t, TensorElement(system, system.coproduct_table[letter]))
+    return t
+
+
 def _monomial_coproduct(system: RewriteSystem, mono: PbwMonomial) -> dict:
     """Coproduct of a basis monomial as a terms dict; cached on the system."""
     cached = system._coproduct_cache.get(mono)
-    if cached is not None:
-        return cached
-    t = tensor_unit(system)
-    for letter in mono.word():
-        letter_cop = TensorElement(system, dict(system.coproduct_table[letter]))
-        t = star_tensor(t, letter_cop)
-    system._coproduct_cache[mono] = t.terms
-    return t.terms
+    if cached is None:
+        cached = _word_coproduct(system, mono.word()).terms
+        system._coproduct_cache[mono] = cached
+    return cached
 
 
 def coproduct(f: NCElement) -> TensorElement:
@@ -167,29 +135,17 @@ def coproduct(f: NCElement) -> TensorElement:
     return out
 
 
-def coproduct_of_words(system: RewriteSystem, words: Mapping) -> TensorElement:
-    """Coproduct of a word-level combination (used on ideal generators).
-
-    Both legs are reduced in the quotient as the product is built up, so the
-    result is the image in (F/I) (x) (F/I).
-    """
-    out = tensor_zero(system)
-    for word, c in words.items():
-        t = tensor_unit(system)
-        for letter in word:
-            letter_cop = TensorElement(system, dict(system.coproduct_table[letter]))
-            t = star_tensor(t, letter_cop)
-        out = out + t.scale(c)
-    return out
-
-
 def coideal_check(system: RewriteSystem, relation: Mapping) -> TensorElement:
-    """Image of an ideal generator under the coproduct, reduced in the quotient.
+    """Image of an ideal generator, a {word: coefficient} map, under the
+    coproduct, reduced in the quotient.
 
     The two-sided ideal is a coideal exactly when this vanishes for every
     generator; a nonzero result flags an inconsistent relation set.
     """
-    return coproduct_of_words(system, relation)
+    out = tensor_zero(system)
+    for word, c in relation.items():
+        out = out + _word_coproduct(system, word).scale(c)
+    return out
 
 
 def _expand_leg(t: TensorElement, leg: int) -> TensorElement:

@@ -61,6 +61,13 @@ class Config:
     def validate(self) -> "Config":
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        if self.gauge_kmax % 2:
+            raise ValueError("gauge_kmax must be even")
+        if self.gauge_nmax < 1:
+            raise ValueError("gauge_nmax must be >= 1")
+        if self.gauge_kmax < self.gauge_nmax:
+            raise ValueError("gauge_kmax must be >= gauge_nmax (the gauge is "
+                             "verified up to gauge_nmax)")
         if self.laurent_min > 0:
             raise ValueError("laurent_min must be <= 0")
         if self.xi_total < 1:

@@ -3,10 +3,12 @@
 The algebra is generated by three polynomial letters and a pair of mutually
 inverse exponential letters.  A fixed oriented rewrite system moves every
 word into the ordered basis form ``x1^n1 x2^n2 x3^n3 e^(m x1)``; the star
-product of two basis words is the normal form of their concatenation.  The
-same engine runs two instances: the one-parameter algebra (``x_algebra``)
-with even free parameter series A on the x2-x3 relation, and the
-two-parameter variant built in :mod:`sl2star.uhsl2`.
+product of two basis words is the normal form of their concatenation.  Both
+algebras share one presentation (``pbw_rules``) with different scalars: the
+one-parameter algebra (``x_algebra``), with even free parameter series A on
+the x2-x3 relation, and the two-parameter variant built in
+:mod:`sl2star.uhsl2`.  Elements and tensors are both sums of keys with
+series coefficients, on the one base class ``Combination``.
 
 Rewriting terminates because every rule strictly decreases the triple
 (number of x2/x3 letters, word length, inversion count) lexicographically;
@@ -16,10 +18,11 @@ randomized strategies.
 
 from __future__ import annotations
 
+import itertools
 import random
 from enum import IntEnum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple
 
 from .series import (
     EpsSeries,
@@ -46,8 +49,6 @@ X1, X2, X3, EP, EM = Gen.X1, Gen.X2, Gen.X3, Gen.EP, Gen.EM
 _RANK = {X1: 1, X2: 2, X3: 3, EP: 4, EM: 4}
 
 Word = tuple
-
-Strategy = Union[str, Callable[[Sequence[int], random.Random], int]]
 
 
 class PbwMonomial(NamedTuple):
@@ -138,23 +139,104 @@ def add_term(out: dict, key, c) -> None:
         out[key] = c
 
 
+class Combination:
+    """Finite sum of keys with series coefficients; zero terms are dropped.
+
+    The arithmetic shared by elements (keys are basis monomials) and tensors
+    (keys are tuples of them).  A subclass says which values it combines
+    with (``_compatible``) and how to build one from a terms dict
+    (``_new``).  Values are treated as immutable; arithmetic returns new
+    values.
+    """
+
+    __slots__ = ("system", "terms")
+
+    def __init__(self, system: "RewriteSystem", terms: Mapping):
+        self.system = system
+        self.terms = dict(terms)
+
+    def _compatible(self, other) -> bool:
+        return self.system is other.system
+
+    def _check(self, other) -> None:
+        if not self._compatible(other):
+            raise SeriesConfigError(
+                f"{type(self).__name__}s of different systems or legs "
+                "do not combine")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            return self._compatible(other) and self.terms == other.terms
+        if other == 0:
+            return not self.terms
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            add_term(out, key, c)
+        return self._new(out)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def map_coefficients(self, fn):
+        out = {}
+        for key, c in self.terms.items():
+            s = fn(c)
+            if not s.is_zero():
+                out[key] = s
+        return self._new(out)
+
+    def scale(self, scalar):
+        return self.map_coefficients(lambda c: c * scalar)
+
+    __rmul__ = scale
+
+
 class RewriteSystem:
     """Oriented two-letter rules plus the data shared by all elements.
 
     ``rules`` maps an out-of-order adjacent pair to its replacement, a list
     of ``(word, coefficient)`` terms.  The system also carries the scalar
     ring, display names, the generator coproduct table used by the coalgebra
-    layer, and a cache of basis-pair star products.  Instances are immutable
-    after construction; the cache is fill-once and idempotent, so concurrent
+    layer (the same for every instance, built from ``ring.one``), and a
+    cache of basis-pair star products.  Instances are immutable after
+    construction; the cache is fill-once and idempotent, so concurrent
     readers need no coordination.
     """
 
     def __init__(self, ring, rules: Mapping, symbols: Mapping,
-                 coproduct_table: Mapping, a_series=None, label: str = ""):
+                 a_series=None, label: str = ""):
         self.ring = ring
         self.rules = dict(rules)
         self.symbols = dict(symbols)
-        self.coproduct_table = dict(coproduct_table)
+        one = ring.one
+        # x1 primitive, the exponential letters group-like, x2 and x3
+        # twisted-primitive with exponential legs
+        self.coproduct_table = {
+            X1: [((UNIT, M_X1), one), ((M_X1, UNIT), one)],
+            X2: [((M_X2, M_EM), one), ((M_EP, M_X2), one)],
+            X3: [((M_X3, M_EM), one), ((M_EP, M_X3), one)],
+            EP: [((M_EP, M_EP), one)],
+            EM: [((M_EM, M_EM), one)],
+        }
         self.a_series = a_series
         self.label = label
         self._star_cache = {}
@@ -194,38 +276,29 @@ class RewriteSystem:
         rules = self.rules
         return [i for i in range(len(word) - 1) if (word[i], word[i + 1]) in rules]
 
-    def normal_form(self, x, strategy: Strategy = "leftmost", rng=None,
+    def normal_form(self, word: Word, strategy: str = "leftmost", rng=None,
                     check_termination: bool = False) -> "NCElement":
-        """Reduce a word, a {word: coefficient} map, or an element mod the ideal.
+        """Reduce a word modulo the ideal.
 
-        The result is independent of ``strategy`` (tested, not assumed); with
-        ``check_termination`` every step asserts the measure decrease.
+        The result is independent of ``strategy``, one of ``STRATEGY_NAMES``
+        (tested, not assumed); with ``check_termination`` every step asserts
+        the measure decrease.
         """
-        if isinstance(x, NCElement):
-            return x
-        if isinstance(x, (tuple, list)) and all(isinstance(g, Gen) for g in x):
-            pending = [(tuple(x), self.ring.one)]
-        else:
-            pending = [(tuple(w), c) for w, c in x.items() if not c.is_zero()]
+        if strategy == "cycle":
+            counter = itertools.count(1)
 
-        if isinstance(strategy, str):
-            if strategy == "cycle":
-                counter = [0]
-
-                def choose(positions, rng):
-                    counter[0] += 1
-                    return positions[counter[0] % len(positions)]
-            else:
-                try:
-                    choose = _NAMED_STRATEGIES[strategy]
-                except KeyError:
-                    raise ValueError(f"unknown strategy {strategy!r}") from None
+            def choose(positions, rng):
+                return positions[next(counter) % len(positions)]
         else:
-            choose = strategy
+            try:
+                choose = _NAMED_STRATEGIES[strategy]
+            except KeyError:
+                raise ValueError(f"unknown strategy {strategy!r}") from None
         if rng is None:
             rng = random.Random(0)
 
         rules = self.rules
+        pending = [(tuple(word), self.ring.one)]
         out = {}
         while pending:
             word, coeff = pending.pop()
@@ -292,27 +365,17 @@ class RewriteSystem:
         return out
 
 
-class NCElement:
+class NCElement(Combination):
     """Finite linear combination of basis monomials with series coefficients.
 
-    Treated as immutable; arithmetic returns new elements.  ``*`` is the
-    star product between elements and scalar multiplication against series,
-    ints, and Fractions.
+    ``*`` is the star product between elements and scalar multiplication
+    against series, ints, and Fractions.
     """
 
-    __slots__ = ("system", "terms")
+    __slots__ = ()
 
-    def __init__(self, system: RewriteSystem, terms: Mapping):
-        self.system = system
-        self.terms = dict(terms)
-
-    def _check(self, other: "NCElement") -> None:
-        if self.system is not other.system:
-            raise SeriesConfigError(
-                "elements belong to different rewrite systems")
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _new(self, terms) -> "NCElement":
+        return NCElement(self.system, terms)
 
     def coefficient(self, mono) -> object:
         if not isinstance(mono, PbwMonomial):
@@ -322,46 +385,11 @@ class NCElement:
     def monomials(self) -> list:
         return sorted(self.terms)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, NCElement):
-            return self.system is other.system and self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other):
-        if not isinstance(other, NCElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            add_term(out, mono, c)
-        return NCElement(self.system, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, NCElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return NCElement(self.system, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, NCElement):
             self._check(other)
             return self.system.star(self, other)
-        return self._scale(other)
-
-    def __rmul__(self, other):
-        return self._scale(other)
-
-    def _scale(self, scalar):
-        return self.map_coefficients(lambda c: c * scalar)
+        return self.scale(other)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -392,16 +420,8 @@ class NCElement:
         out = system.zero
         for mono, c in self.terms.items():
             nf = system.normal_form(tuple(reversed(mono.word())))
-            out = out + nf._scale(c.eps_flip())
+            out = out + nf.scale(c.eps_flip())
         return out
-
-    def map_coefficients(self, fn) -> "NCElement":
-        out = {}
-        for m, c in self.terms.items():
-            s = fn(c)
-            if not s.is_zero():
-                out[m] = s
-        return NCElement(self.system, out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -498,6 +518,31 @@ X_SYMBOLS = {X1: "x1", X2: "x2", X3: "x3", EP: "e+", EM: "e-"}
 DEFAULT_A = (4,)
 
 
+def pbw_rules(one, shift, c, up, down) -> dict:
+    """The eleven oriented relations of the presentation both algebras share.
+
+    Moving x1 right past x2 (x3) leaves -shift x2 (+shift x3); x3 x2 leaves
+    -c (e^{2x1} - e^{-2x1}); e^{+x1} moves past x2 with the scalar ``up``
+    and past x3 with ``down``, e^{-x1} the other way round.  Unit terms are
+    the ring's ``one`` itself, so rewriting can skip those products.
+    """
+    return {
+        (X2, X1): [((X1, X2), one), ((X2,), -shift)],
+        (X3, X1): [((X1, X3), one), ((X3,), shift)],
+        (X3, X2): [((X2, X3), one), ((EP, EP), -c), ((EM, EM), c)],
+        # exponential letters commute with x1
+        (EP, X1): [((X1, EP), one)],
+        (EM, X1): [((X1, EM), one)],
+        (EP, X2): [((X2, EP), up)],
+        (EM, X2): [((X2, EM), down)],
+        (EP, X3): [((X3, EP), down)],
+        (EM, X3): [((X3, EM), up)],
+        # mutually inverse exponentials
+        (EP, EM): [((), one)],
+        (EM, EP): [((), one)],
+    }
+
+
 def x_algebra(order: int = 8, a_coeffs: Iterable[RationalLike] = DEFAULT_A,
               min_exp: int = 0) -> RewriteSystem:
     """The quantized function algebra on the dual group, at truncation ``order``.
@@ -509,44 +554,11 @@ def x_algebra(order: int = 8, a_coeffs: Iterable[RationalLike] = DEFAULT_A,
     bialgebra property holds for any choice.
     """
     ring = EpsSeriesRing(order, min_exp)
-    one = ring.one
     a_series = ring.even(list(a_coeffs))
-    eps_a = ring.eps_power(1, 1) * a_series
-    two_eps = ring.eps_power(2, 1)
-    e2 = ring.exp(2)
-    em2 = ring.exp(-2)
-
-    rules = {
-        # x2 x1 -> x1 x2 - 2 eps x2
-        (X2, X1): [((X1, X2), one), ((X2,), -two_eps)],
-        # x3 x1 -> x1 x3 + 2 eps x3
-        (X3, X1): [((X1, X3), one), ((X3,), two_eps)],
-        # x3 x2 -> x2 x3 - eps A (e^{2x1} - e^{-2x1})
-        (X3, X2): [((X2, X3), one), ((EP, EP), -eps_a), ((EM, EM), eps_a)],
-        # exponential letters commute with x1
-        (EP, X1): [((X1, EP), one)],
-        (EM, X1): [((X1, EM), one)],
-        # e^{+-x1} x2 = e^{+-2eps} x2 e^{+-x1}
-        (EP, X2): [((X2, EP), e2)],
-        (EM, X2): [((X2, EM), em2)],
-        # e^{+-x1} x3 = e^{-+2eps} x3 e^{+-x1}
-        (EP, X3): [((X3, EP), em2)],
-        (EM, X3): [((X3, EM), e2)],
-        # mutually inverse exponentials
-        (EP, EM): [((), one)],
-        (EM, EP): [((), one)],
-    }
-
-    coproduct_table = {
-        X1: [((UNIT, M_X1), one), ((M_X1, UNIT), one)],
-        X2: [((M_X2, M_EM), one), ((M_EP, M_X2), one)],
-        X3: [((M_X3, M_EM), one), ((M_EP, M_X3), one)],
-        EP: [((M_EP, M_EP), one)],
-        EM: [((M_EM, M_EM), one)],
-    }
-
-    return RewriteSystem(ring, rules, X_SYMBOLS, coproduct_table,
-                         a_series=a_series, label="x")
+    # shift 2 eps, x2-x3 coefficient eps A, exponential scalars e^{+-2 eps}
+    rules = pbw_rules(ring.one, ring.eps_power(2, 1),
+                      ring.eps_power(1, 1) * a_series, ring.exp(2), ring.exp(-2))
+    return RewriteSystem(ring, rules, X_SYMBOLS, a_series=a_series, label="x")
 
 
 def random_word(rng: random.Random, max_len: int = 6) -> Word:
@@ -568,5 +580,5 @@ def random_element(system: RewriteSystem, rng: random.Random,
             c = system.ring.eps_power(Fraction(num, den), exp)
         else:
             c = system.ring.monomial(Fraction(num, den), exp, rng.randrange(0, 2))
-        out = out + system.normal_form(word)._scale(c)
+        out = out + system.normal_form(word).scale(c)
     return out

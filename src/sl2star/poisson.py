@@ -233,11 +233,6 @@ def group_mul(g: DualGroupPoint, h: DualGroupPoint) -> DualGroupPoint:
     return point_from_pair(gl @ hl, gu @ hu)
 
 
-def group_inv(g: DualGroupPoint) -> DualGroupPoint:
-    gl, gu = g.pair()
-    return point_from_pair(np.linalg.inv(gl), np.linalg.inv(gu))
-
-
 # tangent basis at the identity, in the coordinate directions d/dx1, d/dx2, d/dx3
 _G_LOWER = (
     np.array([[-1.0, 0.0], [0.0, 1.0]]),

@@ -363,10 +363,6 @@ class EpsSeries(_Series):
             out[ek] = c
         return self._wrap(out, flag)
 
-    def with_min_exp(self, min_exp: int) -> "EpsSeries":
-        """Same series viewed with a different Laurent bound."""
-        return EpsSeries(self.terms, self.order, min_exp, self.truncated)
-
     def truncate(self, k: int) -> "EpsSeries":
         """Drop all terms of exponent above k (keeps the ring order)."""
         if k >= self.order:

@@ -30,18 +30,8 @@ from typing import List, Optional
 
 from . import coalg
 from .ncalg import (
-    EM,
-    EP,
-    M_X1,
-    NCElement,
-    PbwMonomial,
-    RewriteSystem,
-    UNIT,
-    X1,
-    X2,
-    X3,
-    add_term,
-    x_algebra,
+    EM, EP, M_EM, M_EP, M_X1, M_X2, M_X3, NCElement, PbwMonomial,
+    RewriteSystem, UNIT, X1, X2, X3, add_term, pbw_rules, x_algebra,
 )
 from .series import BiSeries, BiSeriesRing, EpsSeries, SeriesDomainError
 
@@ -78,26 +68,22 @@ def z_system(order: int = 8, a_coeffs=(4,)) -> RewriteSystem:
     return x_algebra(order, a_coeffs, min_exp=-2)
 
 
-@dataclass(frozen=True)
-class GeneratorSubstitution:
-    """Scale factors x_i = lambda_i z_i; lambda_i are invertible Laurent series."""
-
-    lam1: EpsSeries
-    lam2: EpsSeries
-    lam3: EpsSeries
-    h_is_2eps: bool = True
-
-
 def lambda_squared(system: RewriteSystem) -> EpsSeries:
     """lambda^2 = 2 eps A(eps^2) sinh(2 eps) in the system's scalar ring."""
     ring = system.ring
     return ring.eps_power(2, 1) * system.a_series * ring.sinh(2)
 
 
-def default_substitution(system: RewriteSystem) -> GeneratorSubstitution:
-    """Generator-level substitution; needs A(0) to be a rational square."""
-    lam = lambda_squared(system).sqrt()
-    return GeneratorSubstitution(system.ring.eps_power(1, 1), lam, lam)
+def default_substitution(system: RewriteSystem) -> EpsSeries:
+    """lambda with x2 = lambda z2 and x3 = lambda z3 (x1 = eps z1); needs
+    A(0) to be a rational square."""
+    return lambda_squared(system).sqrt()
+
+
+def _exp_difference(system: RewriteSystem) -> NCElement:
+    """e^{2x1} - e^{-2x1}, that is 2 sinh(2 x1) (E+^2 - E-^2 in xi-letters)."""
+    return system.monomial_element(PbwMonomial(0, 0, 0, 2)) \
+        - system.monomial_element(PbwMonomial(0, 0, 0, -2))
 
 
 def _check_equal(name: str, lhs, rhs, note: str = "") -> RelationCheck:
@@ -134,10 +120,8 @@ def z_commutators(system: Optional[RewriteSystem] = None) -> List[RelationCheck]
 
     # cross-multiplied form, exact for every admissible A: dividing by
     # lambda^2 would cost the top truncation orders when A has a tail
-    sinh_part = system.monomial_element(PbwMonomial(0, 0, 0, 2)) \
-        - system.monomial_element(PbwMonomial(0, 0, 0, -2))
     lhs = system.commutator(x2, x3) * (ring.sinh(2) * 2)
-    rhs = sinh_part * lambda_squared(system)
+    rhs = _exp_difference(system) * lambda_squared(system)
     checks.append(_check_equal(
         "[z2,z3] = sinh(h z1)/sinh(h)", lhs, rhs,
         note="verified as [x2,x3] * 2 sinh(2 eps) = "
@@ -172,19 +156,17 @@ def z_commutators_scaled(system: Optional[RewriteSystem] = None) -> List[Relatio
     (the default 4 is); kept separate because it is optional.
     """
     system = system or z_system()
-    sub = default_substitution(system)
-    z1 = system.generator(X1) * sub.lam1.invert()
-    z2 = system.generator(X2) * sub.lam2.invert()
-    z3 = system.generator(X3) * sub.lam3.invert()
     ring = system.ring
+    inv_lam = default_substitution(system).invert()
+    z1 = system.generator(X1) * ring.eps_power(1, 1).invert()
+    z2 = system.generator(X2) * inv_lam
+    z3 = system.generator(X3) * inv_lam
     checks = []
     checks.append(_check_equal(
         "[z1,z2] = 2 z2 (explicit)", system.commutator(z1, z2), z2 * 2))
     checks.append(_check_equal(
         "[z1,z3] = -2 z3 (explicit)", system.commutator(z1, z3), z3 * (-2)))
-    sinh_part = system.monomial_element(PbwMonomial(0, 0, 0, 2)) \
-        - system.monomial_element(PbwMonomial(0, 0, 0, -2))
-    rhs = sinh_part * (ring.sinh(2) * 2).invert()
+    rhs = _exp_difference(system) * (ring.sinh(2) * 2).invert()
     # inverting the Laurent-valuation-one factor lambda costs two top orders,
     # so this route is compared through order - 2 (the lambda^2 route is exact)
     through = ring.order - 2
@@ -210,11 +192,6 @@ def z_coproducts(system: Optional[RewriteSystem] = None) -> List[RelationCheck]:
     def tensor(*pairs):
         return coalg.TensorElement(system, {k: one for k in pairs})
 
-    m_x2 = PbwMonomial(0, 1, 0, 0)
-    m_x3 = PbwMonomial(0, 0, 1, 0)
-    m_ep = PbwMonomial(0, 0, 0, 1)
-    m_em = PbwMonomial(0, 0, 0, -1)
-
     checks.append(_check_equal(
         "Delta z1 = 1 (x) z1 + z1 (x) 1",
         coalg.coproduct(system.generator(X1)),
@@ -222,17 +199,17 @@ def z_coproducts(system: Optional[RewriteSystem] = None) -> List[RelationCheck]:
     checks.append(_check_equal(
         "Delta z2 = z2 (x) e^{-h z1/2} + e^{+h z1/2} (x) z2",
         coalg.coproduct(system.generator(X2)),
-        tensor((m_x2, m_em), (m_ep, m_x2))))
+        tensor((M_X2, M_EM), (M_EP, M_X2))))
     checks.append(_check_equal(
         "Delta z3 = z3 (x) e^{-h z1/2} + e^{+h z1/2} (x) z3",
         coalg.coproduct(system.generator(X3)),
-        tensor((m_x3, m_em), (m_ep, m_x3))))
+        tensor((M_X3, M_EM), (M_EP, M_X3))))
     checks.append(_check_equal(
         "Delta e^{+h z1/2} group-like",
-        coalg.coproduct(system.generator(EP)), tensor((m_ep, m_ep))))
+        coalg.coproduct(system.generator(EP)), tensor((M_EP, M_EP))))
     checks.append(_check_equal(
         "Delta e^{-h z1/2} group-like",
-        coalg.coproduct(system.generator(EM)), tensor((m_em, m_em))))
+        coalg.coproduct(system.generator(EM)), tensor((M_EM, M_EM))))
     return checks
 
 
@@ -252,39 +229,14 @@ def xi_algebra(total: int = 8, h_min: int = -2) -> RewriteSystem:
     bound is configurable).
     """
     ring = BiSeriesRing(total, h_min)
-    one = ring.one
-    two_eps = ring.monomial(2, 1, 0)
     s = ring.monomial(1, 1, 0) * (ring.sinh_h(1) * 2).invert()
-    e_ph = ring.exp(1, 1, 1)    # e^{+eps h}
-    e_mh = ring.exp(-1, 1, 1)   # e^{-eps h}
-
-    rules = {
-        (X2, X1): [((X1, X2), one), ((X2,), -two_eps)],
-        (X3, X1): [((X1, X3), one), ((X3,), two_eps)],
-        (X3, X2): [((X2, X3), one), ((EP, EP), -s), ((EM, EM), s)],
-        (EP, X1): [((X1, EP), one)],
-        (EM, X1): [((X1, EM), one)],
-        (EP, X2): [((X2, EP), e_ph)],
-        (EM, X2): [((X2, EM), e_mh)],
-        # sign corrected relative to the printed relations; see module docstring
-        (EP, X3): [((X3, EP), e_mh)],
-        (EM, X3): [((X3, EM), e_ph)],
-        (EP, EM): [((), one)],
-        (EM, EP): [((), one)],
-    }
-
-    m_x2 = PbwMonomial(0, 1, 0, 0)
-    m_x3 = PbwMonomial(0, 0, 1, 0)
-    m_ep = PbwMonomial(0, 0, 0, 1)
-    m_em = PbwMonomial(0, 0, 0, -1)
-    coproduct_table = {
-        X1: [((UNIT, M_X1), one), ((M_X1, UNIT), one)],
-        X2: [((m_x2, m_em), one), ((m_ep, m_x2), one)],
-        X3: [((m_x3, m_em), one), ((m_ep, m_x3), one)],
-        EP: [((m_ep, m_ep), one)],
-        EM: [((m_em, m_em), one)],
-    }
-    return RewriteSystem(ring, rules, XI_SYMBOLS, coproduct_table, label="xi")
+    # shift 2 eps, x2-x3 coefficient eps/(2 sinh h), E+ past xi2 e^{+eps h}.
+    # The printed relations give E+ e^{+eps h} against xi3 as well; that
+    # contradicts [xi1,xi3] = -2 eps xi3 and the coideal property, so xi3
+    # gets e^{-eps h} like x3 in the one-parameter algebra.
+    rules = pbw_rules(ring.one, ring.monomial(2, 1, 0), s,
+                      ring.exp(1, 1, 1), ring.exp(-1, 1, 1))
+    return RewriteSystem(ring, rules, XI_SYMBOLS, label="xi")
 
 
 def xi_relation_checks(system: Optional[RewriteSystem] = None) -> List[RelationCheck]:
@@ -302,11 +254,9 @@ def xi_relation_checks(system: Optional[RewriteSystem] = None) -> List[RelationC
         "[xi1,xi2] = 2 eps xi2", system.commutator(xi1, xi2), xi2 * (eps * 2)))
     checks.append(_check_equal(
         "[xi1,xi3] = -2 eps xi3", system.commutator(xi1, xi3), xi3 * (eps * -2)))
-    sinh_part = system.monomial_element(PbwMonomial(0, 0, 0, 2)) \
-        - system.monomial_element(PbwMonomial(0, 0, 0, -2))
     checks.append(_check_equal(
         "[xi2,xi3] = eps sinh(h xi1)/sinh(h)",
-        system.commutator(xi2, xi3), sinh_part * s,
+        system.commutator(xi2, xi3), _exp_difference(system) * s,
         note="sinh(h xi1) written as (E+^2 - E-^2)/2"))
     checks.append(_check_equal(
         "[xi1, E+] = 0", system.commutator(xi1, ep), system.zero))
@@ -330,10 +280,6 @@ def xi_relation_checks(system: Optional[RewriteSystem] = None) -> List[RelationC
 # ----------------------------------------------------------------------
 # limits
 # ----------------------------------------------------------------------
-
-def _xi1_power(system: RewriteSystem, k: int) -> PbwMonomial:
-    return PbwMonomial(k, 0, 0, 0)
-
 
 def expand_exponentials(f: NCElement) -> NCElement:
     """Rewrite each E^m factor as its exponential series in h xi1/2.
@@ -361,7 +307,7 @@ def expand_exponentials(f: NCElement) -> NCElement:
                 break
             if not scalar.is_zero():
                 term = system.star(
-                    prefix, system.monomial_element(_xi1_power(system, k)))
+                    prefix, system.monomial_element(PbwMonomial(k, 0, 0, 0)))
                 out = out + term * scalar
             k += 1
             fact *= k
@@ -429,10 +375,8 @@ def limits_report(system: Optional[RewriteSystem] = None) -> List[RelationCheck]
         "h->0: [xi1,xi2] -> 2 eps xi2 (unchanged)",
         limit_h_to_zero(c12), xi2 * (eps * 2)))
     dxi2 = coalg.coproduct(xi2)
-    prim = coalg.TensorElement(system, {
-        (PbwMonomial(0, 1, 0, 0), UNIT): ring.one,
-        (UNIT, PbwMonomial(0, 1, 0, 0)): ring.one,
-    })
+    prim = coalg.TensorElement(system, {(M_X2, UNIT): ring.one,
+                                        (UNIT, M_X2): ring.one})
     checks.append(_check_equal(
         "h->0: Delta xi2 -> primitive", limit_h_to_zero(dxi2), prim))
 
@@ -478,35 +422,25 @@ def specialization_report(total: int = 8, h_min: int = -2) -> List[RelationCheck
     checks = []
 
     # bracket relations: specialized xi-commutator == eps * z-commutator data
-    lhs = _specialize(xi.commutator(xi.generator(X1), xi.generator(X2)), total)
-    rhs = dict((z.generator(X2) * zring.eps_power(2, 1)).terms)
-    checks.append(RelationCheck(
+    checks.append(_check_equal(
         "[xi1,xi2]|_{h=2eps} = eps * (2 z2)",
-        lhs == rhs, "exact" if lhs == rhs else f"{lhs} vs {rhs}"))
-
-    lhs23 = _specialize(xi.commutator(xi.generator(X2), xi.generator(X3)), total)
-    sinh_part = z.monomial_element(PbwMonomial(0, 0, 0, 2)) \
-        - z.monomial_element(PbwMonomial(0, 0, 0, -2))
-    rhs23 = dict((sinh_part * ((zring.sinh(2) * 2).invert()
-                               * zring.eps_power(1, 1))).terms)
-    checks.append(RelationCheck(
+        _specialize(xi.commutator(xi.generator(X1), xi.generator(X2)), total),
+        dict((z.generator(X2) * zring.eps_power(2, 1)).terms)))
+    rhs23 = _exp_difference(z) * ((zring.sinh(2) * 2).invert()
+                                  * zring.eps_power(1, 1))
+    checks.append(_check_equal(
         "[xi2,xi3]|_{h=2eps} = eps * sinh(2 eps z1)/sinh(2 eps)",
-        lhs23 == rhs23, "exact" if lhs23 == rhs23 else "mismatch"))
+        _specialize(xi.commutator(xi.generator(X2), xi.generator(X3)), total),
+        dict(rhs23.terms)))
 
-    # exponential-letter scalar: e^{eps h} at h = 2 eps vs e^{2 eps} stretched
-    xi_scalar = xi.rules[(EP, X2)][0][1]
-    lhs_scalar = xi_scalar.specialize_h(2, total)
-    rhs_scalar = zring.exp(2).stretch(2)
-    checks.append(RelationCheck(
+    # exponential-letter scalars: e^{+-eps h} at h = 2 eps vs e^{+-2 eps}
+    # stretched
+    checks.append(_check_equal(
         "E+ xi2 scalar|_{h=2eps} = e^{2 eps} with eps -> eps^2",
-        lhs_scalar == rhs_scalar,
-        "exact" if lhs_scalar == rhs_scalar else f"{lhs_scalar} vs {rhs_scalar}"))
-
-    xi_scalar3 = xi.rules[(EP, X3)][0][1]
-    lhs_scalar3 = xi_scalar3.specialize_h(2, total)
-    rhs_scalar3 = zring.exp(-2).stretch(2)
-    checks.append(RelationCheck(
+        xi.rules[(EP, X2)][0][1].specialize_h(2, total),
+        zring.exp(2).stretch(2)))
+    checks.append(_check_equal(
         "E+ xi3 scalar|_{h=2eps} = e^{-2 eps} with eps -> eps^2",
-        lhs_scalar3 == rhs_scalar3,
-        "exact" if lhs_scalar3 == rhs_scalar3 else "mismatch"))
+        xi.rules[(EP, X3)][0][1].specialize_h(2, total),
+        zring.exp(-2).stretch(2)))
     return checks

@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from sl2star import coalg
 from sl2star.coalg import (
     TensorElement,
@@ -41,6 +43,16 @@ def test_generator_coproducts(xsys):
         (M_X2, M_EM): one, (M_EP, M_X2): one})
     assert coproduct(xsys.generator(EP)) == T(xsys, {(M_EP, M_EP): one})
     assert coproduct(xsys.generator(EM)) == T(xsys, {(M_EM, M_EM): one})
+
+
+def test_tensors_of_different_legs_or_systems_do_not_combine(xsys):
+    two = tensor_unit(xsys)
+    for other in (tensor_unit(xsys, 3), tensor_unit(x_algebra(8))):
+        with pytest.raises(ValueError):
+            two + other
+        with pytest.raises(ValueError):
+            star_tensor(two, other)
+        assert two != other
 
 
 def test_coproduct_of_x2_squared_by_hand(xsys):

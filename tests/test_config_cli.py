@@ -150,6 +150,9 @@ def test_cli_poisson_verify(capsys):
     ("laurent_min", ["normalize", "x1", "--laurent-min", "1"], {}),
     ("xi_total", ["normalize", "xi1"], {"SL2STAR_XI_TOTAL": "0"}),
     ("xi_h_min", ["normalize", "xi1"], {"SL2STAR_XI_H_MIN": "1"}),
+    ("gauge_kmax", ["check", "gauge"], {"SL2STAR_GAUGE_KMAX": "11"}),
+    ("gauge_nmax", ["gauge", "--nmax", "0"], {}),
+    ("gauge_kmax", ["gauge", "--kmax", "4"], {}),
 ])
 def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, env):
     for name, value in env.items():

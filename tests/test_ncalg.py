@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from sl2star import poisson
 from sl2star.expr import evaluate, parse
 from sl2star.ncalg import (
@@ -31,6 +33,20 @@ def test_normal_form_of_commutation_pairs(xsys):
         PbwMonomial(0, 0, 0, 2): eps_el(xsys, -4),
         PbwMonomial(0, 0, 0, -2): eps_el(xsys, 4),
     }
+
+
+def test_elements_of_two_systems_do_not_combine(xsys):
+    other = x_algebra(8)
+    with pytest.raises(ValueError):
+        xsys.generator(X2) + other.generator(X2)
+    with pytest.raises(ValueError):
+        xsys.generator(X2) - other.generator(X2)
+    assert xsys.generator(X2) != other.generator(X2)
+
+
+def test_star_of_elements_of_two_systems_is_refused(xsys):
+    with pytest.raises(ValueError):
+        xsys.generator(X3) * x_algebra(8).generator(X2)
 
 
 def test_empty_word_is_unit(xsys):

@@ -8,7 +8,7 @@ import pytest
 from sl2star import coalg, uhsl2
 from sl2star.ncalg import (
     EM, EP, PbwMonomial, STRATEGY_NAMES, UNIT, X1, X2, X3,
-    random_element, random_word,
+    random_element, random_word, x_algebra,
 )
 from sl2star.uhsl2 import (
     PoleAtHZeroError,
@@ -95,10 +95,31 @@ def test_xi_printed_sign_is_inconsistent():
     bad_rules[(EP, X3)] = [((X3, EP), ring.exp(1, 1, 1))]
     bad_rules[(EM, X3)] = [((X3, EM), ring.exp(-1, 1, 1))]
     from sl2star.ncalg import RewriteSystem
-    bad = RewriteSystem(ring, bad_rules, system.symbols,
-                        system.coproduct_table, label="xi")
+    bad = RewriteSystem(ring, bad_rules, system.symbols, label="xi")
     images = [coalg.coideal_check(bad, rel) for _, rel in bad.relation_words()]
     assert any(not im.is_zero() for im in images)
+
+
+def test_one_presentation_under_all_three_systems():
+    """The x-, z- and xi-systems share one presentation: the same rule keys
+    with the same replacement words in the same order, the same coproduct
+    table, and unit terms that are the ring's own ``one`` (rewriting and
+    the tensor product skip the product with it by identity)."""
+    systems = [x_algebra(8), z_system(8), xi_algebra(8, -2)]
+    rule_words = [{pair: [word for word, _ in terms]
+                   for pair, terms in s.rules.items()} for s in systems]
+    assert rule_words[0] == rule_words[1] == rule_words[2]
+    assert len(rule_words[0]) == 11
+    table_keys = [{g: [key for key, _ in terms]
+                   for g, terms in s.coproduct_table.items()} for s in systems]
+    assert table_keys[0] == table_keys[1] == table_keys[2]
+    for system in systems:
+        one = system.ring.one
+        units = [c for terms in [*system.rules.values(),
+                                 *system.coproduct_table.values()]
+                 for _, c in terms if c == one]
+        assert len(units) == 7 + 8
+        assert all(c is one for c in units)
 
 
 def test_xi_full_bialgebra_suite(xi_wide):
