@@ -171,8 +171,8 @@ def _print_report(checks) -> None:
 def cmd_uh(args) -> int:
     config = _config_from(args)
     if args.mode == "verify-z":
-        checks = uhsl2.z_commutators(uhsl2.z_system(config.order, config.a_coeffs))
-        checks += uhsl2.z_coproducts(uhsl2.z_system(config.order, config.a_coeffs))
+        z_sys = uhsl2.z_system(config.order, config.a_coeffs)
+        checks = uhsl2.z_commutators(z_sys) + uhsl2.z_coproducts(z_sys)
     elif args.mode == "verify-xi":
         xi = xi_algebra(config.xi_total, config.xi_h_min)
         checks = uhsl2.xi_relation_checks(xi)

@@ -333,6 +333,8 @@ class RewriteSystem:
 
     def star(self, f: "NCElement", g: "NCElement") -> "NCElement":
         """The associative product: normal form of concatenation, bilinear."""
+        if f.system is not self or g.system is not self:
+            raise SeriesConfigError("elements of another system do not combine")
         out = {}
         for ma, ca in f.terms.items():
             for mb, cb in g.terms.items():
@@ -387,7 +389,6 @@ class NCElement(Combination):
 
     def __mul__(self, other):
         if isinstance(other, NCElement):
-            self._check(other)
             return self.system.star(self, other)
         return self.scale(other)
 

@@ -1,8 +1,11 @@
 """Lie bialgebra data for sl(2,R) and numeric Poisson-Lie verification.
 
-The exact half of this module computes, over rationals: the sl(2,R)
-structure constants, the cobracket as the coboundary of the r-matrix
-r = X+ (wedge) X-, the induced dual bracket, and the 1-cocycle condition.
+The exact half of this module holds the sl(2,R) structure constants and the
+r-matrix r = X+ (wedge) X- as integer tensors, and computes from them the
+cobracket as the coboundary of r, the induced dual bracket and cobracket
+(transposes of these tensors), and the 1-cocycle condition.  The dual
+cobracket, transported onto the coordinate basis of the dual group, is built
+once, at import.
 
 The numeric half realizes the dual group as pairs of triangular 2x2
 matrices, integrates the cobracket along one-parameter subgroups,
@@ -42,81 +45,57 @@ DEFAULT_KAPPA = 8.0
 KAPPA_SPREAD_TOL = 1e-9
 
 
-def _fz() -> Fraction:
-    return Fraction(0)
-
-
 # ----------------------------------------------------------------------
 # exact structure data
 # ----------------------------------------------------------------------
 
-def sl2_bracket_constants() -> list:
-    """c[i][j] = coefficient vector of [e_i, e_j] in the basis (H, X+, X-)."""
-    c = [[[_fz()] * 3 for _ in range(3)] for _ in range(3)]
-
-    def put(i, j, vec):
-        c[i][j] = [Fraction(v) for v in vec]
-        c[j][i] = [-Fraction(v) for v in vec]
-
-    put(0, 1, (0, 2, 0))    # [H, X+] = 2 X+
-    put(0, 2, (0, 0, -2))   # [H, X-] = -2 X-
-    put(1, 2, (1, 0, 0))    # [X+, X-] = H
-    return c
+def sl2_bracket_constants() -> np.ndarray:
+    """c[i, j] = coefficient vector of [e_i, e_j] in the basis (H, X+, X-)."""
+    c = np.zeros((3, 3, 3), dtype=np.int64)
+    c[0, 1, 1] = 2     # [H, X+] = 2 X+
+    c[0, 2, 2] = -2    # [H, X-] = -2 X-
+    c[1, 2, 0] = 1     # [X+, X-] = H
+    return c - c.transpose(1, 0, 2)
 
 
-def r_matrix() -> list:
-    """r = X+ (x) X-  -  X- (x) X+ as a 3x3 rational matrix."""
-    r = [[_fz()] * 3 for _ in range(3)]
-    r[1][2] = Fraction(1)
-    r[2][1] = Fraction(-1)
-    return r
+def r_matrix() -> np.ndarray:
+    """r = X+ (x) X-  -  X- (x) X+ as a 3x3 integer matrix."""
+    r = np.zeros((3, 3), dtype=np.int64)
+    r[1, 2] = 1
+    return r - r.T
 
 
-def _ad_tensor_action(bracket, x_index: int, tensor):
-    """(ad_x (x) 1 + 1 (x) ad_x) applied to a 3x3 rational tensor."""
-    out = [[_fz()] * 3 for _ in range(3)]
-    for j in range(3):
-        for k in range(3):
-            v = tensor[j][k]
-            if not v:
-                continue
-            for p in range(3):
-                cjp = bracket[x_index][j][p]
-                if cjp:
-                    out[p][k] += cjp * v
-                ckp = bracket[x_index][k][p]
-                if ckp:
-                    out[j][p] += ckp * v
-    return out
+def _ad_tensor_action(bracket: np.ndarray, x_index: int,
+                      tensor: np.ndarray) -> np.ndarray:
+    """(ad_x (x) 1 + 1 (x) ad_x) applied to a 3x3 tensor."""
+    ad = bracket[x_index].T
+    return ad @ tensor + tensor @ ad.T
 
 
-def coboundary_of_r() -> list:
+def coboundary_of_r() -> np.ndarray:
     """Cobracket components d[i] = delta(e_i) = (ad_{e_i} (x) 1 + 1 (x) ad_{e_i}) r."""
     bracket = sl2_bracket_constants()
     r = r_matrix()
-    return [_ad_tensor_action(bracket, i, r) for i in range(3)]
+    return np.stack([_ad_tensor_action(bracket, i, r) for i in range(3)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieBialgebraData:
-    """Bracket and cobracket structure constants over rationals, dimension 3.
+    """Bracket and cobracket structure constants as integer tensors, dimension 3.
 
-    ``bracket[i][j][k]`` is the e_k coefficient of [e_i, e_j];
-    ``cobracket[i][j][k]`` the (e_j (x) e_k) coefficient of delta(e_i).
+    ``bracket[i, j, k]`` is the e_k coefficient of [e_i, e_j];
+    ``cobracket[i, j, k]`` the (e_j (x) e_k) coefficient of delta(e_i).
     """
 
-    bracket: list
-    cobracket: list
+    bracket: np.ndarray
+    cobracket: np.ndarray
     labels: tuple = BASIS_LABELS
 
     def validate(self) -> None:
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    if self.bracket[i][j][k] != -self.bracket[j][i][k]:
-                        raise ValueError("bracket is not antisymmetric")
-                    if self.cobracket[i][j][k] != -self.cobracket[i][k][j]:
-                        raise ValueError("cobracket is not antisymmetric")
+        if not np.array_equal(self.bracket, -self.bracket.transpose(1, 0, 2)):
+            raise ValueError("bracket is not antisymmetric")
+        if not np.array_equal(self.cobracket, -self.cobracket.transpose(0, 2, 1)):
+            raise ValueError("cobracket is not antisymmetric")
 
 
 def standard_sl2_data() -> LieBialgebraData:
@@ -125,55 +104,31 @@ def standard_sl2_data() -> LieBialgebraData:
     return data
 
 
-def dual_bracket(data: LieBialgebraData) -> list:
+def dual_bracket(data: LieBialgebraData) -> np.ndarray:
     """Structure constants of the dual bracket on the dual basis (f1, f2, f3).
 
     <[f_i, f_j]*, e_k> = <f_i (x) f_j, delta(e_k)>, so the e_k-cobracket
     matrix transposes into the (i, j) slot.
     """
-    out = [[[_fz()] * 3 for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                out[i][j][k] = data.cobracket[k][i][j]
-    return out
+    return data.cobracket.transpose(1, 2, 0)
 
 
-def dual_cobracket(data: LieBialgebraData) -> list:
+def dual_cobracket(data: LieBialgebraData) -> np.ndarray:
     """Cobracket on the dual: <delta*(f_k), e_i (x) e_j> = <f_k, [e_i, e_j]>."""
-    out = [[[_fz()] * 3 for _ in range(3)] for _ in range(3)]
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                out[k][i][j] = data.bracket[i][j][k]
-    return out
+    return data.bracket.transpose(2, 0, 1)
 
 
-def cocycle_check(data: LieBialgebraData) -> Fraction:
+def cocycle_check(data: LieBialgebraData) -> int:
     """Largest violation of the 1-cocycle condition, exact.
 
     delta([x, y]) = (ad_x (x) 1 + 1 (x) ad_x) delta(y)
                   - (ad_y (x) 1 + 1 (x) ad_y) delta(x)
     evaluated on all basis pairs; zero for a Lie bialgebra.
     """
-    worst = Fraction(0)
-    for i in range(3):
-        for j in range(3):
-            lhs = [[_fz()] * 3 for _ in range(3)]
-            for k in range(3):
-                ck = data.bracket[i][j][k]
-                if ck:
-                    for p in range(3):
-                        for q in range(3):
-                            lhs[p][q] += ck * data.cobracket[k][p][q]
-            rhs_i = _ad_tensor_action(data.bracket, i, data.cobracket[j])
-            rhs_j = _ad_tensor_action(data.bracket, j, data.cobracket[i])
-            for p in range(3):
-                for q in range(3):
-                    v = abs(lhs[p][q] - rhs_i[p][q] + rhs_j[p][q])
-                    if v > worst:
-                        worst = v
-    return worst
+    lhs = np.einsum("ijk,kpq->ijpq", data.bracket, data.cobracket)
+    act = np.array([[_ad_tensor_action(data.bracket, i, data.cobracket[j])
+                     for j in range(3)] for i in range(3)])
+    return int(np.abs(lhs - act + act.transpose(1, 0, 2, 3)).max())
 
 
 def classical_bracket_table() -> dict:
@@ -286,49 +241,27 @@ def exp_point(x: Sequence[float]) -> DualGroupPoint:
 # cobracket on the coordinate basis and its integration
 # ----------------------------------------------------------------------
 
-def _transport_matrix() -> list:
-    """Rows express the dual basis (f1, f2, f3) in the coordinate basis.
+#: The identification f1 -> -G1/2, f2 -> G3, f3 -> G2 (rows of _T express the
+#: dual basis in the coordinate basis; _S is the inverse of _T) is the Lie
+#: isomorphism from the dual bracket onto the coordinate algebra of the matrix
+#: realization, unique up to scalings; the residual scaling freedom is the
+#: single constant kappa applied by ``coordinate_cobracket``.
+_T = np.array([[-0.5, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+_S = np.array([[-2, 0, 0], [0, 0, 1], [0, 1, 0]])
 
-    The identification f1 -> -G1/2, f2 -> G3, f3 -> G2 is the (unique up to
-    scalings) Lie isomorphism from the dual bracket onto the coordinate
-    algebra of the matrix realization; the residual scaling freedom is the
-    single constant kappa applied below.
-    """
-    T = [[_fz()] * 3 for _ in range(3)]
-    T[0][0] = Fraction(-1, 2)
-    T[1][2] = Fraction(1)
-    T[2][1] = Fraction(1)
-    return T
+#: the dual cobracket transported onto the coordinate basis, at kappa = 2
+_COORD_COBRACKET = np.einsum("ji,ikl,kp,lq->jpq", _S,
+                             dual_cobracket(standard_sl2_data()), _T, _T)
 
 
 def coordinate_cobracket(kappa: float = DEFAULT_KAPPA) -> np.ndarray:
     """delta(G_i) as antisymmetric 3x3 matrices in the coordinate basis.
 
-    Transports the dual cobracket (the transpose of the sl2 bracket) through
+    The dual cobracket (the transpose of the sl2 bracket) transported through
     the basis identification; kappa rescales the G1 component, which is where
-    the free duality normalization lives.
+    the free duality normalization lives.  Each call returns a new array.
     """
-    data = standard_sl2_data()
-    dstar = dual_cobracket(data)
-    T = _transport_matrix()
-    S = [[Fraction(-2), _fz(), _fz()],
-         [_fz(), _fz(), Fraction(1)],
-         [_fz(), Fraction(1), _fz()]]  # inverse of T
-    out = np.zeros((3, 3, 3))
-    for j in range(3):
-        for i in range(3):
-            sji = S[j][i]
-            if not sji:
-                continue
-            for k in range(3):
-                for l in range(3):
-                    v = dstar[i][k][l]
-                    if not v:
-                        continue
-                    for p in range(3):
-                        for q in range(3):
-                            if T[k][p] and T[l][q]:
-                                out[j, p, q] += float(sji * v * T[k][p] * T[l][q])
+    out = _COORD_COBRACKET.copy()
     out[0] *= kappa / 2.0
     return out
 

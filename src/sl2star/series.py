@@ -239,17 +239,6 @@ class EpsSeries(_Series):
 
     # -- misc queries ---------------------------------------------------
 
-    def low(self) -> int:
-        """Lowest exponent with a nonzero coefficient."""
-        if not self.terms:
-            raise SeriesDomainError("zero series has no lowest term")
-        return min(self.terms)
-
-    def high(self) -> int:
-        if not self.terms:
-            raise SeriesDomainError("zero series has no highest term")
-        return max(self.terms)
-
     def coefficient(self, k: int) -> Fraction:
         n, d = self.terms.get(k, (0, 1))
         return Fraction(n, d)
@@ -506,9 +495,6 @@ class EpsSeriesRing(_SeriesRing):
 
     def sinh(self, k: RationalLike) -> EpsSeries:
         return sinh_series(k, self.order, self.min_exp)
-
-    def cosh(self, k: RationalLike) -> EpsSeries:
-        return cosh_series(k, self.order, self.min_exp)
 
     def even(self, coeffs: Iterable[RationalLike]) -> EpsSeries:
         return even_series(coeffs, self.order, self.min_exp)

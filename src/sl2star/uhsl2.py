@@ -311,8 +311,6 @@ def expand_exponentials(f: NCElement) -> NCElement:
                 out = out + term * scalar
             k += 1
             fact *= k
-            if k > 4 * ring.total + 8:  # defensive; cannot trigger within truncation
-                break
     return out
 
 

@@ -45,8 +45,13 @@ def test_elements_of_two_systems_do_not_combine(xsys):
 
 
 def test_star_of_elements_of_two_systems_is_refused(xsys):
+    other = x_algebra(8, (4, 1))
     with pytest.raises(ValueError):
         xsys.generator(X3) * x_algebra(8).generator(X2)
+    with pytest.raises(ValueError):
+        xsys.star(xsys.generator(X3), other.generator(X2))
+    with pytest.raises(ValueError):
+        xsys.commutator(xsys.generator(X3), other.generator(X2))
 
 
 def test_empty_word_is_unit(xsys):

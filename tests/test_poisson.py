@@ -47,16 +47,16 @@ def test_dual_bracket_values():
     data = P.standard_sl2_data()
     db = P.dual_bracket(data)
     # [f1,f2]* = -f2, [f1,f3]* = -f3, [f2,f3]* = 0
-    assert db[0][1] == [0, -1, 0]
-    assert db[0][2] == [0, 0, -1]
-    assert db[1][2] == [0, 0, 0]
+    assert db[0][1].tolist() == [0, -1, 0]
+    assert db[0][2].tolist() == [0, 0, -1]
+    assert db[1][2].tolist() == [0, 0, 0]
 
 
 def test_double_dual_is_involutive():
     data = P.standard_sl2_data()
     dual_data = P.LieBialgebraData(P.dual_bracket(data), P.dual_cobracket(data))
-    assert P.dual_bracket(dual_data) == data.bracket
-    assert P.dual_cobracket(dual_data) == data.cobracket
+    assert np.array_equal(P.dual_bracket(dual_data), data.bracket)
+    assert np.array_equal(P.dual_cobracket(dual_data), data.cobracket)
 
 
 def test_cocycle_check_zero_and_perturbed():
@@ -64,10 +64,22 @@ def test_cocycle_check_zero_and_perturbed():
     assert P.cocycle_check(data) == 0
     zero_cob = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
     assert P.cocycle_check(P.LieBialgebraData(data.bracket, zero_cob)) == 0
-    perturbed = [[list(row) for row in mat] for mat in data.cobracket]
+    perturbed = data.cobracket.copy()
     perturbed[0][1][2] += 1
     perturbed[0][2][1] -= 1
     assert P.cocycle_check(P.LieBialgebraData(data.bracket, perturbed)) > 0
+
+
+def test_validate_refuses_non_antisymmetric_structure_constants():
+    data = P.standard_sl2_data()
+    bracket = data.bracket.copy()
+    bracket[0, 1, 1] += 1
+    with pytest.raises(ValueError, match="^bracket is not antisymmetric"):
+        P.LieBialgebraData(bracket, data.cobracket).validate()
+    cobracket = data.cobracket.copy()
+    cobracket[1, 1, 0] += 1
+    with pytest.raises(ValueError, match="^cobracket is not antisymmetric"):
+        P.LieBialgebraData(data.bracket, cobracket).validate()
 
 
 def test_dual_group_point_validation():
@@ -109,6 +121,16 @@ def test_coordinate_cobracket_shape():
             ad_j = P.ad_matrix(np.eye(3)[j])
             rhs = (ad_i @ d[j] + d[j] @ ad_i.T) - (ad_j @ d[i] + d[i] @ ad_j.T)
             assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def test_coordinate_cobracket_hands_out_a_copy():
+    x = [0.4, -0.3, 0.8]
+    delta = P.coordinate_cobracket(8.0)
+    w = P.integrate_cobracket(x, 8.0)
+    expected = delta.copy()
+    delta[:] = 0.0
+    assert np.array_equal(P.coordinate_cobracket(8.0), expected)
+    assert np.array_equal(P.integrate_cobracket(x, 8.0), w)
 
 
 def test_integrate_cobracket_closed_form():
