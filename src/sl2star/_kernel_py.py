@@ -44,10 +44,6 @@ def qsub(a, b):
     return qnorm(an * bd - bn * ad, ad * bd)
 
 
-def qneg(a):
-    return (-a[0], a[1])
-
-
 def qmul(a, b):
     an, ad = a
     bn, bd = b

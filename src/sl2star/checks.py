@@ -171,8 +171,7 @@ def nontrivial_deformation(config: Config) -> List[RelationCheck]:
     # 2 cosh(2 eps) - 2 = 4 eps^2 + 4/3 eps^4 + ..., built independently
     defect = EpsSeries(
         {j: 2 * Fraction(2 ** j, math.factorial(j))
-         for j in range(2, config.order + 1, 2)},
-        config.order, truncated=True)
+         for j in range(2, config.order + 1, 2)}, config.order)
     return [
         _check("coproduct deformation order of x2*x2 is 2",
                coalg.deformation_order(x2sq) == 2),
@@ -221,15 +220,15 @@ def bernoulli_suite(config: Config) -> List[RelationCheck]:
     """Criterion 8: Bernoulli generating function and the c-series."""
     order = 20
     lhs = EpsSeries({k: gauge.bernoulli(k) / math.factorial(k)
-                     for k in range(order + 1)}, order, truncated=True)
+                     for k in range(order + 1)}, order)
     ratio = EpsSeries({k: Fraction(1, math.factorial(k + 1))
-                       for k in range(order + 1)}, order, truncated=True)
+                       for k in range(order + 1)}, order)
     order = 12
     c_plus = gauge.c_series(1, order)
     c_minus = gauge.c_series(-1, order)
     # (1 - e^{-2 eps})/(2 eps) has exact coefficients (-2)^k/(k+1)!
     gen = EpsSeries({k: Fraction((-2) ** k, math.factorial(k + 1))
-                     for k in range(order + 1)}, order, truncated=True)
+                     for k in range(order + 1)}, order)
     return [
         _check("sum B_k eps^k/k! times (e^eps - 1)/eps = 1 to order 20",
                lhs * ratio == EpsSeries.one(20)),

@@ -20,7 +20,10 @@ ENV_PREFIX = "SL2STAR_"
 
 def parse_fraction(text: str) -> Fraction:
     num, _, den = text.strip().partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    den = int(den) if den else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in {text.strip()!r}")
+    return Fraction(int(num), den)
 
 
 def parse_a_coeffs(text: str) -> Tuple[Fraction, ...]:
@@ -80,8 +83,8 @@ class Config:
             raise ValueError("tol must be > 0")
         if self.fmt not in ("text", "json"):
             raise ValueError("format must be text or json")
-        if self.a_coeffs and self.a_coeffs[0] == 0:
-            raise ValueError("the A-series constant term must be nonzero")
+        if not self.a_coeffs or self.a_coeffs[0] == 0:
+            raise ValueError("a_coeffs must start with a nonzero constant")
         return self
 
 
@@ -109,6 +112,14 @@ def _canon(key: str) -> str:
     return _ALIASES.get(key, key)
 
 
+def _parse(key: str, value: str, where: str) -> object:
+    """``_PARSERS[key](value)``; an error names the key, value and source."""
+    try:
+        return _PARSERS[key](value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad value {value!r} for {key}: {exc}") from exc
+
+
 def read_config_file(path: str) -> Dict[str, object]:
     """Flat "key = value" lines; '#' starts a comment."""
     out: Dict[str, object] = {}
@@ -123,7 +134,7 @@ def read_config_file(path: str) -> Dict[str, object]:
             key = _canon(key)
             if key not in _PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _PARSERS[key](value.strip())
+            out[key] = _parse(key, value.strip(), f"{path}:{lineno}")
     return out
 
 
@@ -135,7 +146,7 @@ def env_overrides(environ: Mapping[str, str] = None) -> Dict[str, object]:
             continue
         key = _canon(name[len(ENV_PREFIX):])
         if key in _PARSERS:
-            out[key] = _PARSERS[key](value)
+            out[key] = _parse(key, value, name)
     return out
 
 

@@ -191,7 +191,7 @@ def c_series(sign: int, order: int, min_exp: int = 0) -> EpsSeries:
         coeff = Fraction((2 * sign) ** k, math.factorial(k)) * bernoulli_hat(k)
         if coeff:
             terms[k] = coeff
-    return EpsSeries(terms, order, min_exp, truncated=True)
+    return EpsSeries(terms, order, min_exp)
 
 
 def d_symbol_series(solution: GaugeSolution, order: int, min_exp: int = 0) -> EpsSeries:
@@ -201,8 +201,7 @@ def d_symbol_series(solution: GaugeSolution, order: int, min_exp: int = 0) -> Ep
     for k, ak in solution.a.items():
         if k <= order and ak:
             terms[k] = ak * (2 ** k)
-    return EpsSeries(terms, order, min_exp,
-                     truncated=bool(solution.a) and max(solution.a) < order)
+    return EpsSeries(terms, order, min_exp)
 
 
 def gauge_AB_transform(a_raw: EpsSeries, solution: GaugeSolution,

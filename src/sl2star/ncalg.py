@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .series import (
-    EpsSeries,
     EpsSeriesRing,
     RationalLike,
     SeriesConfigError,
@@ -449,21 +448,6 @@ class NCElement(Combination):
                      "coeff": self.terms[mono].to_json()}
             out.append(entry)
         return {"terms": out}
-
-
-def element_from_json(system: RewriteSystem, data: dict) -> NCElement:
-    from .series import BiSeries
-
-    terms = {}
-    for entry in data["terms"]:
-        mono = PbwMonomial(entry["n1"], entry["n2"], entry["n3"], entry["m"])
-        coeff_data = entry["coeff"]
-        if system.ring.kind == "eps":
-            c = EpsSeries.from_json(coeff_data, min_exp=system.ring.min_exp)
-        else:
-            c = BiSeries.from_json(coeff_data)
-        terms[mono] = c
-    return system.element(terms)
 
 
 def monomial_str(system: RewriteSystem, mono: PbwMonomial) -> str:

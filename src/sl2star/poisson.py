@@ -307,26 +307,9 @@ class BivectorSample:
         return (c[0, 1], c[0, 2], c[1, 2])
 
 
-def right_translation_jacobian(g: DualGroupPoint, step: float = 1e-5) -> np.ndarray:
-    """J[i, k] = d coords_i(h g) / d coords_k(h) at h = identity, central differences.
-
-    Kept as a check of ``right_translation_jacobian_exact`` against
-    ``group_mul``; its error of about 1e-10 is too large for ``bivector_at``.
-    """
-    J = np.zeros((3, 3))
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = step
-        plus = group_mul(point_from_coords(e), g).coords()
-        minus = group_mul(point_from_coords(-e), g).coords()
-        J[:, k] = (plus - minus) / (2.0 * step)
-    if abs(np.linalg.det(J)) < 1e-12:
-        raise FloatingPointError("singular right-translation Jacobian")
-    return J
-
-
 def right_translation_jacobian_exact(g: DualGroupPoint) -> np.ndarray:
-    """Closed form of the same Jacobian, from the coordinate multiplication law
+    """J[i, k] = d coords_i(h g) / d coords_k(h) at h = identity, in closed
+    form from the coordinate multiplication law
 
         (y1, y2, y3) . (x1, x2, x3)
             = (y1 + x1, y2 e^{-x1} + e^{y1} x2, e^{y1} x3 + y3 e^{-x1}).

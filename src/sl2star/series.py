@@ -6,9 +6,10 @@ one parameter ``eps`` over arbitrary-precision rationals, optionally Laurent
 with a finite lower exponent bound.  ``BiSeries`` keys them by an ``(i, j)``
 exponent pair: the two-parameter variant in ``(eps, h)`` used by the
 two-parameter algebra, truncated by total degree, with an ``h`` exponent
-that may go below zero (for 1/sinh(h)).  Sums, differences, negation,
-rational multiples, equality and powers are the core's; each key type has
-its own product, inverse and substitutions.
+that may go below zero (for 1/sinh(h)).  A value is its terms plus the two
+bounds of its ring, nothing else.  Sums, differences, negation, rational
+multiples, equality, powers and the inverse are the core's; each key type
+has its own product and substitutions.
 
 All values are immutable after construction and all operations are pure, so
 instances are safe to share across threads.  Coefficients are stored as
@@ -76,28 +77,24 @@ class _Series:
     that is blind to the key type lives here: sums, differences, negation
     and rational multiples through the kernel's ``s_add``/``s_sub``/
     ``s_neg``/``s_scale``, the constructors ``zero``/``one``/``constant``
-    (each taking the two bounds), coercion of ints and Fractions, equality,
-    powers and printing.  A subclass supplies its key type: the key check of
-    its constructor, ``_mul``, ``invert`` and the rest.
-
-    ``truncated`` records that terms beyond the truncation were discarded
-    somewhere in the history of the value; it is informational and, like
-    the lower bound, ignored by equality.
+    (each taking the two bounds), coercion of ints and Fractions, equality
+    (which ignores the lower bound), powers, the inverse and printing.  A
+    subclass supplies its key type: the key check of its constructor,
+    ``_mul``, ``_degree`` and ``_neg_key`` of a key, and its substitutions.
     """
 
-    __slots__ = ("terms", "_bounds", "truncated")
+    __slots__ = ("terms", "_bounds")
 
     #: names of the two bounds, for display
     _BOUND_NAMES = ("hi", "lo")
     #: the key of the constant term
     _UNIT_KEY = None
 
-    def _wrap(self, terms: dict, truncated: bool):
+    def _wrap(self, terms: dict):
         """A value of this ring whose terms are already clean (not copied)."""
         out = object.__new__(type(self))
         out.terms = terms
         out._bounds = self._bounds
-        out.truncated = truncated
         return out
 
     @classmethod
@@ -153,8 +150,7 @@ class _Series:
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
-        return self._wrap(_q.s_add(self.terms, other.terms),
-                          self.truncated or other.truncated)
+        return self._wrap(_q.s_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -163,8 +159,7 @@ class _Series:
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
-        return self._wrap(_q.s_sub(self.terms, other.terms),
-                          self.truncated or other.truncated)
+        return self._wrap(_q.s_sub(self.terms, other.terms))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -173,12 +168,11 @@ class _Series:
         return other - self
 
     def __neg__(self):
-        return self._wrap(_q.s_neg(self.terms), self.truncated)
+        return self._wrap(_q.s_neg(self.terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._wrap(_q.s_scale(self.terms, as_pair(other)),
-                              self.truncated)
+            return self._wrap(_q.s_scale(self.terms, as_pair(other)))
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
@@ -193,6 +187,35 @@ class _Series:
         for _ in range(n):
             out = out * self
         return out
+
+    def invert(self):
+        """Inverse when the lowest-degree part is a single monomial c*m.
+
+        The result is (1/c) m^-1 sum_k (-u)^k with u = s/(c m) - 1, whose
+        terms all have positive degree.  m^-1 must lie inside the bounds.
+        For a leading degree v > 0 the result stores no degree above
+        ``hi - v``; its terms above ``hi - 2v`` depend on coefficients of
+        ``s`` beyond the truncation.
+        """
+        if not self.terms:
+            raise SeriesDomainError("cannot invert the zero series")
+        degree = self._degree
+        dmin = min(degree(k) for k in self.terms)
+        pivots = [k for k in self.terms if degree(k) == dmin]
+        if len(pivots) != 1:
+            raise SeriesDomainError(
+                "inverse needs a unique lowest-total-degree monomial")
+        hi, lo = self._bounds
+        c = self.terms[pivots[0]]
+        pivot_inv = type(self)({self._neg_key(pivots[0]): _q.qdiv((1, 1), c)}, hi, lo)
+        u = self * pivot_inv - 1
+        acc = result = self.one(hi, lo)
+        for _ in range(hi + abs(dmin) + 1):
+            acc = acc * (-u)
+            if acc.is_zero():
+                break
+            result = result + acc
+        return result * pivot_inv
 
 
 class EpsSeries(_Series):
@@ -209,9 +232,10 @@ class EpsSeries(_Series):
 
     order = property(lambda self: self._bounds[0])
     min_exp = property(lambda self: self._bounds[1])
+    _degree = staticmethod(lambda e: e)
+    _neg_key = staticmethod(lambda e: -e)
 
-    def __init__(self, terms: Mapping[int, tuple], order: int, min_exp: int = 0,
-                 truncated: bool = False):
+    def __init__(self, terms: Mapping[int, tuple], order: int, min_exp: int = 0):
         if order < 1:
             raise SeriesConfigError("truncation order must be >= 1")
         if min_exp > 0:
@@ -222,7 +246,6 @@ class EpsSeries(_Series):
             if c[0] == 0:
                 continue
             if e > order:
-                truncated = True
                 continue
             if e < min_exp:
                 raise SeriesDomainError(
@@ -230,7 +253,6 @@ class EpsSeries(_Series):
             clean[e] = c
         self.terms = clean
         self._bounds = (order, min_exp)
-        self.truncated = truncated
 
     @classmethod
     def eps_power(cls, value: RationalLike, k: int, order: int, min_exp: int = 0) -> "EpsSeries":
@@ -256,45 +278,12 @@ class EpsSeries(_Series):
 
     def _mul(self, other: "EpsSeries") -> "EpsSeries":
         if not self.terms or not other.terms:
-            return self._wrap({}, False)
+            return self._wrap({})
         order, min_exp = self._bounds
         if min(self.terms) + min(other.terms) < min_exp:
             raise SeriesDomainError(
                 f"product underflows the Laurent bound {min_exp}")
-        flag = self.truncated or other.truncated \
-            or (max(self.terms) + max(other.terms) > order)
-        return self._wrap(_q.s_mul(self.terms, other.terms, order), flag)
-
-    def invert(self) -> "EpsSeries":
-        """Multiplicative inverse up to truncation.
-
-        Requires a nonzero lowest coefficient and enough Laurent headroom for
-        the reciprocal of the lowest term.
-        """
-        if not self.terms:
-            raise SeriesDomainError("cannot invert the zero series")
-        k0 = min(self.terms)
-        if -k0 < self.min_exp:
-            raise SeriesDomainError(
-                f"inverse needs exponent {-k0}, below Laurent bound {self.min_exp}")
-        c0 = self.terms[k0]
-        inv0 = _q.qdiv((1, 1), c0)
-        out = {-k0: inv0}
-        # b[-k0+n] = -(1/c0) * sum_{j=1..n} a[k0+j] * b[-k0+n-j]
-        for n in range(1, self.order + k0 + 1):
-            acc = (0, 1)
-            for j in range(1, n + 1):
-                a_j = self.terms.get(k0 + j)
-                if a_j is None:
-                    continue
-                b_prev = out.get(-k0 + n - j)
-                if b_prev is None:
-                    continue
-                acc = _q.qadd(acc, _q.qmul(a_j, b_prev))
-            if acc[0]:
-                out[-k0 + n] = _q.qmul(_q.qneg(acc), inv0)
-        exact = len(self.terms) == 1
-        return self._wrap(out, self.truncated or not exact)
+        return self._wrap(_q.s_mul(self.terms, other.terms, order))
 
     def sqrt(self) -> "EpsSeries":
         """Square root, exact on rationals, leading coefficient positive.
@@ -303,7 +292,7 @@ class EpsSeries(_Series):
         rational.
         """
         if not self.terms:
-            return self._wrap({}, self.truncated)
+            return self
         k0 = min(self.terms)
         if k0 % 2:
             raise SeriesDomainError("square root needs an even lowest exponent")
@@ -326,38 +315,34 @@ class EpsSeries(_Series):
                 acc = _q.qsub(acc, _q.qmul(bi, bj))
             if acc[0]:
                 out[half + n] = _q.qdiv(acc, two_r0)
-        exact = len(self.terms) == 1
-        return self._wrap(out, self.truncated or not exact)
+        return self._wrap(out)
 
     # -- substitutions ----------------------------------------------------
 
     def eps_flip(self) -> "EpsSeries":
         """Substitute eps -> -eps."""
-        return self._wrap(_q.s_eps_flip(self.terms), self.truncated)
+        return self._wrap(_q.s_eps_flip(self.terms))
 
     def stretch(self, k: int) -> "EpsSeries":
         """Substitute eps -> eps^k for k >= 1 (exponents scale by k)."""
         if k < 1:
             raise SeriesDomainError("stretch factor must be >= 1")
         out = {}
-        flag = self.truncated
         for e, c in self.terms.items():
             ek = e * k
             if ek > self.order:
-                flag = True
                 continue
             if ek < self.min_exp:
                 raise SeriesDomainError(
                     f"stretched exponent {ek} below Laurent bound {self.min_exp}")
             out[ek] = c
-        return self._wrap(out, flag)
+        return self._wrap(out)
 
     def truncate(self, k: int) -> "EpsSeries":
         """Drop all terms of exponent above k (keeps the ring order)."""
         if k >= self.order:
             return self
-        out = {e: c for e, c in self.terms.items() if e <= k}
-        return self._wrap(out, True)
+        return self._wrap({e: c for e, c in self.terms.items() if e <= k})
 
     # -- serialization ------------------------------------------------
 
@@ -366,14 +351,6 @@ class EpsSeries(_Series):
             "terms": [[e, pair_str(c)] for e, c in sorted(self.terms.items())],
             "order": self.order,
         }
-
-    @classmethod
-    def from_json(cls, data: dict, min_exp: int = None) -> "EpsSeries":
-        terms = {int(e): as_pair(s) for e, s in data["terms"]}
-        if min_exp is None:
-            min_exp = min((e for e in terms), default=0)
-            min_exp = min(min_exp, 0)
-        return cls(terms, int(data["order"]), min_exp)
 
 
 def _rational_sqrt(q: tuple):
@@ -425,21 +402,21 @@ def exp_series(k: RationalLike, order: int, min_exp: int = 0) -> EpsSeries:
         if j:
             c = _q.qmul(c, _q.qdiv(kq, (j, 1)))
         terms[j] = c
-    return EpsSeries(terms, order, min_exp, truncated=kq[0] != 0)
+    return EpsSeries(terms, order, min_exp)
 
 
 def sinh_series(k: RationalLike, order: int, min_exp: int = 0) -> EpsSeries:
     """Odd part of exp(k*eps)."""
     e = exp_series(k, order, min_exp)
     return EpsSeries({j: c for j, c in e.terms.items() if j % 2 == 1},
-                     order, min_exp, e.truncated)
+                     order, min_exp)
 
 
 def cosh_series(k: RationalLike, order: int, min_exp: int = 0) -> EpsSeries:
     """Even part of exp(k*eps)."""
     e = exp_series(k, order, min_exp)
     return EpsSeries({j: c for j, c in e.terms.items() if j % 2 == 0},
-                     order, min_exp, e.truncated)
+                     order, min_exp)
 
 
 def even_series(coeffs: Iterable[RationalLike], order: int, min_exp: int = 0) -> EpsSeries:
@@ -471,9 +448,6 @@ class _SeriesRing:
     def __repr__(self) -> str:
         (n_hi, n_lo), (hi, lo) = self.series._BOUND_NAMES, self._bounds
         return f"{type(self).__name__}({n_hi}={hi}, {n_lo}={lo})"
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._bounds == other._bounds
 
 
 class EpsSeriesRing(_SeriesRing):
@@ -525,9 +499,10 @@ class BiSeries(_Series):
 
     total = property(lambda self: self._bounds[0])
     h_min = property(lambda self: self._bounds[1])
+    _degree = staticmethod(lambda key: key[0] + key[1])
+    _neg_key = staticmethod(lambda key: (-key[0], -key[1]))
 
-    def __init__(self, terms: Mapping[tuple, tuple], total: int, h_min: int = 0,
-                 truncated: bool = False):
+    def __init__(self, terms: Mapping[tuple, tuple], total: int, h_min: int = 0):
         if total < 1:
             raise SeriesConfigError("total degree bound must be >= 1")
         clean = {}
@@ -541,12 +516,10 @@ class BiSeries(_Series):
                 raise HBoundError(
                     f"h exponent {j} below Laurent bound {h_min}")
             if i + j > total:
-                truncated = True
                 continue
             clean[(i, j)] = c
         self.terms = clean
         self._bounds = (total, h_min)
-        self.truncated = truncated
 
     @classmethod
     def monomial(cls, value: RationalLike, i: int, j: int, total: int,
@@ -569,42 +542,10 @@ class BiSeries(_Series):
 
     def _mul(self, other: "BiSeries") -> "BiSeries":
         total, h_min = self._bounds
-        a, b = self.terms, other.terms
-        out = _q.s_mul_total(a, b, total)
+        out = _q.s_mul_total(self.terms, other.terms, total)
         if out and min(j for _, j in out) < h_min:
             raise HBoundError(f"product underflows h Laurent bound {h_min}")
-        flag = self.truncated or other.truncated or (
-            bool(a and b) and _top_degree(a) + _top_degree(b) > total)
-        return self._wrap(out, flag)
-
-    def invert(self) -> "BiSeries":
-        """Inverse when the minimal-total-degree part is a single monomial."""
-        if not self.terms:
-            raise SeriesDomainError("cannot invert the zero series")
-        dmin = min(i + j for i, j in self.terms)
-        pivots = [k for k in self.terms if k[0] + k[1] == dmin]
-        if len(pivots) != 1:
-            raise SeriesDomainError(
-                "inverse needs a unique lowest-total-degree monomial")
-        (pi, pj) = pivots[0]
-        if pi > 0:
-            raise SeriesDomainError("cannot invert a positive power of eps")
-        total, h_min = self._bounds
-        if -pj < h_min:
-            raise HBoundError(
-                f"inverse needs h exponent {-pj}, below bound {h_min}")
-        c0 = self.terms[(pi, pj)]
-        pivot_inv = BiSeries.monomial(Fraction(c0[1], c0[0]), -pi, -pj,
-                                      total, h_min)
-        u = self * pivot_inv - 1
-        acc = result = self.one(total, h_min)
-        for _ in range(total + abs(dmin) + 1):
-            acc = acc * (-u)
-            if acc.is_zero():
-                break
-            result = result + acc
-        out = result * pivot_inv
-        return self._wrap(out.terms, self.truncated or len(self.terms) > 1)
+        return self._wrap(out)
 
     # -- substitutions and slices --------------------------------------
 
@@ -612,29 +553,21 @@ class BiSeries(_Series):
         """Substitute eps -> -eps (h untouched)."""
         return self._wrap(
             {(i, j): ((-n, d) if i % 2 else (n, d))
-             for (i, j), (n, d) in self.terms.items()},
-            self.truncated)
+             for (i, j), (n, d) in self.terms.items()})
 
     def h_pole_order(self) -> int:
         """Most negative h exponent present (0 if none)."""
         return min((j for (_, j) in self.terms), default=0)
 
-    def h_slice(self, j0: int, order: int = None, min_exp: int = 0) -> EpsSeries:
-        """Coefficient of h^j0 as a one-parameter series in eps."""
-        order = order if order is not None else self.total
-        terms = {i: c for (i, j), c in self.terms.items() if j == j0}
-        return EpsSeries(terms, order, min_exp, truncated=self.truncated)
-
     def eps_slice(self, i0: int) -> "BiSeries":
         """Terms with eps exponent exactly i0 (kept as a BiSeries)."""
-        terms = {k: c for k, c in self.terms.items() if k[0] == i0}
-        return self._wrap(terms, self.truncated)
+        return self._wrap({k: c for k, c in self.terms.items() if k[0] == i0})
 
     def specialize_h(self, factor: RationalLike, order: int,
                      min_exp: int = 0) -> EpsSeries:
         """Substitute h -> factor * eps, producing a one-parameter series."""
         f = Fraction(*as_pair(factor))
-        out = EpsSeries({}, order, min_exp, self.truncated)
+        out = EpsSeries({}, order, min_exp)
         for (i, j), (n, d) in self.terms.items():
             out = out + EpsSeries.eps_power(Fraction(n, d) * f ** j, i + j,
                                             order, min_exp)
@@ -647,15 +580,6 @@ class BiSeries(_Series):
             "total": self.total,
             "h_min": self.h_min,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BiSeries":
-        terms = {(int(i), int(j)): as_pair(s) for (i, j), s in data["terms"]}
-        return cls(terms, int(data["total"]), int(data.get("h_min", 0)))
-
-
-def _top_degree(terms: Mapping[tuple, tuple]) -> int:
-    return max(i + j for i, j in terms)
 
 
 def exp_bi(value: RationalLike, i: int, j: int, total: int, h_min: int = 0) -> BiSeries:
@@ -671,14 +595,14 @@ def exp_bi(value: RationalLike, i: int, j: int, total: int, h_min: int = 0) -> B
             c = _q.qmul(c, _q.qdiv(v, (k, 1)))
         terms[(k * i, k * j)] = c
         k += 1
-    return BiSeries(terms, total, h_min, truncated=v[0] != 0)
+    return BiSeries(terms, total, h_min)
 
 
 def sinh_h(value: RationalLike, total: int, h_min: int = 0) -> BiSeries:
     """sinh(value * h) as a BiSeries in h alone."""
     e = exp_bi(value, 0, 1, total, h_min)
     return BiSeries({k: c for k, c in e.terms.items() if k[1] % 2 == 1},
-                    total, h_min, e.truncated)
+                    total, h_min)
 
 
 class BiSeriesRing(_SeriesRing):

@@ -77,7 +77,12 @@ def lambda_squared(system: RewriteSystem) -> EpsSeries:
 def default_substitution(system: RewriteSystem) -> EpsSeries:
     """lambda with x2 = lambda z2 and x3 = lambda z3 (x1 = eps z1); needs
     A(0) to be a rational square."""
-    return lambda_squared(system).sqrt()
+    try:
+        return lambda_squared(system).sqrt()
+    except SeriesDomainError as exc:
+        raise SeriesDomainError(
+            f"{exc}: the z-generators need the first of a_coeffs, A(0), "
+            f"to be the square of a positive rational") from exc
 
 
 def _exp_difference(system: RewriteSystem) -> NCElement:
@@ -343,7 +348,7 @@ def _h_constant_scalar(c: BiSeries) -> BiSeries:
     if c.h_pole_order() < 0:
         raise PoleAtHZeroError(f"pole at h = 0 remains in {c}")
     return BiSeries({k: v for k, v in c.terms.items() if k[1] == 0},
-                    c.total, c.h_min, c.truncated)
+                    c.total, c.h_min)
 
 
 def limit_eps_to_zero(obj):

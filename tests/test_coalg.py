@@ -62,7 +62,7 @@ def test_coproduct_of_x2_squared_by_hand(xsys):
     got = coproduct(x2sq)
     two_cosh = EpsSeries(
         {j: 2 * Fraction(2 ** j, math.factorial(j)) for j in range(0, 9, 2)},
-        8, truncated=True)
+        8)
     expected = T(xsys, {
         (PbwMonomial(0, 2, 0, 0), PbwMonomial(0, 0, 0, -2)): xsys.ring.one,
         (PbwMonomial(0, 1, 0, 1), PbwMonomial(0, 1, 0, -1)): two_cosh,
@@ -182,7 +182,7 @@ def test_deformation_defect_value(xsys):
     assert set(diff.terms) == {key}
     defect = EpsSeries(
         {j: 2 * Fraction(2 ** j, math.factorial(j)) for j in range(2, 9, 2)},
-        8, truncated=True)
+        8)
     assert diff.terms[key] == defect
     assert defect.coefficient(2) == 4
     assert defect.coefficient(4) == Fraction(4, 3)

@@ -153,6 +153,10 @@ def test_cli_poisson_verify(capsys):
     ("gauge_kmax", ["check", "gauge"], {"SL2STAR_GAUGE_KMAX": "11"}),
     ("gauge_nmax", ["gauge", "--nmax", "0"], {}),
     ("gauge_kmax", ["gauge", "--kmax", "4"], {}),
+    ("order", ["normalize", "x1"], {"SL2STAR_ORDER": "abc"}),
+    ("a_coeffs", ["normalize", "x1", "--A", "0"], {}),
+    ("a_coeffs", ["normalize", "x1", "--A", ","], {}),
+    ("a_coeffs", ["check", "uh", "--A", "2"], {}),
 ])
 def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, env):
     for name, value in env.items():
@@ -161,6 +165,15 @@ def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, e
     captured = capsys.readouterr()
     assert setting in captured.err
     assert captured.out == ""
+
+
+def test_cli_names_a_bad_config_file_line(capsys, tmp_path):
+    path = tmp_path / "bad.cfg"
+    for line, setting in (("order = ten", "order"), ("b = 2:1/0", "b_coeffs")):
+        path.write_text(f"# first line\n{line}\n")
+        assert cli.main(["normalize", "x1", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2" in err and setting in err
 
 
 def test_cli_error_exit_code(capsys):

@@ -207,11 +207,19 @@ def test_bivector_sample_antisymmetry():
 
 
 def test_exact_jacobian_matches_finite_differences():
+    """Central differences of group_mul: J[:, k] = d coords(h g) / d h_k."""
     rng = np.random.default_rng(3)
+    step = 1e-5
     for _ in range(20):
         g = P.exp_point(rng.uniform(-1.0, 1.0, size=3))
-        assert np.allclose(P.right_translation_jacobian_exact(g),
-                           P.right_translation_jacobian(g),
+        fd = np.zeros((3, 3))
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = step
+            plus = P.group_mul(P.point_from_coords(e), g).coords()
+            minus = P.group_mul(P.point_from_coords(-e), g).coords()
+            fd[:, k] = (plus - minus) / (2.0 * step)
+        assert np.allclose(P.right_translation_jacobian_exact(g), fd,
                            rtol=0.0, atol=1e-9)
 
 

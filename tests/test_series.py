@@ -29,8 +29,8 @@ from sl2star.series import (
 N = 8
 
 
-def S(terms, order=N, min_exp=0, **kw):
-    return EpsSeries(terms, order, min_exp, **kw)
+def S(terms, order=N, min_exp=0):
+    return EpsSeries(terms, order, min_exp)
 
 
 # -- frozen examples ------------------------------------------------------
@@ -55,10 +55,8 @@ def test_mul_examples():
 
 def test_mul_truncated_exponentials_cancel():
     # oracle: coefficients of exp are 1/j! exactly
-    e_plus = S({j: Fraction(2 ** j, math.factorial(j)) for j in range(N + 1)},
-               truncated=True)
-    e_minus = S({j: Fraction((-2) ** j, math.factorial(j)) for j in range(N + 1)},
-                truncated=True)
+    e_plus = S({j: Fraction(2 ** j, math.factorial(j)) for j in range(N + 1)})
+    e_minus = S({j: Fraction((-2) ** j, math.factorial(j)) for j in range(N + 1)})
     assert exp_series(2, N) == e_plus
     assert exp_series(-2, N) == e_minus
     assert e_plus * e_minus == EpsSeries.one(N)
@@ -71,7 +69,7 @@ def test_mul_laurent_underflow():
 
 
 def test_invert_examples():
-    geom = S({e: 1 for e in range(N + 1)}, truncated=True)
+    geom = S({e: 1 for e in range(N + 1)})
     assert S({0: 1, 1: -1}).invert() == geom
     assert S({0: 2}).invert() == S({0: Fraction(1, 2)})
     with pytest.raises(SeriesDomainError):
@@ -89,7 +87,7 @@ def test_invert_sinh_by_long_division():
         acc -= sum(b[e] * coeffs.get(k + 1 - e, Fraction(0))
                    for e in b)
         b[k] = acc / coeffs[1]
-    expected = S({e: c for e, c in b.items() if c}, min_exp=-2, truncated=True)
+    expected = S({e: c for e, c in b.items() if c}, min_exp=-2)
     got = sh.invert()
     # the inverse of a valuation-one series is determined through order N - 2
     assert got.truncate(N - 2) == expected.truncate(N - 2)
@@ -105,6 +103,16 @@ def test_invert_roundtrip():
 def test_invert_needs_laurent_headroom():
     with pytest.raises(SeriesDomainError):
         S({1: 1}).invert()  # would need eps^-1 but min_exp is 0
+
+
+def test_invert_stores_no_exponent_above_order_minus_valuation():
+    # a = eps^v u with u known through order - v, and 1/a = eps^-v / u
+    for v in (1, 2, 3):
+        a = S({v: 2, v + 1: 1, N: 5}, min_exp=-3)
+        inv = a.invert()
+        assert max(inv.terms) <= N - v
+        assert inv.coefficient(-v) == Fraction(1, 2)
+        assert inv.coefficient(1 - v) == Fraction(-1, 4)
 
 
 def test_sqrt_examples():
@@ -127,9 +135,8 @@ def test_sqrt_of_lambda_squared():
 
 
 def test_exp_sinh_cosh_values():
-    assert exp_series(2, 2) == S({0: 1, 1: 2, 2: 2}, order=2, truncated=True)
-    assert sinh_series(2, 3) == S({1: 2, 3: Fraction(4, 3)}, order=3,
-                                  truncated=True)
+    assert exp_series(2, 2) == S({0: 1, 1: 2, 2: 2}, order=2)
+    assert sinh_series(2, 3) == S({1: 2, 3: Fraction(4, 3)}, order=3)
     assert exp_series(0, N) == EpsSeries.one(N)
     assert cosh_series(2, N) * cosh_series(2, N) \
         - sinh_series(2, N) * sinh_series(2, N) == EpsSeries.one(N)
@@ -143,18 +150,17 @@ def test_eps_flip_and_stretch():
     assert exp_series(2, N).stretch(2).coefficient(2) == 2
 
 
-def test_truncated_flag():
-    assert not (S({0: 1, 1: 1}) * S({0: 1})).truncated
-    assert (S({5: 1}) * S({5: 1})).truncated
-    assert exp_series(2, N).truncated
-    assert not S({0: 4}).invert().truncated
+def test_terms_beyond_the_bound_are_dropped():
+    assert (S({5: 1}) * S({5: 1})).is_zero()
+    assert S({9: 1}).is_zero()
+    assert BiSeries({(5, 4): 1}, 8, -2).is_zero()
+    assert sorted(exp_series(2, N).terms) == list(range(N + 1))
 
 
-def test_json_roundtrip():
+def test_json_form():
     a = S({-1: Fraction(2, 3), 0: 1, 5: -7}, min_exp=-2)
-    data = a.to_json()
-    assert data == {"terms": [[-1, "2/3"], [0, "1"], [5, "-7"]], "order": N}
-    assert EpsSeries.from_json(data) == a
+    assert a.to_json() == {"terms": [[-1, "2/3"], [0, "1"], [5, "-7"]],
+                           "order": N}
 
 
 def test_str_form():
@@ -203,6 +209,16 @@ def test_invert_is_right_inverse(a):
     if a.is_zero() or min(a.terms) != 0:
         return
     assert a * a.invert() == EpsSeries.one(12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=3), coeffs.filter(bool),
+       series(min_exp=-3))
+def test_invert_is_right_inverse_at_positive_valuation(v, c, tail):
+    # c eps^v plus terms of exponent above v
+    a = EpsSeries({v: c}, 12, -3) + EpsSeries(
+        {e: q for e, q in tail.terms.items() if e > v}, 12, -3)
+    assert a * a.invert() == EpsSeries.one(12, -3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,7 +277,6 @@ def test_biseries_slices_and_specialize():
     T = 8
     ring = BiSeriesRing(T, -2)
     e = ring.exp(1, 1, 1)
-    assert e.h_slice(0, order=T) == EpsSeries({0: 1}, T)
     assert e.eps_slice(0) == ring.one
     # e^{eps h} at h = 2 eps is e^{2 eps^2}
     spec = e.specialize_h(2, T)
@@ -271,9 +286,10 @@ def test_biseries_slices_and_specialize():
     assert inv.specialize_h(2, T, -1).coefficient(-1) == Fraction(1, 4)
 
 
-def test_biseries_json_roundtrip():
+def test_biseries_json_form():
     a = BiSeries({(1, -1): Fraction(1, 2), (2, 0): -3}, 8, -2)
-    assert BiSeries.from_json(a.to_json()) == a
+    assert a.to_json() == {"terms": [[[1, -1], "1/2"], [[2, 0], "-3"]],
+                           "total": 8, "h_min": -2}
 
 
 def test_biseries_config_mismatch():
