@@ -11,13 +11,18 @@ the x2-x3 relation, and the two-parameter variant built in
 series coefficients, on the one base class ``Combination``.
 
 Rewriting terminates because every rule strictly decreases the triple
-(number of x2/x3 letters, word length, inversion count) lexicographically;
-confluence is not assumed anywhere and is exercised by the test suite via
-randomized strategies.
+(number of x2/x3 letters, word length, the word itself), compared
+lexicographically (``measure``).  Normal ordering is a merged reduction:
+pending words are summed in one dict and taken in decreasing measure, so no
+word comes back once it is reduced, and each is reduced once, with its
+summed coefficient.  Confluence is not assumed anywhere and is exercised by
+the test suite via randomized strategies, which pick the redex inside each
+word.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from enum import IntEnum
@@ -43,9 +48,10 @@ class Gen(IntEnum):
 
 X1, X2, X3, EP, EM = Gen.X1, Gen.X2, Gen.X3, Gen.EP, Gen.EM
 
-# order used for sorting and inversion counting; the two exponential
-# letters share a rank (their mixed pairs cancel instead of commuting)
-_RANK = {X1: 1, X2: 2, X3: 3, EP: 4, EM: 4}
+# the basis-monomial exponent each letter counts towards (n1, n2, n3, and
+# m up or down); plain ints 1..5 find their Gen letter here too
+_LETTER_INDEX = {X1: 0, X2: 1, X3: 2, EP: 3, EM: 4}
+_LETTERS = frozenset(_LETTER_INDEX)
 
 Word = tuple
 
@@ -76,36 +82,44 @@ M_EM = PbwMonomial(0, 0, 0, -1)
 
 
 def measure(word: Word) -> tuple:
-    """Termination measure (#x2/x3 letters, length, inversion count).
+    """Termination measure (#x2/x3 letters, length, the word itself).
 
-    Every rewrite step strictly decreases this lexicographically.
+    Every rewrite step strictly decreases this lexicographically: a swap
+    moves a letter of larger ``Gen`` value to the right (x2 and x3 past x1,
+    x3 past x2, e+- past every x), which lowers the word itself, and every
+    other rule lowers the length or the number of x2/x3 letters.
     """
-    n23 = sum(1 for g in word if g is X2 or g is X3)
-    inv = 0
-    n = len(word)
-    for i in range(n):
-        ri = _RANK[word[i]]
-        for j in range(i + 1, n):
-            if ri > _RANK[word[j]]:
-                inv += 1
-    return (n23, n, inv)
+    return (word.count(X2) + word.count(X3), len(word), word)
+
+
+# each byte b of a word maps to 255 - b, which reverses the order of equal-
+# length words
+_DESCENDING = bytes(range(255, -1, -1))
+
+
+def _heap_key(word: Word) -> tuple:
+    """``measure`` reversed, for a min-heap that pops the largest word first;
+    the word rides along at the end and is never compared."""
+    n23, length, _ = measure(word)
+    return (-n23, -length, bytes(word).translate(_DESCENDING), word)
+
+
+def _unknown_letter(word: Word) -> ValueError:
+    bad = next(g for g in word if g not in _LETTERS)
+    return ValueError(f"unknown letter {bad!r} in word {word!r}; the letters "
+                      "are x1, x2, x3, e+, e- (the ints 1-5)")
 
 
 def word_to_monomial(word: Word) -> PbwMonomial:
     """Map an irreducible (ordered) word to its basis monomial."""
-    n1 = n2 = n3 = m = 0
-    for g in word:
-        if g is X1:
-            n1 += 1
-        elif g is X2:
-            n2 += 1
-        elif g is X3:
-            n3 += 1
-        elif g is EP:
-            m += 1
-        else:
-            m -= 1
-    return PbwMonomial(n1, n2, n3, m)
+    counts = [0, 0, 0, 0, 0]
+    try:
+        for g in word:
+            counts[_LETTER_INDEX[g]] += 1
+    except KeyError:
+        raise _unknown_letter(word) from None
+    n1, n2, n3, up, down = counts
+    return PbwMonomial(n1, n2, n3, up - down)
 
 
 def _choose_middle(positions, rng):
@@ -279,9 +293,13 @@ class RewriteSystem:
                     check_termination: bool = False) -> "NCElement":
         """Reduce a word modulo the ideal.
 
-        The result is independent of ``strategy``, one of ``STRATEGY_NAMES``
-        (tested, not assumed); with ``check_termination`` every step asserts
-        the measure decrease.
+        Pending words are merged: a rule that produces a word already
+        pending adds to its coefficient.  Words are taken in decreasing
+        ``measure``, which every rule lowers, so each word is reduced once,
+        with its summed coefficient.  ``strategy``, one of
+        ``STRATEGY_NAMES``, picks the redex inside each word; the result is
+        independent of it (tested, not assumed).  With ``check_termination``
+        every step asserts the measure decrease the order relies on.
         """
         if strategy == "cycle":
             counter = itertools.count(1)
@@ -295,12 +313,20 @@ class RewriteSystem:
                 raise ValueError(f"unknown strategy {strategy!r}") from None
         if rng is None:
             rng = random.Random(0)
+        word = tuple(word)
+        if not _LETTERS.issuperset(word):
+            raise _unknown_letter(word)
 
         rules = self.rules
-        pending = [(tuple(word), self.ring.one)]
+        one = self.ring.one
+        pending = {word: one}
+        heap = [_heap_key(word)]
         out = {}
-        while pending:
-            word, coeff = pending.pop()
+        while heap:
+            word = heapq.heappop(heap)[-1]
+            coeff = pending.pop(word)
+            if coeff.is_zero():  # merged terms cancelled
+                continue
             positions = self.reducible_positions(word)
             if not positions:
                 add_term(out, word_to_monomial(word), coeff)
@@ -315,9 +341,13 @@ class RewriteSystem:
                     if not after < before:
                         raise AssertionError(
                             f"measure did not decrease: {word} -> {new_word}")
-                new_coeff = coeff if c is self.ring.one else coeff * c
-                if not new_coeff.is_zero():
-                    pending.append((new_word, new_coeff))
+                new_coeff = coeff if c is one else coeff * c
+                cur = pending.get(new_word)
+                if cur is not None:
+                    pending[new_word] = cur + new_coeff
+                elif not new_coeff.is_zero():
+                    pending[new_word] = new_coeff
+                    heapq.heappush(heap, _heap_key(new_word))
         return NCElement(self, out)
 
     # -- products ---------------------------------------------------------
@@ -417,11 +447,12 @@ class NCElement(Combination):
         reversal is part of the map.
         """
         system = self.system
-        out = system.zero
+        out = {}
         for mono, c in self.terms.items():
-            nf = system.normal_form(tuple(reversed(mono.word())))
-            out = out + nf.scale(c.eps_flip())
-        return out
+            flipped = c.eps_flip()
+            for key, d in system.normal_form(mono.word()[::-1]).terms.items():
+                add_term(out, key, d * flipped)
+        return NCElement(system, out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -555,7 +586,7 @@ def random_word(rng: random.Random, max_len: int = 6) -> Word:
 def random_element(system: RewriteSystem, rng: random.Random,
                    max_terms: int = 3, max_word: int = 4) -> NCElement:
     """Random normal-formed element with small integer-rational coefficients."""
-    out = system.zero
+    out = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
         word = random_word(rng, max_word)
         num = rng.randrange(-4, 5) or 1
@@ -565,5 +596,6 @@ def random_element(system: RewriteSystem, rng: random.Random,
             c = system.ring.eps_power(Fraction(num, den), exp)
         else:
             c = system.ring.monomial(Fraction(num, den), exp, rng.randrange(0, 2))
-        out = out + system.normal_form(word).scale(c)
-    return out
+        for key, d in system.normal_form(word).terms.items():
+            add_term(out, key, d * c)
+    return NCElement(system, out)

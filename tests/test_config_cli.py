@@ -13,6 +13,8 @@ from sl2star.config import (
     parse_b_coeffs,
     read_config_file,
 )
+from sl2star.expr import evaluate, parse
+from sl2star.ncalg import EM, X1, X2, X3, x_algebra
 
 
 def test_parse_helpers():
@@ -77,6 +79,17 @@ def test_cli_normalize(capsys):
     code, out = run_cli(capsys, "normalize", "x2*x1")
     assert code == 0
     assert out.strip() == "0 - 2*eps*x2 + x1*x2"
+
+
+def test_cli_normalizes_a_long_word(capsys):
+    """x3^6 x2^6 x1^6 e-^2 has 28 terms; the printed form reparses to them."""
+    code, out = run_cli(capsys, "normalize", "x3^6*x2^6*x1^6*e-^2")
+    assert code == 0
+    config = Config()
+    system = x_algebra(config.order, config.a_coeffs, config.laurent_min)
+    expected = system.normal_form((X3,) * 6 + (X2,) * 6 + (X1,) * 6 + (EM, EM))
+    assert len(expected.terms) == 28
+    assert evaluate(parse(out.strip()), system) == expected
 
 
 def test_cli_normalize_json(capsys):

@@ -1,6 +1,9 @@
 """Normal ordering, star products, and their structural properties."""
 
+import importlib.util
+import pathlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,14 +11,44 @@ import pytest
 from sl2star import poisson
 from sl2star.expr import evaluate, parse
 from sl2star.ncalg import (
-    EM, EP, PbwMonomial, STRATEGY_NAMES, X1, X2, X3,
-    measure, random_element, random_word, word_to_monomial,
+    EM, EP, NCElement, PbwMonomial, RewriteSystem, STRATEGY_NAMES, X1, X2, X3,
+    add_term, measure, random_element, random_word, word_to_monomial,
     x_algebra,
 )
+from sl2star.uhsl2 import xi_algebra
 
 
 def eps_el(system, value, k=1):
     return system.ring.eps_power(value, k)
+
+
+def unmerged_normal_form(system, word):
+    """The reference walk: a stack of (word, coefficient) paths, leftmost
+    redex first, that never merges equal words."""
+    one = system.ring.one
+    pending = [(tuple(word), one)]
+    out = {}
+    while pending:
+        word, coeff = pending.pop()
+        positions = system.reducible_positions(word)
+        if not positions:
+            add_term(out, word_to_monomial(word), coeff)
+            continue
+        i = positions[0]
+        for repl, c in system.rules[(word[i], word[i + 1])]:
+            new_coeff = coeff if c is one else coeff * c
+            if not new_coeff.is_zero():
+                pending.append((word[:i] + repl + word[i + 2:], new_coeff))
+    return NCElement(system, out)
+
+
+def xi_inversions(word):
+    """Number of xi3-before-xi2 pairs: each can leave one 1/h."""
+    return sum(word[i + 1:].count(X2) for i, g in enumerate(word) if g == X3)
+
+
+def family_word(n):
+    return (X3,) * n + (X2,) * n + (X1,) * n + (EM, EM)
 
 
 def test_normal_form_of_commutation_pairs(xsys):
@@ -78,6 +111,89 @@ def test_strategy_agreement_random_words(xsys, rng):
         base = xsys.normal_form(w, strategy="leftmost")
         for s in STRATEGY_NAMES[1:]:
             assert xsys.normal_form(w, strategy=s, rng=random.Random(3)) == base
+
+
+@pytest.mark.parametrize("system", [x_algebra(8), x_algebra(8, (4, 1), -2)],
+                         ids=["x", "x-tail"])
+def test_merged_reduction_matches_the_unmerged_walk(system):
+    rng = random.Random(909)
+    for _ in range(200):
+        w = random_word(rng, 8)
+        expected = unmerged_normal_form(system, w)
+        for s in STRATEGY_NAMES:
+            assert system.normal_form(w, strategy=s, rng=random.Random(5),
+                                      check_termination=True) == expected, (w, s)
+
+
+def test_merged_reduction_matches_the_unmerged_walk_on_xi_words():
+    system = xi_algebra(8, -2)
+    rng = random.Random(910)
+    words = []
+    while len(words) < 100:
+        w = random_word(rng, 7)
+        if xi_inversions(w) <= 2:
+            words.append(w)
+    for w in words:
+        expected = unmerged_normal_form(system, w)
+        for s in STRATEGY_NAMES:
+            assert system.normal_form(w, strategy=s, rng=random.Random(6),
+                                      check_termination=True) == expected, (w, s)
+
+
+def test_strategy_agreement_long_words(xsys):
+    rng = random.Random(911)
+    letters = (X1, X2, X3, EP, EM)
+    for _ in range(40):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(9, 12)))
+        base = xsys.normal_form(w, strategy="leftmost")
+        for s in STRATEGY_NAMES[1:]:
+            assert xsys.normal_form(w, strategy=s, rng=random.Random(7)) == base, (w, s)
+
+
+def test_each_word_is_reduced_once(xsys, monkeypatch):
+    seen = []
+    reducible = RewriteSystem.reducible_positions
+
+    def counting(self, word):
+        seen.append(word)
+        return reducible(self, word)
+
+    monkeypatch.setattr(RewriteSystem, "reducible_positions", counting)
+    xsys.normal_form(family_word(4))
+    assert len(seen) == len(set(seen)) == 637
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """The benchmark's representation oracle, loaded read-only by path."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_long_family_matches_the_representation_oracle(xsys, oracle, n):
+    """x3^n x2^n x1^n e-^2 against the matrices of its letters on a weight
+    module; the merged reduction keeps each n well under a second."""
+    word = family_word(n)
+    start = time.perf_counter()
+    nf = xsys.normal_form(word)
+    assert time.perf_counter() - start < 1.0
+    module = oracle.WeightModule("x", 2 * n)
+    assert module.normal_form_error(word, nf.terms) <= oracle.TOLERANCE
+
+
+def test_plain_int_letters_are_gen_letters(xsys):
+    assert xsys.normal_form((1, 2, 3)) == xsys.normal_form((X1, X2, X3))
+    assert xsys.normal_form((3, 2, 1, 5)) == xsys.normal_form((X3, X2, X1, EM))
+    assert word_to_monomial((1, 1, 3, 5)) == PbwMonomial(2, 0, 1, -1)
+    for bad in [(7,), (X1, 0), ("x1",)]:
+        with pytest.raises(ValueError, match="unknown letter"):
+            xsys.normal_form(bad)
+        with pytest.raises(ValueError, match="unknown letter"):
+            word_to_monomial(bad)
 
 
 def test_termination_measure_decreases(xsys, rng):
