@@ -6,11 +6,19 @@ stored zeros.  ``s_add``, ``s_sub``, ``s_neg`` and ``s_scale`` work for any
 exponent key; ``s_mul`` and ``s_eps_flip`` take ``int`` exponents and
 ``s_mul_total`` takes ``(eps, h)`` exponent pairs.  Callers reach these
 functions through ``_backend.kernel``.
+
+The two series products convolve integers: each operand is written as
+integer numerators over one common denominator, the lcm of its
+denominators, the numerator products are summed per output exponent with no
+gcd, and each output coefficient is reduced once against the product of the
+two denominators.  When one operand is a single term no two products share
+an exponent, so each term is multiplied by it with the cross-cancelling
+``qmul`` instead.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 
 def qnorm(n, d):
@@ -104,49 +112,58 @@ def s_scale(a, q):
     return {e: qmul(c, q) for e, c in a.items()}
 
 
+def _over_common_denominator(a):
+    """The terms of a payload as ``(exponent, numerator)`` pairs over the lcm
+    of its denominators, and that lcm."""
+    den = lcm(*[d for _, d in a.values()])
+    return [(e, n * (den // d)) for e, (n, d) in a.items()], den
+
+
+def _reduce_over(acc, den):
+    """Reduce each nonzero ``acc[e] / den`` once; drop the zeros."""
+    out = {}
+    for e, n in acc.items():
+        if n:
+            g = gcd(n, den)
+            out[e] = (n // g, den // g)
+    return out
+
+
 def s_mul(a, b, hi):
     """Cauchy product of two exponent dicts, dropping exponents above hi."""
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
+    if len(a) < 2 or len(b) < 2:
+        # with a single term on one side no two products share an exponent
+        return {ea + eb: qmul(ca, cb)
+                for ea, ca in a.items() for eb, cb in b.items() if ea + eb <= hi}
+    na, da = _over_common_denominator(a)
+    nb, db = _over_common_denominator(b)
+    acc = {}
+    for ea, xa in na:
+        for eb, xb in nb:
             e = ea + eb
-            if e > hi:
-                continue
-            p = qmul(ca, cb)
-            cur = out.get(e)
-            if cur is None:
-                out[e] = p
-            else:
-                s = qadd(cur, p)
-                if s[0] == 0:
-                    del out[e]
-                else:
-                    out[e] = s
-    return out
+            if e <= hi:
+                acc[e] = acc.get(e, 0) + xa * xb
+    return _reduce_over(acc, da * db)
 
 
 def s_mul_total(a, b, hi):
     """Product of two {(i, j): rational} dicts, dropping total degree i + j
     above hi."""
-    out = {}
-    for (ia, ja), ca in a.items():
-        for (ib, jb), cb in b.items():
+    if len(a) < 2 or len(b) < 2:
+        return {(ia + ib, ja + jb): qmul(ca, cb)
+                for (ia, ja), ca in a.items() for (ib, jb), cb in b.items()
+                if ia + ib + ja + jb <= hi}
+    na, da = _over_common_denominator(a)
+    nb, db = _over_common_denominator(b)
+    acc = {}
+    for (ia, ja), xa in na:
+        for (ib, jb), xb in nb:
             i = ia + ib
             j = ja + jb
-            if i + j > hi:
-                continue
-            p = qmul(ca, cb)
-            key = (i, j)
-            cur = out.get(key)
-            if cur is None:
-                out[key] = p
-            else:
-                s = qadd(cur, p)
-                if s[0] == 0:
-                    del out[key]
-                else:
-                    out[key] = s
-    return out
+            if i + j <= hi:
+                key = (i, j)
+                acc[key] = acc.get(key, 0) + xa * xb
+    return _reduce_over(acc, da * db)
 
 
 def s_eps_flip(a):

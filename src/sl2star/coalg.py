@@ -79,10 +79,6 @@ def tensor_unit(system: RewriteSystem, legs: int = 2) -> TensorElement:
     return TensorElement(system, {(UNIT,) * legs: system.ring.one}, legs)
 
 
-def tensor_zero(system: RewriteSystem, legs: int = 2) -> TensorElement:
-    return TensorElement(system, {}, legs)
-
-
 def star_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise star product of tensors (no braiding)."""
     s._check(t)
@@ -129,10 +125,11 @@ def _monomial_coproduct(system: RewriteSystem, mono: PbwMonomial) -> dict:
 def coproduct(f: NCElement) -> TensorElement:
     """The deformed coproduct, extended star-multiplicatively to all of F."""
     system = f.system
-    out = tensor_zero(system)
+    out = {}
     for mono, c in f.terms.items():
-        out = out + TensorElement(system, _monomial_coproduct(system, mono)).scale(c)
-    return out
+        for key, cc in _monomial_coproduct(system, mono).items():
+            add_term(out, key, cc * c)
+    return TensorElement(system, out)
 
 
 def coideal_check(system: RewriteSystem, relation: Mapping) -> TensorElement:
@@ -142,10 +139,11 @@ def coideal_check(system: RewriteSystem, relation: Mapping) -> TensorElement:
     The two-sided ideal is a coideal exactly when this vanishes for every
     generator; a nonzero result flags an inconsistent relation set.
     """
-    out = tensor_zero(system)
+    out = {}
     for word, c in relation.items():
-        out = out + _word_coproduct(system, word).scale(c)
-    return out
+        for key, cc in _word_coproduct(system, word).terms.items():
+            add_term(out, key, cc * c)
+    return TensorElement(system, out)
 
 
 def _expand_leg(t: TensorElement, leg: int) -> TensorElement:
@@ -180,23 +178,22 @@ def counit(f: NCElement):
 
 def counit_contract(t: TensorElement, side: str) -> NCElement:
     """(ct (x) id) or (id (x) ct) applied to a 2-leg tensor."""
-    system = t.system
-    out = system.zero
+    out = {}
     for (left, right), c in t.terms.items():
         if side == "left":
             keep, kill = right, left
         else:
             keep, kill = left, right
         if kill.n1 == 0 and kill.n2 == 0 and kill.n3 == 0:
-            out = out + system.monomial_element(keep, c)
-    return out
+            add_term(out, keep, c)
+    return NCElement(t.system, out)
 
 
 def classical_coproduct(f: NCElement) -> TensorElement:
     """The undeformed coproduct: generator table extended with the
     commutative product on both legs."""
     system = f.system
-    out = tensor_zero(system)
+    out = {}
     for mono, c in f.terms.items():
         t = tensor_unit(system)
         for letter in mono.word():
@@ -207,8 +204,9 @@ def classical_coproduct(f: NCElement) -> TensorElement:
                     add_term(acc, tuple(a.classical_mul(b) for a, b in zip(key, pair)),
                              cc * c2)
             t = TensorElement(system, acc)
-        out = out + t.scale(c)
-    return out
+        for key, cc in t.terms.items():
+            add_term(out, key, cc * c)
+    return TensorElement(system, out)
 
 
 def deformation_order(f: NCElement):

@@ -104,6 +104,8 @@ def tokenize(text: str) -> List[Token]:
                     k += 1
                 if k == j + 1:
                     raise ExprError("expected digits after '/'", j)
+                if int(text[j + 1:k]) == 0:
+                    raise ExprError(f"zero denominator in {text[i:k]!r}", i)
                 tokens.append(Token("NUMBER", text[i:k], i))
                 i = k
             else:

@@ -280,7 +280,8 @@ class EpsSeries(_Series):
         if not self.terms or not other.terms:
             return self._wrap({})
         order, min_exp = self._bounds
-        if min(self.terms) + min(other.terms) < min_exp:
+        # with min_exp == 0 every stored exponent is >= 0: no underflow
+        if min_exp < 0 and min(self.terms) + min(other.terms) < min_exp:
             raise SeriesDomainError(
                 f"product underflows the Laurent bound {min_exp}")
         return self._wrap(_q.s_mul(self.terms, other.terms, order))
@@ -567,11 +568,10 @@ class BiSeries(_Series):
                      min_exp: int = 0) -> EpsSeries:
         """Substitute h -> factor * eps, producing a one-parameter series."""
         f = Fraction(*as_pair(factor))
-        out = EpsSeries({}, order, min_exp)
+        out = {}
         for (i, j), (n, d) in self.terms.items():
-            out = out + EpsSeries.eps_power(Fraction(n, d) * f ** j, i + j,
-                                            order, min_exp)
-        return out
+            out[i + j] = out.get(i + j, 0) + Fraction(n, d) * f ** j
+        return EpsSeries(out, order, min_exp)
 
     def to_json(self) -> dict:
         return {

@@ -296,10 +296,10 @@ def expand_exponentials(f: NCElement) -> NCElement:
     """
     system = f.system
     ring = system.ring
-    out = system.zero
+    out = {}
     for mono, c in f.terms.items():
         if mono.m == 0:
-            out = out + system.monomial_element(mono, c)
+            add_term(out, mono, c)
             continue
         prefix = system.monomial_element(
             PbwMonomial(mono.n1, mono.n2, mono.n3, 0))
@@ -313,10 +313,11 @@ def expand_exponentials(f: NCElement) -> NCElement:
             if not scalar.is_zero():
                 term = system.star(
                     prefix, system.monomial_element(PbwMonomial(k, 0, 0, 0)))
-                out = out + term * scalar
+                for key, cc in term.terms.items():
+                    add_term(out, key, cc * scalar)
             k += 1
             fact *= k
-    return out
+    return NCElement(system, out)
 
 
 def limit_h_to_zero(obj):

@@ -194,6 +194,13 @@ def test_cli_error_exit_code(capsys):
     assert code == 2
 
 
+def test_cli_names_a_zero_denominator(capsys):
+    assert cli.main(["normalize", "1/0*x1"]) == 2
+    captured = capsys.readouterr()
+    assert "zero denominator in '1/0' (column 1)" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_mixed_alphabet_error(capsys):
     code = cli.main(["normalize", "x1*xi1"])
     assert code == 2

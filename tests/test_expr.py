@@ -69,6 +69,14 @@ def test_parse_errors():
         parse("-x1")  # no unary minus in the grammar
 
 
+def test_zero_denominator_is_refused_at_its_literal():
+    with pytest.raises(ExprError, match=r"zero denominator in '1/0' \(column 1\)") as err:
+        parse("1/0*x1")
+    assert err.value.pos == 0
+    with pytest.raises(ExprError, match=r"'3/00' \(column 4\)"):
+        parse("x1+3/00")
+
+
 def test_tokenizer_fused_exponential_letters():
     kinds = [(t.kind, t.text) for t in tokenize("e+ + E-")]
     assert kinds[:3] == [("SYMBOL", "e+"), ("OP", "+"), ("SYMBOL", "E-")]
