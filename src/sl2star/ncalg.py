@@ -1,23 +1,30 @@
 """Noncommutative words, normal ordering, and the star product.
 
 The algebra is generated by three polynomial letters and a pair of mutually
-inverse exponential letters.  A fixed oriented rewrite system moves every
-word into the ordered basis form ``x1^n1 x2^n2 x3^n3 e^(m x1)``; the star
-product of two basis words is the normal form of their concatenation.  Both
-algebras share one presentation (``pbw_rules``) with different scalars: the
-one-parameter algebra (``x_algebra``), with even free parameter series A on
-the x2-x3 relation, and the two-parameter variant built in
-:mod:`sl2star.uhsl2`.  Elements and tensors are both sums of keys with
-series coefficients, on the one base class ``Combination``.
+inverse exponential letters.  Its basis is the ordered words
+``x1^n1 x2^n2 x3^n3 e^(m x1)``.  Both algebras share one presentation
+(``pbw_rules``) with different scalars: the one-parameter algebra
+(``x_algebra``), with even free parameter series A on the x2-x3 relation,
+and the two-parameter variant built in :mod:`sl2star.uhsl2`.  Elements and
+tensors are both sums of keys with series coefficients, on the one base
+class ``Combination``.
 
-Rewriting terminates because every rule strictly decreases the triple
-(number of x2/x3 letters, word length, the word itself), compared
-lexicographically (``measure``).  Normal ordering is a merged reduction:
-pending words are summed in one dict and taken in decreasing measure, so no
-word comes back once it is reduced, and each is reduced once, with its
-summed coefficient.  Confluence is not assumed anywhere and is exercised by
-the test suite via randomized strategies, which pick the redex inside each
-word.
+Products are taken by multiplication tables, as for a G-algebra
+(Levandovskyy and Schoenemann, ISSAC 2003): a basis monomial times one
+letter has a closed form whose scalars are read from the rules, and are
+cached as powers and geometric sums (``RewriteSystem._letter_row``).  The
+normal form of a word folds its letters onto the unit, and the star product
+of two basis monomials folds the letters of the right one onto the left.
+
+Rewriting by the rules (``RewriteSystem.rewrite``) is kept as the
+independent oracle of the tables.  It terminates because every rule strictly
+decreases the triple (number of x2/x3 letters, word length, the word
+itself), compared lexicographically (``measure``).  It is a merged
+reduction: pending words are summed in one dict and taken in decreasing
+measure, so no word comes back once it is reduced, and each is reduced
+once, with its summed coefficient.  Confluence is not assumed anywhere and
+is exercised by the test suite via randomized strategies, which pick the
+redex inside each word.
 """
 
 from __future__ import annotations
@@ -229,10 +236,10 @@ class RewriteSystem:
     ``rules`` maps an out-of-order adjacent pair to its replacement, a list
     of ``(word, coefficient)`` terms.  The system also carries the scalar
     ring, display names, the generator coproduct table used by the coalgebra
-    layer (the same for every instance, built from ``ring.one``), and a
-    cache of basis-pair star products.  Instances are immutable after
-    construction; the cache is fill-once and idempotent, so concurrent
-    readers need no coordination.
+    layer (the same for every instance, built from ``ring.one``), the
+    scalars of its multiplication tables, and a cache of basis-pair star
+    products.  Instances are immutable after construction; the caches are
+    fill-once and idempotent, so concurrent readers need no coordination.
     """
 
     def __init__(self, ring, rules: Mapping, symbols: Mapping,
@@ -254,6 +261,13 @@ class RewriteSystem:
         self.label = label
         self._star_cache = {}
         self._coproduct_cache = {}
+        # the multiplication tables: rule scalars, their powers and sums,
+        # filled on first use
+        self._scalars = _table_scalars(self.rules, one)
+        self._powers = {pair: [one] for pair in _E_PAST_X}
+        self._sums = {EP: [ring.zero], EM: [ring.zero]}
+        self._x1_shifts = {}
+        self._x2_rows = {}
 
     # -- construction of elements --------------------------------------
 
@@ -283,20 +297,120 @@ class RewriteSystem:
                 out[mono] = c
         return NCElement(self, out)
 
-    # -- rewriting ------------------------------------------------------
+    # -- the multiplication tables -----------------------------------------
+
+    def normal_form(self, word: Word) -> "NCElement":
+        """The normal form of a word: its letters multiplied onto the unit
+        one at a time, by the multiplication tables."""
+        word = tuple(word)
+        if not _LETTERS.issuperset(word):
+            raise _unknown_letter(word)
+        return NCElement(self, self._fold({UNIT: self.ring.one}, word))
+
+    def _fold(self, terms: dict, word: Word) -> dict:
+        """``terms`` (basis monomial -> coefficient) times the letters of
+        ``word``, left to right.  A unit scalar is ``ring.one`` itself, and
+        a coefficient times it stays the same object."""
+        one = self.ring.one
+        for g in word:
+            letter = Gen(g)
+            out = {}
+            for mono, coeff in terms.items():
+                for key, c in self._letter_row(mono, letter):
+                    add_term(out, key, coeff if c is one
+                             else c if coeff is one else coeff * c)
+            terms = out
+        return terms
+
+    def _letter_row(self, mono: PbwMonomial, letter: Gen) -> list:
+        """x1^a x2^b x3^c e^m times one letter, as (basis monomial, scalar)
+        pairs:
+
+        - times e+- it is x1^a x2^b x3^c e^(m +- 1);
+        - times x1 it is x1^(a+1) x2^b x3^c e^m + (b s2 + c s3) x1^a x2^b
+          x3^c e^m, where x2 x1 leaves s2 x2 and x3 x1 leaves s3 x3;
+        - times x3 it is D^(m) x1^a x2^b x3^(c+1) e^m, with D^(m) the m-th
+          power of the scalar of e+ past x3 (of e- past x3 for m < 0);
+        - times x2 it is U^(m) times x1^a x2^(b+1) x3^c e^m
+          + C+ sum_{k<c} D+^2k x1^a x2^b x3^(c-1) e^(m+2)
+          + C- sum_{k<c} D-^2k x1^a x2^b x3^(c-1) e^(m-2),
+          with U^(m) as D^(m) for e+- past x2 and C+- the scalars of e+-^2
+          in the x3 x2 rule: each of the c letters x3 passes the new x2,
+          and the e+-^2 that the one with k letters x3 to its right leaves
+          moves past those k letters with the scalar D+-^2k.
+        """
+        a, b, c, m = mono
+        if letter is EP:
+            return [(PbwMonomial(a, b, c, m + 1), self.ring.one)]
+        if letter is EM:
+            return [(PbwMonomial(a, b, c, m - 1), self.ring.one)]
+        if letter is X3:
+            return [(PbwMonomial(a, b, c + 1, m), self._e_past(X3, m))]
+        if letter is X1:
+            row = [(PbwMonomial(a + 1, b, c, m), self.ring.one)]
+            shift = self._x1_shifts.get((b, c))
+            if shift is None:
+                shift = (self._scalars[(X2, X1), (X2,)] * b
+                         + self._scalars[(X3, X1), (X3,)] * c)
+                self._x1_shifts[b, c] = shift
+            if not shift.is_zero():
+                row.append((mono, shift))
+            return row
+        scalars = self._x2_row(c, m)
+        row = [(PbwMonomial(a, b + 1, c, m), scalars[0])]
+        if c:
+            row.append((PbwMonomial(a, b, c - 1, m + 2), scalars[1]))
+            row.append((PbwMonomial(a, b, c - 1, m - 2), scalars[2]))
+        return row
+
+    def _x2_row(self, c: int, m: int) -> tuple:
+        """The scalars of x3^c e^m times x2: U^(m), then for c > 0 those of
+        the e^(m+2) and the e^(m-2) term."""
+        row = self._x2_rows.get((c, m))
+        if row is None:
+            up = self._e_past(X2, m)
+            row = (up,) if c == 0 else (up,) + tuple(
+                up * self._scalars[(X3, X2), (e, e)] * self._d_sum(e, c)
+                for e in (EP, EM))
+            self._x2_rows[c, m] = row
+        return row
+
+    def _e_past(self, x: Gen, m: int):
+        """The scalar of e^(m x1) moving right past the letter x: the |m|-th
+        power of the scalar of e+ past x (of e- for m < 0); ``ring.one``
+        itself for m = 0."""
+        e = EP if m >= 0 else EM
+        powers = self._powers[e, x]
+        while len(powers) <= abs(m):
+            powers.append(powers[-1] * self._scalars[(e, x), (x, e)])
+        return powers[abs(m)]
+
+    def _d_sum(self, e: Gen, c: int):
+        """sum_{k<c} of the 2k-th power of the scalar of e (e+ or e-) past
+        x3."""
+        sums = self._sums[e]
+        sign = 1 if e == EP else -1
+        while len(sums) <= c:
+            sums.append(sums[-1] + self._e_past(X3, sign * 2 * (len(sums) - 1)))
+        return sums[c]
+
+    # -- rewriting, the oracle of the tables ----------------------------------
 
     def reducible_positions(self, word: Word) -> list:
         rules = self.rules
         return [i for i in range(len(word) - 1) if (word[i], word[i + 1]) in rules]
 
-    def normal_form(self, word: Word, strategy: str = "leftmost", rng=None,
-                    check_termination: bool = False) -> "NCElement":
-        """Reduce a word modulo the ideal.
+    def rewrite(self, word: Word, strategy: str = "leftmost", rng=None,
+                check_termination: bool = False) -> "NCElement":
+        """Reduce a word modulo the ideal by the rewrite rules.
 
-        Pending words are merged: a rule that produces a word already
-        pending adds to its coefficient.  Words are taken in decreasing
-        ``measure``, which every rule lowers, so each word is reduced once,
-        with its summed coefficient.  ``strategy``, one of
+        This is the independent oracle of ``normal_form``: the rules define
+        the algebra, and since their overlaps resolve (which the strategy
+        tests exercise), Bergman's diamond lemma makes the reduced form
+        unique.  Pending words are merged: a rule that produces a word
+        already pending adds to its coefficient.  Words are taken in
+        decreasing ``measure``, which every rule lowers, so each word is
+        reduced once, with its summed coefficient.  ``strategy``, one of
         ``STRATEGY_NAMES``, picks the redex inside each word; the result is
         independent of it (tested, not assumed).  With ``check_termination``
         every step asserts the measure decrease the order relies on.
@@ -356,7 +470,7 @@ class RewriteSystem:
         key = (a, b)
         cached = self._star_cache.get(key)
         if cached is None:
-            cached = self.normal_form(a.word() + b.word()).terms
+            cached = self._fold({a: self.ring.one}, b.word())
             self._star_cache[key] = cached
         return cached
 
@@ -424,10 +538,15 @@ class NCElement(Combination):
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative star powers are not defined")
-        out = self.system.one
-        for _ in range(n):
-            out = self.system.star(out, self)
-        return out
+        # binary powering: about 2 log2(n) star products, not n
+        out, square = None, self
+        while n:
+            if n & 1:
+                out = square if out is None else out * square
+            n >>= 1
+            if n:
+                square = square * square
+        return self.system.one if out is None else out
 
     def classical(self, other: "NCElement") -> "NCElement":
         """Pointwise commutative product: basis exponents add componentwise."""
@@ -557,6 +676,35 @@ def pbw_rules(one, shift, c, up, down) -> dict:
         (EP, EM): [((), one)],
         (EM, EP): [((), one)],
     }
+
+
+# the rules of pbw_rules with its ``one`` marked: the layout that the
+# multiplication tables are read from
+_ONE = object()
+_LAYOUT = pbw_rules(_ONE, 0, 0, 0, 0)
+
+#: the rule pairs of an exponential letter moving past x2 or x3
+_E_PAST_X = tuple((e, x) for e in (EP, EM) for x in (X2, X3))
+
+
+def _table_scalars(rules: Mapping, one) -> dict:
+    """The scalar of each (rule pair, replacement word) of ``rules``.
+
+    The multiplication tables hold for the layout of ``pbw_rules`` only: its
+    eleven pairs, their replacement words in order, and ``one`` itself
+    wherever it puts ``one``.  Rules of any other layout are refused.
+    """
+    if set(rules) != set(_LAYOUT):
+        raise ValueError("the rules must have the eleven pairs of pbw_rules; "
+                         f"these differ: {sorted(set(rules) ^ set(_LAYOUT))}")
+    for pair, layout in _LAYOUT.items():
+        given = rules[pair]
+        if [w for w, _ in given] != [w for w, _ in layout] or any(
+                mark is _ONE and c is not one
+                for (_, mark), (_, c) in zip(layout, given)):
+            raise ValueError(f"rule {pair} is not laid out as in pbw_rules")
+    return {(pair, word): c for pair, terms in rules.items()
+            for word, c in terms}
 
 
 def x_algebra(order: int = 8, a_coeffs: Iterable[RationalLike] = DEFAULT_A,

@@ -1,6 +1,10 @@
 """Configuration layering and the command-line surface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +19,8 @@ from sl2star.config import (
 )
 from sl2star.expr import evaluate, parse
 from sl2star.ncalg import EM, X1, X2, X3, x_algebra
+
+SRC = str(pathlib.Path(__file__).parents[1] / "src")
 
 
 def test_parse_helpers():
@@ -90,6 +96,24 @@ def test_cli_normalizes_a_long_word(capsys):
     expected = system.normal_form((X3,) * 6 + (X2,) * 6 + (X1,) * 6 + (EM, EM))
     assert len(expected.terms) == 28
     assert evaluate(parse(out.strip()), system) == expected
+
+
+def test_cli_normalizes_a_large_power(capsys):
+    """x1^100000 takes about 2 log2(n) star products, not n."""
+    code, out = run_cli(capsys, "normalize", "x1^100000")
+    assert code == 0
+    assert out.strip() == "x1^100000"
+
+
+def test_importing_the_cli_loads_no_numeric_library():
+    """numpy and scipy load only for the Poisson-Lie commands."""
+    code = ("import sys, sl2star.cli; "
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_normalize_json(capsys):

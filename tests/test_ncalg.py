@@ -1,6 +1,8 @@
 """Normal ordering, star products, and their structural properties."""
 
 import importlib.util
+import itertools
+import math
 import pathlib
 import random
 import time
@@ -15,6 +17,7 @@ from sl2star.ncalg import (
     add_term, measure, random_element, random_word, word_to_monomial,
     x_algebra,
 )
+from sl2star.series import HBoundError
 from sl2star.uhsl2 import xi_algebra
 
 
@@ -95,9 +98,9 @@ def test_strategy_oracle_on_long_word(xsys):
     """The derived expansion of x3 x2 x1 is checked against a brute-force
     reducer applying rules in randomized order."""
     word = (X3, X2, X1)
-    results = [xsys.normal_form(word, strategy="random", rng=random.Random(s))
+    results = [xsys.rewrite(word, strategy="random", rng=random.Random(s))
                for s in range(10)]
-    base = xsys.normal_form(word, strategy="leftmost")
+    base = xsys.rewrite(word, strategy="leftmost")
     assert all(r == base for r in results)
     # and against the star of the generator chain
     via_star = xsys.star(xsys.star(xsys.generator(X3), xsys.generator(X2)),
@@ -108,9 +111,9 @@ def test_strategy_oracle_on_long_word(xsys):
 def test_strategy_agreement_random_words(xsys, rng):
     for _ in range(60):
         w = random_word(rng, 6)
-        base = xsys.normal_form(w, strategy="leftmost")
+        base = xsys.rewrite(w, strategy="leftmost")
         for s in STRATEGY_NAMES[1:]:
-            assert xsys.normal_form(w, strategy=s, rng=random.Random(3)) == base
+            assert xsys.rewrite(w, strategy=s, rng=random.Random(3)) == base
 
 
 @pytest.mark.parametrize("system", [x_algebra(8), x_algebra(8, (4, 1), -2)],
@@ -121,8 +124,8 @@ def test_merged_reduction_matches_the_unmerged_walk(system):
         w = random_word(rng, 8)
         expected = unmerged_normal_form(system, w)
         for s in STRATEGY_NAMES:
-            assert system.normal_form(w, strategy=s, rng=random.Random(5),
-                                      check_termination=True) == expected, (w, s)
+            assert system.rewrite(w, strategy=s, rng=random.Random(5),
+                                  check_termination=True) == expected, (w, s)
 
 
 def test_merged_reduction_matches_the_unmerged_walk_on_xi_words():
@@ -136,8 +139,8 @@ def test_merged_reduction_matches_the_unmerged_walk_on_xi_words():
     for w in words:
         expected = unmerged_normal_form(system, w)
         for s in STRATEGY_NAMES:
-            assert system.normal_form(w, strategy=s, rng=random.Random(6),
-                                      check_termination=True) == expected, (w, s)
+            assert system.rewrite(w, strategy=s, rng=random.Random(6),
+                                  check_termination=True) == expected, (w, s)
 
 
 def test_strategy_agreement_long_words(xsys):
@@ -145,9 +148,9 @@ def test_strategy_agreement_long_words(xsys):
     letters = (X1, X2, X3, EP, EM)
     for _ in range(40):
         w = tuple(rng.choice(letters) for _ in range(rng.randint(9, 12)))
-        base = xsys.normal_form(w, strategy="leftmost")
+        base = xsys.rewrite(w, strategy="leftmost")
         for s in STRATEGY_NAMES[1:]:
-            assert xsys.normal_form(w, strategy=s, rng=random.Random(7)) == base, (w, s)
+            assert xsys.rewrite(w, strategy=s, rng=random.Random(7)) == base, (w, s)
 
 
 def test_each_word_is_reduced_once(xsys, monkeypatch):
@@ -159,8 +162,99 @@ def test_each_word_is_reduced_once(xsys, monkeypatch):
         return reducible(self, word)
 
     monkeypatch.setattr(RewriteSystem, "reducible_positions", counting)
-    xsys.normal_form(family_word(4))
+    xsys.rewrite(family_word(4))
     assert len(seen) == len(set(seen)) == 637
+
+
+TABLE_SYSTEMS = {
+    "x": lambda: x_algebra(8),
+    "x-tail": lambda: x_algebra(8, (4, 1), -2),
+    "xi": lambda: xi_algebra(8, -2),
+}
+LETTERS = (X1, X2, X3, EP, EM)
+
+
+@pytest.mark.parametrize("name", TABLE_SYSTEMS)
+def test_tables_match_rewriting_on_every_short_word(name):
+    system = TABLE_SYSTEMS[name]()
+    for k in range(6):
+        for w in itertools.product(LETTERS, repeat=k):
+            assert system.normal_form(w) == system.rewrite(w), w
+
+
+@pytest.mark.parametrize("name", TABLE_SYSTEMS)
+def test_tables_match_rewriting_on_long_words(name):
+    """300 seeded words of 6-12 letters; xi words keep at most two
+    xi3-before-xi2 pairs, as deeper ones leave the h floor of -2."""
+    system = TABLE_SYSTEMS[name]()
+    rng = random.Random(912)
+    words = []
+    while len(words) < 300:
+        w = tuple(rng.choice(LETTERS) for _ in range(rng.randint(6, 12)))
+        if name != "xi" or xi_inversions(w) <= 2:
+            words.append(w)
+    for w in words:
+        assert system.normal_form(w) == system.rewrite(w), w
+
+
+@pytest.mark.parametrize("name", TABLE_SYSTEMS)
+def test_basis_star_matches_rewriting(name):
+    """Every basis pair of total degree <= 4; a coefficient is ``ring.one``
+    itself on both paths or on neither."""
+    system = TABLE_SYSTEMS[name]()
+    one = system.ring.one
+    monos = [PbwMonomial(a, b, c, m) for a in range(5) for b in range(5)
+             for c in range(5) for m in range(-4, 5)
+             if a + b + c + abs(m) <= 4]
+    pairs = [(ma, mb) for ma in monos for mb in monos
+             if sum(map(abs, ma)) + sum(map(abs, mb)) <= 4]
+    assert len(pairs) == 870
+    for ma, mb in pairs:
+        table = system._basis_star(ma, mb)
+        rewritten = system.rewrite(ma.word() + mb.word()).terms
+        assert table == rewritten, (ma, mb)
+        assert {k for k, c in table.items() if c is one} \
+            == {k for k, c in rewritten.items() if c is one}, (ma, mb)
+
+
+def test_tables_and_rewriting_leave_the_h_floor_on_the_same_words():
+    """xi words of up to 6 letters with three or more xi3-before-xi2 pairs:
+    both paths raise HBoundError on the same five words and agree on the
+    rest."""
+    system = xi_algebra(8, -2)
+    raised = []
+    for k in range(7):
+        for w in itertools.product(LETTERS, repeat=k):
+            if xi_inversions(w) < 3:
+                continue
+            try:
+                expected = system.rewrite(w)
+            except HBoundError:
+                with pytest.raises(HBoundError):
+                    system.normal_form(w)
+                raised.append(w)
+                continue
+            assert system.normal_form(w) == expected, w
+    assert len(raised) == 5
+    assert all(sorted(w) == [X2] * 3 + [X3] * 3 for w in raised)
+
+
+def test_rules_of_another_layout_are_refused(xsys):
+    """The tables are read from the layout of pbw_rules; a system with
+    other rules would not multiply by them, so it is refused."""
+    one = xsys.ring.one
+    extra = dict(xsys.rules)
+    extra[(X2, X2)] = [((X2, X2), one)]
+    with pytest.raises(ValueError, match="eleven pairs"):
+        RewriteSystem(xsys.ring, extra, xsys.symbols)
+    reordered = dict(xsys.rules)
+    reordered[(X3, X2)] = xsys.rules[(X3, X2)][::-1]
+    with pytest.raises(ValueError, match="not laid out"):
+        RewriteSystem(xsys.ring, reordered, xsys.symbols)
+    scaled = dict(xsys.rules)
+    scaled[(EP, EM)] = [((), xsys.ring.constant(2))]
+    with pytest.raises(ValueError, match="not laid out"):
+        RewriteSystem(xsys.ring, scaled, xsys.symbols)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +293,7 @@ def test_plain_int_letters_are_gen_letters(xsys):
 def test_termination_measure_decreases(xsys, rng):
     for _ in range(40):
         w = random_word(rng, 6)
-        xsys.normal_form(w, check_termination=True)
+        xsys.rewrite(w, check_termination=True)
 
 
 def test_measure_is_lexicographic():
@@ -245,6 +339,23 @@ def test_star_power_of_x1_is_undeformed(xsys):
     x1 = xsys.generator(X1)
     for n in range(2, 6):
         assert (x1 ** n).terms == {PbwMonomial(n, 0, 0, 0): xsys.ring.one}
+
+
+def test_star_powers_equal_repeated_products(xsys, rng):
+    f = random_element(xsys, rng)
+    product = xsys.one
+    for n in range(10):
+        assert f ** n == product, n
+        product = product * f
+
+
+def test_star_power_is_binary():
+    """x1 ** 1000 takes O(log n) star products, each adding at most one
+    basis-pair entry to the cache."""
+    system = x_algebra(8)
+    x1 = system.generator(X1)
+    assert (x1 ** 1000).terms == {PbwMonomial(1000, 0, 0, 0): system.ring.one}
+    assert len(system._star_cache) <= 2 * math.ceil(math.log2(1000))
 
 
 def test_commutator_examples(xsys):
@@ -322,9 +433,9 @@ def test_randomized_a_series_tail(rng):
     # every structural identity holds for any even A-series tail
     sysA = x_algebra(8, (4, Fraction(1, 3), -2))
     w = (X3, X2, X3, X2)
-    base = sysA.normal_form(w)
+    base = sysA.rewrite(w)
     for s in STRATEGY_NAMES[1:]:
-        assert sysA.normal_form(w, strategy=s, rng=random.Random(1)) == base
+        assert sysA.rewrite(w, strategy=s, rng=random.Random(1)) == base
     f, g = sysA.generator(X3), sysA.generator(X2)
     assert sysA.star(sysA.star(f, g), f) == sysA.star(f, sysA.star(g, f))
 
