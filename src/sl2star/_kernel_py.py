@@ -12,8 +12,9 @@ integer numerators over one common denominator, the lcm of its
 denominators, the numerator products are summed per output exponent with no
 gcd, and each output coefficient is reduced once against the product of the
 two denominators.  When one operand is a single term no two products share
-an exponent, so each term is multiplied by it with the cross-cancelling
-``qmul`` instead.
+an exponent, so the other operand's exponents are shifted and each of its
+coefficients is multiplied by that term's in one pass, cross-cancelled as in
+``qmul`` (a coefficient of 1 only shifts).
 """
 
 from __future__ import annotations
@@ -133,8 +134,21 @@ def s_mul(a, b, hi):
     """Cauchy product of two exponent dicts, dropping exponents above hi."""
     if len(a) < 2 or len(b) < 2:
         # with a single term on one side no two products share an exponent
-        return {ea + eb: qmul(ca, cb)
-                for ea, ca in a.items() for eb, cb in b.items() if ea + eb <= hi}
+        if len(b) > 1:
+            a, b = b, a
+        if not b:
+            return {}
+        ((eb, (n, d)),) = b.items()
+        lim = hi - eb
+        if n == d:  # a reduced pair: the coefficient is 1
+            return {ea + eb: ca for ea, ca in a.items() if ea <= lim}
+        out = {}
+        for ea, (an, ad) in a.items():
+            if ea <= lim:
+                g1 = gcd(n, ad)
+                g2 = gcd(an, d)
+                out[ea + eb] = (n // g1) * (an // g2), (d // g2) * (ad // g1)
+        return out
     na, da = _over_common_denominator(a)
     nb, db = _over_common_denominator(b)
     acc = {}
@@ -150,9 +164,23 @@ def s_mul_total(a, b, hi):
     """Product of two {(i, j): rational} dicts, dropping total degree i + j
     above hi."""
     if len(a) < 2 or len(b) < 2:
-        return {(ia + ib, ja + jb): qmul(ca, cb)
-                for (ia, ja), ca in a.items() for (ib, jb), cb in b.items()
-                if ia + ib + ja + jb <= hi}
+        if len(b) > 1:
+            a, b = b, a
+        if not b:
+            return {}
+        (((ib, jb), (n, d)),) = b.items()
+        lim = hi - ib - jb
+        if n == d:  # a reduced pair: the coefficient is 1
+            return {(ia + ib, ja + jb): ca for (ia, ja), ca in a.items()
+                    if ia + ja <= lim}
+        out = {}
+        for (ia, ja), (an, ad) in a.items():
+            if ia + ja <= lim:
+                g1 = gcd(n, ad)
+                g2 = gcd(an, d)
+                out[ia + ib, ja + jb] = ((n // g1) * (an // g2),
+                                         (d // g2) * (ad // g1))
+        return out
     na, da = _over_common_denominator(a)
     nb, db = _over_common_denominator(b)
     acc = {}

@@ -80,7 +80,9 @@ class _Series:
     (each taking the two bounds), coercion of ints and Fractions, equality
     (which ignores the lower bound), powers, the inverse and printing.  A
     subclass supplies its key type: the key check of its constructor,
-    ``_mul``, ``_degree`` and ``_neg_key`` of a key, and its substitutions.
+    ``_mul_terms`` (the product of two payloads, with the bound check of
+    the type, which ``__mul__`` and the coalgebra loops share), ``_degree``
+    and ``_neg_key`` of a key, and its substitutions.
     """
 
     __slots__ = ("terms", "_bounds")
@@ -176,7 +178,7 @@ class _Series:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
-        return self._mul(other)
+        return self._wrap(self._mul_terms(self.terms, other.terms, self._bounds))
 
     __rmul__ = __mul__
 
@@ -276,15 +278,17 @@ class EpsSeries(_Series):
 
     # -- ring operations ------------------------------------------------
 
-    def _mul(self, other: "EpsSeries") -> "EpsSeries":
-        if not self.terms or not other.terms:
-            return self._wrap({})
-        order, min_exp = self._bounds
+    @staticmethod
+    def _mul_terms(a: dict, b: dict, bounds: tuple) -> dict:
+        """The product of two payloads of one ring with these bounds."""
+        if not a or not b:
+            return {}
+        order, min_exp = bounds
         # with min_exp == 0 every stored exponent is >= 0: no underflow
-        if min_exp < 0 and min(self.terms) + min(other.terms) < min_exp:
+        if min_exp < 0 and min(a) + min(b) < min_exp:
             raise SeriesDomainError(
                 f"product underflows the Laurent bound {min_exp}")
-        return self._wrap(_q.s_mul(self.terms, other.terms, order))
+        return _q.s_mul(a, b, order)
 
     def sqrt(self) -> "EpsSeries":
         """Square root, exact on rationals, leading coefficient positive.
@@ -541,12 +545,14 @@ class BiSeries(_Series):
             parts.append("h" if j == 1 else f"h^{j}")
         return "*".join(parts)
 
-    def _mul(self, other: "BiSeries") -> "BiSeries":
-        total, h_min = self._bounds
-        out = _q.s_mul_total(self.terms, other.terms, total)
+    @staticmethod
+    def _mul_terms(a: dict, b: dict, bounds: tuple) -> dict:
+        """The product of two payloads of one ring with these bounds."""
+        total, h_min = bounds
+        out = _q.s_mul_total(a, b, total)
         if out and min(j for _, j in out) < h_min:
             raise HBoundError(f"product underflows h Laurent bound {h_min}")
-        return self._wrap(out)
+        return out
 
     # -- substitutions and slices --------------------------------------
 

@@ -20,9 +20,11 @@ from sl2star.coalg import (
     tensor_unit,
 )
 from sl2star.ncalg import (
-    EM, EP, PbwMonomial, UNIT, X1, X2, X3, random_element, x_algebra,
+    EM, EP, PbwMonomial, UNIT, X1, X2, X3, add_term, random_element,
+    x_algebra,
 )
-from sl2star.series import EpsSeries
+from sl2star.series import EpsSeries, HBoundError, SeriesDomainError
+from sl2star.uhsl2 import xi_algebra
 
 M_X1 = PbwMonomial(1, 0, 0, 0)
 M_X2 = PbwMonomial(0, 1, 0, 0)
@@ -192,3 +194,101 @@ def test_tensor_json(xsys):
     t = coproduct(xsys.generator(X2))
     data = t.to_json()
     assert {"left", "right", "coeff"} == set(data["terms"][0])
+
+
+# -- the payload loops against plain series arithmetic -----------------------
+
+def reference_star_tensor(s, t):
+    """Componentwise star product with one series product per term."""
+    system = s.system
+    out = {}
+    for ka, ca in s.terms.items():
+        for kb, cb in t.terms.items():
+            keys = [((), ca * cb)]
+            for ma, mb in zip(ka, kb):
+                keys = [(key + (m,), c * cc) for key, c in keys
+                        for m, cc in system._basis_star(ma, mb).items()]
+            for key, c in keys:
+                add_term(out, key, c)
+    return TensorElement(system, out, s.legs)
+
+
+def reference_coproduct(f):
+    """The coproduct of each basis monomial as the product of its letters'
+    coproducts, with no cache."""
+    system = f.system
+    out = {}
+    for mono, c in f.terms.items():
+        t = tensor_unit(system)
+        for letter in mono.word():
+            t = reference_star_tensor(
+                t, TensorElement(system, system.coproduct_table[letter]))
+        for key, cc in t.terms.items():
+            add_term(out, key, cc * c)
+    return TensorElement(system, out)
+
+
+def reference_expand_leg(t, leg):
+    system = t.system
+    out = {}
+    for key, c in t.terms.items():
+        pairs = reference_coproduct(system.monomial_element(key[leg]))
+        for pair, cc in pairs.terms.items():
+            add_term(out, key[:leg] + pair + key[leg + 1:], c * cc)
+    return TensorElement(system, out, t.legs + 1)
+
+
+def laurent_element(system, rng):
+    """A random element times eps^-1, so that products reach eps^-2."""
+    return random_element(system, rng) * system.ring.eps_power(1, -1)
+
+
+@pytest.mark.parametrize("make_system, make_element", [
+    (lambda: x_algebra(8), random_element),
+    (lambda: x_algebra(8, (4, 1)), random_element),
+    (lambda: x_algebra(8, (4,), -2), laurent_element),
+    (lambda: xi_algebra(8, -2), random_element),
+], ids=["x", "x-a-tail", "x-laurent", "xi"])
+def test_payload_loops_match_series_arithmetic(make_system, make_element):
+    system = make_system()
+    rng = random.Random(31)
+    for _ in range(4):
+        f = make_element(system, rng)
+        g = make_element(system, rng)
+        df, dg = coproduct(f), coproduct(g)
+        assert df.terms == reference_coproduct(f).terms
+        assert dg.terms == reference_coproduct(g).terms
+        fg = system.star(f, g)
+        d_fg = coproduct(fg)
+        assert d_fg.terms == reference_coproduct(fg).terms
+        assert star_tensor(df, dg).terms == reference_star_tensor(df, dg).terms
+        for leg in (0, 1):
+            assert coalg._expand_leg(df, leg).terms \
+                == reference_expand_leg(df, leg).terms
+        assert coassoc_defect(f).is_zero()
+
+
+def test_star_tensor_keeps_the_lower_bound_errors():
+    xi = xi_algebra(8, -2)
+    laurent = x_algebra(8, (4,), -2)
+    cases = [
+        (xi, xi.ring.monomial(1, 1, -2), xi.ring.monomial(1, 1, -1),
+         HBoundError),
+        (laurent, laurent.ring.eps_power(1, -2), laurent.ring.eps_power(1, -1),
+         SeriesDomainError),
+    ]
+    for system, a, b, error in cases:
+        ta = TensorElement(system, {(UNIT, UNIT): a})
+        tb = TensorElement(system, {(UNIT, UNIT): b})
+        for s, t in ((ta, tb), (tb, ta)):
+            with pytest.raises(error):
+                star_tensor(s, t)
+
+
+def test_unit_coefficients_are_the_ring_unit(xsys):
+    """The loops skip a unit scalar by identity, so a coefficient equal to 1
+    must be ``ring.one`` itself, also in the coproduct cache."""
+    d = coproduct(xsys.star(xsys.generator(X2), xsys.generator(X3)))
+    units = [c for c in d.terms.values() if c == 1]
+    assert len(units) == 2
+    assert all(c is xsys.ring.one for c in units)

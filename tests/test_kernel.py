@@ -75,6 +75,22 @@ def test_s_mul_matches_fraction_cauchy_product(hi):
     # every product lands above hi
     assert kernel.s_mul({hi: (1, 2), hi + 1: (1, 6)}, {1: (3, 1), 2: (-1, 4)},
                         hi) == {}
+    # a single term on either side: negative numerators, cross-cancelling
+    # denominators, a unit and an integer coefficient, all products above hi
+    single_term_cases = [
+        ({2: (-4, 9)}, {0: (3, 8), 1: (-9, 2), 3: (5, 7)}),
+        ({1: (-3, 10)}, {-1: (-5, 6), 0: (20, 9), 2: (1, 1)}),
+        ({0: (1, 1)}, {0: (-7, 4), hi: (2, 3), hi + 1: (1, 5)}),
+        ({1: (6, 1)}, {0: (-1, 4), 1: (5, 9), 2: (7, 1)}),
+        ({-1: (-1, 1)}, {1: (1, 3)}),
+        ({hi: (2, 3)}, {1: (3, 2), 2: (-1, 4)}),
+    ]
+    assert kernel.s_mul({2: (-4, 9)}, {0: (3, 8)}, hi) == {2: (-1, 6)}
+    for single, other in single_term_cases:
+        expected = fraction_product(single, other, hi)
+        assert kernel.s_mul(single, other, hi) == expected
+        assert kernel.s_mul(other, single, hi) == expected
+    assert kernel.s_mul({hi: (2, 3)}, {1: (3, 2), 2: (-1, 4)}, hi) == {}
     rng = random.Random(11)
     keys = list(range(-2, 11))
     sizes = set()
@@ -103,6 +119,24 @@ def test_s_mul_total_matches_fraction_product(hi):
                               {(1, -1): (3, 2), (1, 0): (1, 5)},
                               hi) == {(hi + 1, -1): (1, 2), (1, -1): (3, 2),
                                       (1, 0): (1, 5)}
+    # a single term on either side, as for s_mul
+    single_term_cases = [
+        ({(1, 1): (-4, 9)}, {(0, 0): (3, 8), (1, -1): (-9, 2), (0, 2): (5, 7)}),
+        ({(0, -1): (-3, 10)}, {(0, 0): (-5, 6), (2, 0): (20, 9)}),
+        ({(0, 0): (1, 1)}, {(1, -2): (-7, 4), (hi, 0): (2, 3), (hi, 1): (1, 5)}),
+        ({(1, 0): (6, 1)}, {(0, 0): (-1, 4), (0, 1): (5, 9), (1, 1): (7, 1)}),
+        ({(0, hi): (2, 3)}, {(1, 0): (3, 2), (0, 2): (-1, 4)}),
+    ]
+
+    def add(x, y):
+        return (x[0] + y[0], x[1] + y[1])
+
+    for single, other in single_term_cases:
+        expected = fraction_product(single, other, hi, add=add, degree=sum)
+        assert kernel.s_mul_total(single, other, hi) == expected
+        assert kernel.s_mul_total(other, single, hi) == expected
+    assert kernel.s_mul_total({(0, hi): (2, 3)}, {(1, 0): (3, 2), (0, 2): (-1, 4)},
+                              hi) == {}
     rng = random.Random(13)
     keys = [(i, j) for i in range(0, 7) for j in range(-2, 7)]
     sizes = set()
@@ -110,5 +144,5 @@ def test_s_mul_total_matches_fraction_product(hi):
         a, b = random_payload(rng, keys), random_payload(rng, keys)
         sizes.update((len(a), len(b)))
         assert kernel.s_mul_total(a, b, hi) == fraction_product(
-            a, b, hi, add=lambda x, y: (x[0] + y[0], x[1] + y[1]), degree=sum)
+            a, b, hi, add=add, degree=sum)
     assert sizes == set(range(10))
