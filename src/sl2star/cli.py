@@ -17,15 +17,15 @@ from typing import Optional
 from . import checks as checks_mod
 from . import coalg, gauge, uhsl2
 from .config import Config, load_config, parse_a_coeffs, parse_b_coeffs
-from .expr import choose_alphabet, evaluate, parse
+from .expr import choose_alphabet, evaluate, h_floor, parse
 from .ncalg import x_algebra
-from .series import HBoundError
 from .uhsl2 import xi_algebra
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", type=int, default=None,
-                        help="series truncation order (default 8)")
+                        help="series truncation order of both algebras "
+                             "(default 8)")
     parser.add_argument("--A", dest="a_coeffs", type=parse_a_coeffs,
                         default=None, metavar="c0,c2,...",
                         help="even coefficients of the free A-series")
@@ -34,15 +34,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--laurent-min", dest="laurent_min", type=int,
-                        default=None)
     parser.add_argument("--config", dest="config_path", default=None,
                         help="flat key=value configuration file")
 
 
 def _config_from(args: argparse.Namespace) -> Config:
     keys = ("order", "a_coeffs", "fmt", "seed", "tol", "samples",
-            "laurent_min", "b_coeffs", "gauge_kmax", "gauge_nmax")
+            "b_coeffs", "gauge_kmax", "gauge_nmax")
     overrides = {k: getattr(args, k, None) for k in keys}
     return load_config(getattr(args, "config_path", None), overrides)
 
@@ -50,8 +48,8 @@ def _config_from(args: argparse.Namespace) -> Config:
 def _system_for(text: str, config: Config):
     ast = parse(text)
     if choose_alphabet(ast) == "xi":
-        return ast, xi_algebra(config.xi_total, config.xi_h_min)
-    return ast, x_algebra(config.order, config.a_coeffs, config.laurent_min)
+        return ast, xi_algebra(config.order, h_floor(ast))
+    return ast, x_algebra(config.order, config.a_coeffs)
 
 
 def _emit(payload, config: Config, text_fn) -> None:
@@ -176,11 +174,10 @@ def cmd_uh(args) -> int:
         z_sys = uhsl2.z_system(config.order, config.a_coeffs)
         checks = uhsl2.z_commutators(z_sys) + uhsl2.z_coproducts(z_sys)
     elif args.mode == "verify-xi":
-        xi = xi_algebra(config.xi_total, config.xi_h_min)
-        checks = uhsl2.xi_relation_checks(xi)
+        checks = uhsl2.xi_relation_checks(xi_algebra(config.order))
     else:
-        checks = uhsl2.limits_report(xi_algebra(config.xi_total, config.xi_h_min))
-        checks += uhsl2.specialization_report(config.xi_total, config.xi_h_min)
+        checks = uhsl2.limits_report(xi_algebra(config.order))
+        checks += uhsl2.specialization_report(config.order)
     payload = {"mode": args.mode, "checks": [c.to_json() for c in checks],
                "passed": uhsl2.report_passed(checks)}
     _emit(payload, config, lambda: _print_report(checks))
@@ -256,11 +253,6 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except HBoundError as exc:
-        print(f"error: {exc} (the setting xi_h_min; lower it with "
-              f"'xi_h_min = N' in the --config file or SL2STAR_XI_H_MIN=N "
-              f"in the environment)", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,17 +1,18 @@
 """Run configuration: defaults, flat config files, environment, CLI flags.
 
 Precedence (low to high): built-in defaults, config file, environment
-variables with the ``SL2STAR_`` prefix, explicit CLI values.  The free
-parameters the construction leaves open live here: the even A-series on the
-x2-x3 relation (constant term 4), the raw b-coefficients of the x1-line
-model (the default 1/4 is an arbitrary nonzero placeholder, not a derived
-value), and the numeric tolerances and seeds.
+variables with the ``SL2STAR_`` prefix, explicit CLI values.  An unknown
+key is refused by name, in a config file and in an environment name alike.
+The free parameters the construction leaves open live here: the even
+A-series on the x2-x3 relation (constant term 4), the raw b-coefficients of
+the x1-line model (the default 1/4 is an arbitrary nonzero placeholder, not
+a derived value), and the numeric tolerances and seeds.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -53,9 +54,6 @@ class Config:
         default_factory=lambda: {2: Fraction(1, 4)})
     gauge_kmax: int = 12
     gauge_nmax: int = 12
-    laurent_min: int = -2
-    xi_total: int = 8
-    xi_h_min: int = -2
     samples: int = 50
     tol: float = 1e-6
     seed: int = 0
@@ -71,12 +69,6 @@ class Config:
         if self.gauge_kmax < self.gauge_nmax:
             raise ValueError("gauge_kmax must be >= gauge_nmax (the gauge is "
                              "verified up to gauge_nmax)")
-        if self.laurent_min > 0:
-            raise ValueError("laurent_min must be <= 0")
-        if self.xi_total < 1:
-            raise ValueError("xi_total must be >= 1")
-        if self.xi_h_min > 0:
-            raise ValueError("xi_h_min must be <= 0")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not self.tol > 0:
@@ -94,9 +86,6 @@ _PARSERS = {
     "b_coeffs": parse_b_coeffs,
     "gauge_kmax": int,
     "gauge_nmax": int,
-    "laurent_min": int,
-    "xi_total": int,
-    "xi_h_min": int,
     "samples": int,
     "tol": float,
     "seed": int,
@@ -145,8 +134,9 @@ def env_overrides(environ: Mapping[str, str] = None) -> Dict[str, object]:
         if not name.startswith(ENV_PREFIX):
             continue
         key = _canon(name[len(ENV_PREFIX):])
-        if key in _PARSERS:
-            out[key] = _parse(key, value, name)
+        if key not in _PARSERS:
+            raise ValueError(f"{name}: unknown key {key!r}")
+        out[key] = _parse(key, value, name)
     return out
 
 
@@ -159,6 +149,4 @@ def load_config(path: Optional[str] = None,
     values.update(env_overrides(environ))
     if cli_overrides:
         values.update({k: v for k, v in cli_overrides.items() if v is not None})
-    known = {f.name for f in fields(Config)}
-    values = {k: v for k, v in values.items() if k in known}
     return Config(**values).validate()

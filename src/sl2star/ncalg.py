@@ -22,15 +22,15 @@ decreases the triple (number of x2/x3 letters, word length, the word
 itself), compared lexicographically (``measure``).  It is a merged
 reduction: pending words are summed in one dict and taken in decreasing
 measure, so no word comes back once it is reduced, and each is reduced
-once, with its summed coefficient.  Confluence is not assumed anywhere and
-is exercised by the test suite via randomized strategies, which pick the
-redex inside each word.
+once, with its summed coefficient.  Confluence is not assumed anywhere: it
+is checked on the overlaps of the rules (``unresolved_overlaps``), the
+finite check of Bergman's diamond lemma, together with the measure decrease
+of every rule (``rules_raising_measure``).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from enum import IntEnum
 from fractions import Fraction
@@ -99,6 +99,15 @@ def measure(word: Word) -> tuple:
     return (word.count(X2) + word.count(X3), len(word), word)
 
 
+def rules_raising_measure(rules: Mapping) -> list:
+    """The rule pairs with a replacement word whose ``measure`` is not below
+    the pair's own.  The measure is compatible with concatenation (u below v
+    puts x u y below x v y), so an empty list means every rewrite step of
+    every word lowers it, and rewriting terminates."""
+    return [pair for pair, terms in sorted(rules.items())
+            if not all(measure(word) < measure(pair) for word, _ in terms)]
+
+
 # each byte b of a word maps to 255 - b, which reverses the order of equal-
 # length words
 _DESCENDING = bytes(range(255, -1, -1))
@@ -127,25 +136,6 @@ def word_to_monomial(word: Word) -> PbwMonomial:
         raise _unknown_letter(word) from None
     n1, n2, n3, up, down = counts
     return PbwMonomial(n1, n2, n3, up - down)
-
-
-def _choose_middle(positions, rng):
-    return positions[len(positions) // 2]
-
-
-def _choose_random(positions, rng):
-    return positions[rng.randrange(len(positions))]
-
-
-_NAMED_STRATEGIES = {
-    "leftmost": lambda positions, rng: positions[0],
-    "rightmost": lambda positions, rng: positions[-1],
-    "middle": _choose_middle,
-    "random": _choose_random,
-}
-
-#: strategies exercised by the confluence tests ("cycle" is added per call)
-STRATEGY_NAMES = ("leftmost", "rightmost", "middle", "random", "cycle")
 
 
 def add_term(out: dict, key, c) -> None:
@@ -400,41 +390,28 @@ class RewriteSystem:
         rules = self.rules
         return [i for i in range(len(word) - 1) if (word[i], word[i + 1]) in rules]
 
-    def rewrite(self, word: Word, strategy: str = "leftmost", rng=None,
-                check_termination: bool = False) -> "NCElement":
-        """Reduce a word modulo the ideal by the rewrite rules.
-
-        This is the independent oracle of ``normal_form``: the rules define
-        the algebra, and since their overlaps resolve (which the strategy
-        tests exercise), Bergman's diamond lemma makes the reduced form
-        unique.  Pending words are merged: a rule that produces a word
-        already pending adds to its coefficient.  Words are taken in
-        decreasing ``measure``, which every rule lowers, so each word is
-        reduced once, with its summed coefficient.  ``strategy``, one of
-        ``STRATEGY_NAMES``, picks the redex inside each word; the result is
-        independent of it (tested, not assumed).  With ``check_termination``
-        every step asserts the measure decrease the order relies on.
-        """
-        if strategy == "cycle":
-            counter = itertools.count(1)
-
-            def choose(positions, rng):
-                return positions[next(counter) % len(positions)]
-        else:
-            try:
-                choose = _NAMED_STRATEGIES[strategy]
-            except KeyError:
-                raise ValueError(f"unknown strategy {strategy!r}") from None
-        if rng is None:
-            rng = random.Random(0)
+    def rewrite(self, word: Word) -> "NCElement":
+        """Reduce a word modulo the ideal by the rewrite rules, at the
+        leftmost redex of each word: the independent oracle of
+        ``normal_form``.  Every rule lowers ``measure`` and every overlap of
+        two rules resolves (``rules_raising_measure`` and
+        ``unresolved_overlaps`` check both), so by Bergman's diamond lemma
+        the reduced form does not depend on the redex taken."""
         word = tuple(word)
         if not _LETTERS.issuperset(word):
             raise _unknown_letter(word)
+        return self._reduce({word: self.ring.one})
 
+    def _reduce(self, pending: dict) -> "NCElement":
+        """Reduce a sum of words (word -> coefficient).  Pending words are
+        merged: a rule that produces a word already pending adds to its
+        coefficient.  Words are taken in decreasing ``measure``, which every
+        rule lowers, so each word is reduced once, with its summed
+        coefficient."""
         rules = self.rules
         one = self.ring.one
-        pending = {word: one}
-        heap = [_heap_key(word)]
+        heap = [_heap_key(word) for word in pending]
+        heapq.heapify(heap)
         out = {}
         while heap:
             word = heapq.heappop(heap)[-1]
@@ -445,16 +422,9 @@ class RewriteSystem:
             if not positions:
                 add_term(out, word_to_monomial(word), coeff)
                 continue
-            i = choose(positions, rng)
-            if check_termination:
-                before = measure(word)
+            i = positions[0]
             for repl, c in rules[(word[i], word[i + 1])]:
                 new_word = word[:i] + repl + word[i + 2:]
-                if check_termination:
-                    after = measure(new_word)
-                    if not after < before:
-                        raise AssertionError(
-                            f"measure did not decrease: {word} -> {new_word}")
                 new_coeff = coeff if c is one else coeff * c
                 cur = pending.get(new_word)
                 if cur is not None:
@@ -463,6 +433,17 @@ class RewriteSystem:
                     pending[new_word] = new_coeff
                     heapq.heappush(heap, _heap_key(new_word))
         return NCElement(self, out)
+
+    def unresolved_overlaps(self) -> list:
+        """The overlaps (a, b, c) of two rules, (a, b) and (b, c), that do
+        not resolve: rewriting after the left rule and rewriting after the
+        right rule give different results.  An empty list is the finite
+        confluence check of Bergman's diamond lemma."""
+        rules = self.rules
+        return [(a, b, c) for a, b in sorted(rules) for b2, c in sorted(rules)
+                if b2 == b
+                and self._reduce({w + (c,): k for w, k in rules[a, b]})
+                != self._reduce({(a,) + w: k for w, k in rules[b, c]})]
 
     # -- products ---------------------------------------------------------
 

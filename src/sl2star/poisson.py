@@ -44,6 +44,9 @@ DEFAULT_KAPPA = 8.0
 #: largest spread of the kappa fitted at the samples of the integration lemma
 KAPPA_SPREAD_TOL = 1e-9
 
+#: step of the central differences in ``jacobi_check``
+JACOBI_STEP = 1e-5
+
 
 # ----------------------------------------------------------------------
 # exact structure data
@@ -376,8 +379,7 @@ def multiplicativity_check(g: DualGroupPoint, h: DualGroupPoint) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def jacobi_check(point: Sequence[float], step: float = 1e-5,
-                 linearized: bool = False) -> float:
+def jacobi_check(point: Sequence[float], linearized: bool = False) -> float:
     """Schouten bracket [alpha, alpha] at the point via central differences.
 
     In dimension 3 the bracket has the single independent component
@@ -392,8 +394,8 @@ def jacobi_check(point: Sequence[float], step: float = 1e-5,
     grad = np.zeros((3, 3, 3))  # grad[l, i, j] = d_l alpha^{ij}
     for l in range(3):
         e = np.zeros(3)
-        e[l] = step
-        grad[l] = (comp(x + e) - comp(x - e)) / (2.0 * step)
+        e[l] = JACOBI_STEP
+        grad[l] = (comp(x + e) - comp(x - e)) / (2.0 * JACOBI_STEP)
     a = comp(x)
     cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     total = 0.0

@@ -230,8 +230,8 @@ def xi_algebra(total: int = 8, h_min: int = -2) -> RewriteSystem:
 
     Generators xi1, xi2, xi3 and E+- = e^{+-h xi1/2}; the xi2-xi3 relation
     carries eps/(2 sinh h), Laurent in h down to ``h_min`` (intermediate
-    reductions of longer words can stack several of these factors, so the
-    bound is configurable).
+    reductions of longer words can stack several of these factors;
+    ``expr.h_floor`` reads the bound an expression needs).
     """
     ring = BiSeriesRing(total, h_min)
     s = ring.monomial(1, 1, 0) * (ring.sinh_h(1) * 2).invert()
@@ -415,12 +415,12 @@ def _specialize(f: NCElement, order: int, min_exp: int = -2) -> dict:
     return out
 
 
-def specialization_report(total: int = 8, h_min: int = -2) -> List[RelationCheck]:
+def specialization_report(total: int = 8) -> List[RelationCheck]:
     """Check that h := 2 eps collapses the two-parameter relations onto the
     z-relations with the bracket rescaled by eps and the exponential-letter
     scalars at e^{2 eps^2} = (e^{2 eps} with eps -> eps^2).
     """
-    xi = xi_algebra(total, h_min)
+    xi = xi_algebra(total)
     z = z_system(total)
     zring = z.ring
     checks = []

@@ -92,7 +92,7 @@ def test_cli_normalizes_a_long_word(capsys):
     code, out = run_cli(capsys, "normalize", "x3^6*x2^6*x1^6*e-^2")
     assert code == 0
     config = Config()
-    system = x_algebra(config.order, config.a_coeffs, config.laurent_min)
+    system = x_algebra(config.order, config.a_coeffs)
     expected = system.normal_form((X3,) * 6 + (X2,) * 6 + (X1,) * 6 + (EM, EM))
     assert len(expected.terms) == 28
     assert evaluate(parse(out.strip()), system) == expected
@@ -184,9 +184,10 @@ def test_cli_poisson_verify(capsys):
 @pytest.mark.parametrize("setting, argv, env", [
     ("samples", ["poisson", "verify", "--samples", "0"], {}),
     ("tol", ["poisson", "verify", "--tol", "-1"], {}),
-    ("laurent_min", ["normalize", "x1", "--laurent-min", "1"], {}),
-    ("xi_total", ["normalize", "xi1"], {"SL2STAR_XI_TOTAL": "0"}),
-    ("xi_h_min", ["normalize", "xi1"], {"SL2STAR_XI_H_MIN": "1"}),
+    # settings that no longer exist are unknown names, refused as such
+    ("laurent_min", ["normalize", "x1"], {"SL2STAR_LAURENT_MIN": "-2"}),
+    ("xi_total", ["normalize", "xi1"], {"SL2STAR_XI_TOTAL": "8"}),
+    ("xi_h_min", ["normalize", "xi1"], {"SL2STAR_XI_H_MIN": "-3"}),
     ("gauge_kmax", ["check", "gauge"], {"SL2STAR_GAUGE_KMAX": "11"}),
     ("gauge_nmax", ["gauge", "--nmax", "0"], {}),
     ("gauge_kmax", ["gauge", "--kmax", "4"], {}),
@@ -194,6 +195,7 @@ def test_cli_poisson_verify(capsys):
     ("a_coeffs", ["normalize", "x1", "--A", "0"], {}),
     ("a_coeffs", ["normalize", "x1", "--A", ","], {}),
     ("a_coeffs", ["check", "uh", "--A", "2"], {}),
+    ("SL2STAR_ODRER", ["normalize", "e+*x2"], {"SL2STAR_ODRER": "3"}),
 ])
 def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, env):
     for name, value in env.items():
@@ -236,11 +238,20 @@ def test_cli_xi_expression(capsys):
     assert out.strip() == "2*eps*xi2"
 
 
-def test_cli_h_underflow_names_the_setting(capsys, monkeypatch):
-    monkeypatch.delenv("SL2STAR_XI_H_MIN", raising=False)
-    assert cli.main(["normalize", "xi3^3*xi2^3"]) == 2
-    err = capsys.readouterr().err
-    assert "h Laurent bound -2" in err
-    assert "xi_h_min" in err and "SL2STAR_XI_H_MIN" in err
-    monkeypatch.setenv("SL2STAR_XI_H_MIN", "-3")
-    assert cli.main(["normalize", "xi3^3*xi2^3"]) == 0
+def test_cli_reads_the_h_floor_from_the_input(capsys):
+    """Three xi3 letters moved past three xi2 letters reach h^-9, below the
+    default floor of -2; the floor is read from the expression."""
+    for text in ("xi3^3*xi2^3", "xi3^2*xi2*xi3*xi2^2"):
+        code, out = run_cli(capsys, "normalize", text, "--format", "json")
+        assert code == 0
+        floors = {t["coeff"]["h_min"] for t in json.loads(out)["terms"]}
+        assert floors == {-9}
+
+
+def test_cli_order_truncates_the_xi_algebra(capsys):
+    code, out = run_cli(capsys, "normalize", "xi3*xi2", "--order", "3",
+                        "--format", "json")
+    assert code == 0
+    coeffs = [t["coeff"] for t in json.loads(out)["terms"]]
+    assert {c["total"] for c in coeffs} == {3}
+    assert max(i + j for c in coeffs for (i, j), _ in c["terms"]) <= 3

@@ -16,10 +16,12 @@ from sl2star.expr import (
     Sym,
     choose_alphabet,
     evaluate,
+    h_floor,
     parse,
     print_expr,
     tokenize,
 )
+from sl2star import coalg
 from sl2star.ncalg import PbwMonomial, X1, X2
 from sl2star.uhsl2 import xi_algebra
 
@@ -117,6 +119,45 @@ def test_choose_alphabet():
         choose_alphabet(parse("x1*xi1"))
     with pytest.raises(MixedAlphabetError):
         choose_alphabet(parse("h*x2"))
+
+
+def test_h_floor_counts_the_xi2_and_xi3_letters_of_one_word():
+    """-n2 n3, with n2 and n3 the most xi2 and xi3 letters one word of the
+    expression can hold, and never above -2."""
+    assert h_floor(parse("xi1*E+")) == -2
+    assert h_floor(parse("xi3^3*xi2^3")) == -9
+    assert h_floor(parse("xi3^2*xi2*xi3*xi2^2")) == -9
+    assert h_floor(parse("(xi2 + xi3)^2")) == -4
+    assert h_floor(parse("xi3^4*xi2 - xi2^2*xi3")) == -8
+    assert h_floor(parse("(xi3*xi2)^0 + h")) == -2
+
+
+def random_xi_expression(rng):
+    """One or two products of up to three powers of xi letters, the second
+    times h, the whole squared at random."""
+    letters = ("xi1", "xi2", "xi3", "E+", "E-", "xi2", "xi3")
+
+    def product():
+        return "*".join(f"{rng.choice(letters)}^{rng.randint(1, 3)}"
+                        for _ in range(rng.randint(1, 3)))
+
+    text = product()
+    if rng.random() < 0.5:
+        text = f"({text}) {rng.choice('+-')} h*({product()})"
+    if rng.random() < 0.3:
+        text = f"({text})^2"
+    return text
+
+
+def test_expressions_and_their_coproducts_stay_above_the_derived_h_floor():
+    rng = random.Random(13)
+    floors = []
+    for _ in range(200):
+        ast = parse(random_xi_expression(rng))
+        floors.append(h_floor(ast))
+        coalg.coproduct(evaluate(ast, xi_algebra(8, floors[-1])))
+    # 61 of the 200 draws need a floor below the default of -2
+    assert sum(f < -2 for f in floors) == 61
 
 
 def test_eval_examples(xsys):
