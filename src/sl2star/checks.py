@@ -289,7 +289,7 @@ def uh_sl2(config: Config) -> List[RelationCheck]:
     h -> 0, eps -> 0, confluent xi rewriting, and the xi bialgebra axioms on
     random inputs."""
     checks = []
-    z_sys = uhsl2.z_system(config.order, config.a_coeffs)
+    z_sys = _x_system(config)
     checks.extend(uhsl2.z_commutators(z_sys))
     checks.extend(uhsl2.z_commutators_scaled(z_sys))
     checks.extend(uhsl2.z_coproducts(z_sys))

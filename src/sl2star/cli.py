@@ -171,7 +171,7 @@ def _print_report(checks) -> None:
 def cmd_uh(args) -> int:
     config = _config_from(args)
     if args.mode == "verify-z":
-        z_sys = uhsl2.z_system(config.order, config.a_coeffs)
+        z_sys = x_algebra(config.order, config.a_coeffs)
         checks = uhsl2.z_commutators(z_sys) + uhsl2.z_coproducts(z_sys)
     elif args.mode == "verify-xi":
         checks = uhsl2.xi_relation_checks(xi_algebra(config.order))

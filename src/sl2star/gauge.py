@@ -177,7 +177,7 @@ def bernoulli_identity_check(nmax: int) -> bool:
     return True
 
 
-def c_series(sign: int, order: int, min_exp: int = 0) -> EpsSeries:
+def c_series(sign: int, order: int) -> EpsSeries:
     """The scalar series sum_k (sign 2 eps)^k / k! * Bhat_k.
 
     This is the coefficient relating e^{+-x1} * x2 to x2 * e^{+-x1} before
@@ -191,17 +191,17 @@ def c_series(sign: int, order: int, min_exp: int = 0) -> EpsSeries:
         coeff = Fraction((2 * sign) ** k, math.factorial(k)) * bernoulli_hat(k)
         if coeff:
             terms[k] = coeff
-    return EpsSeries(terms, order, min_exp)
+    return EpsSeries(terms, order)
 
 
-def d_symbol_series(solution: GaugeSolution, order: int, min_exp: int = 0) -> EpsSeries:
+def d_symbol_series(solution: GaugeSolution, order: int) -> EpsSeries:
     """sum over even k of (2 eps)^k a_k: the gauge operator applied to e^{2 x1},
     divided by e^{2 x1}."""
     terms = {}
     for k, ak in solution.a.items():
         if k <= order and ak:
             terms[k] = ak * (2 ** k)
-    return EpsSeries(terms, order, min_exp)
+    return EpsSeries(terms, order)
 
 
 def gauge_AB_transform(a_raw: EpsSeries, solution: GaugeSolution,
@@ -217,7 +217,7 @@ def gauge_AB_transform(a_raw: EpsSeries, solution: GaugeSolution,
     for e, _ in a_raw.terms.items():
         if e % 2:
             raise ValueError("the raw parameter series must be even")
-    factor = d_symbol_series(solution, a_raw.order, a_raw.min_exp)
+    factor = d_symbol_series(solution, a_raw.order)
     if inverse:
         factor = factor.invert()
     return a_raw * factor

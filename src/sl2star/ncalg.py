@@ -688,8 +688,8 @@ def _table_scalars(rules: Mapping, one) -> dict:
             for word, c in terms}
 
 
-def x_algebra(order: int = 8, a_coeffs: Iterable[RationalLike] = DEFAULT_A,
-              min_exp: int = 0) -> RewriteSystem:
+def x_algebra(order: int = 8,
+              a_coeffs: Iterable[RationalLike] = DEFAULT_A) -> RewriteSystem:
     """The quantized function algebra on the dual group, at truncation ``order``.
 
     ``a_coeffs`` are the even-degree coefficients (constant, eps^2, ...) of
@@ -698,7 +698,7 @@ def x_algebra(order: int = 8, a_coeffs: Iterable[RationalLike] = DEFAULT_A,
     underlying Poisson bivector; the tail is genuinely free and every
     bialgebra property holds for any choice.
     """
-    ring = EpsSeriesRing(order, min_exp)
+    ring = EpsSeriesRing(order)
     a_series = ring.even(list(a_coeffs))
     # shift 2 eps, x2-x3 coefficient eps A, exponential scalars e^{+-2 eps}
     rules = pbw_rules(ring.one, ring.eps_power(2, 1),

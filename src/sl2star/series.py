@@ -1,12 +1,13 @@
 """Exact truncated formal series in the deformation parameters.
 
 There is one ring core, ``_Series``, with two key types.  ``EpsSeries``
-keys its terms by an ``int`` exponent: a sparse truncated power series in
-one parameter ``eps`` over arbitrary-precision rationals, optionally Laurent
-with a finite lower exponent bound.  ``BiSeries`` keys them by an ``(i, j)``
+keys its terms by a nonnegative ``int`` exponent: a sparse truncated power
+series in one parameter ``eps`` over arbitrary-precision rationals, in which
+every operation is exact through the truncation order (only units are
+inverted or square-rooted).  ``BiSeries`` keys them by an ``(i, j)``
 exponent pair: the two-parameter variant in ``(eps, h)`` used by the
 two-parameter algebra, truncated by total degree, with an ``h`` exponent
-that may go below zero (for 1/sinh(h)).  A value is its terms plus the two
+that may go below zero (for 1/sinh(h)).  A value is its terms plus the
 bounds of its ring, nothing else.  Sums, differences, negation, rational
 multiples, equality, powers and the inverse are the core's; each key type
 has its own product and substitutions.
@@ -38,11 +39,11 @@ class SeriesError(ValueError):
 
 
 class SeriesConfigError(SeriesError):
-    """Mismatched truncation order or Laurent bound between operands."""
+    """Mismatched truncation order or h bound between operands."""
 
 
 class SeriesDomainError(SeriesError):
-    """Operation not defined for the given series (zero inverse, odd sqrt, ...)."""
+    """Operation not defined for the given series (non-unit inverse or sqrt, ...)."""
 
 
 class HBoundError(SeriesDomainError):
@@ -72,13 +73,14 @@ class _Series:
     """The ring core shared by ``EpsSeries`` and ``BiSeries``.
 
     A value is ``terms``, a sparse dict from an exponent key to a reduced
-    rational pair with no stored zeros, plus the two bounds of its ring:
-    the truncation degree and the lowest admissible exponent.  Everything
-    that is blind to the key type lives here: sums, differences, negation
-    and rational multiples through the kernel's ``s_add``/``s_sub``/
-    ``s_neg``/``s_scale``, the constructors ``zero``/``one``/``constant``
-    (each taking the two bounds), coercion of ints and Fractions, equality
-    (which ignores the lower bound), powers, the inverse and printing.  A
+    rational pair with no stored zeros, plus the bounds of its ring: the
+    truncation degree, and for ``BiSeries`` the lowest admissible h
+    exponent.  Everything that is blind to the key type lives here: sums,
+    differences, negation and rational multiples through the kernel's
+    ``s_add``/``s_sub``/``s_neg``/``s_scale``, the constructors
+    ``zero``/``one``/``constant`` (each taking the bounds), coercion of ints
+    and Fractions, equality (which ignores the h bound), powers, the
+    inverse and printing.  A
     subclass supplies its key type: the key check of its constructor,
     ``_mul_terms`` (the product of two payloads, with the bound check of
     the type, which ``__mul__`` and the coalgebra loops share), ``_degree``
@@ -87,7 +89,7 @@ class _Series:
 
     __slots__ = ("terms", "_bounds")
 
-    #: names of the two bounds, for display
+    #: names of the bounds, for display
     _BOUND_NAMES = ("hi", "lo")
     #: the key of the constant term
     _UNIT_KEY = None
@@ -100,16 +102,16 @@ class _Series:
         return out
 
     @classmethod
-    def zero(cls, hi: int, lo: int = 0):
-        return cls({}, hi, lo)
+    def zero(cls, *bounds: int):
+        return cls({}, *bounds)
 
     @classmethod
-    def constant(cls, value: RationalLike, hi: int, lo: int = 0):
-        return cls({cls._UNIT_KEY: value}, hi, lo)
+    def constant(cls, value: RationalLike, *bounds: int):
+        return cls({cls._UNIT_KEY: value}, *bounds)
 
     @classmethod
-    def one(cls, hi: int, lo: int = 0):
-        return cls.constant(1, hi, lo)
+    def one(cls, *bounds: int):
+        return cls.constant(1, *bounds)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -135,10 +137,10 @@ class _Series:
 
     def _check(self, other) -> None:
         if self._bounds != other._bounds:
-            (hi, lo), (ohi, olo) = self._bounds, other._bounds
+            hi, ohi = self._bounds[0], other._bounds[0]
             if hi != ohi:
                 raise SeriesConfigError(f"truncation mismatch: {hi} vs {ohi}")
-            raise SeriesConfigError(f"Laurent bound mismatch: {lo} vs {olo}")
+            raise SeriesConfigError(f"h bound mismatch: {self.h_min} vs {other.h_min}")
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -194,10 +196,11 @@ class _Series:
         """Inverse when the lowest-degree part is a single monomial c*m.
 
         The result is (1/c) m^-1 sum_k (-u)^k with u = s/(c m) - 1, whose
-        terms all have positive degree.  m^-1 must lie inside the bounds.
-        For a leading degree v > 0 the result stores no degree above
-        ``hi - v``; its terms above ``hi - 2v`` depend on coefficients of
-        ``s`` beyond the truncation.
+        terms all have positive degree.  m^-1 must lie inside the bounds, so
+        an ``EpsSeries`` must be a unit.  For a ``BiSeries`` of leading
+        degree v > 0 the result stores no degree above ``hi - v``; its terms
+        above ``hi - 2v`` depend on coefficients of ``s`` beyond the
+        truncation.
         """
         if not self.terms:
             raise SeriesDomainError("cannot invert the zero series")
@@ -207,12 +210,12 @@ class _Series:
         if len(pivots) != 1:
             raise SeriesDomainError(
                 "inverse needs a unique lowest-total-degree monomial")
-        hi, lo = self._bounds
+        bounds = self._bounds
         c = self.terms[pivots[0]]
-        pivot_inv = type(self)({self._neg_key(pivots[0]): _q.qdiv((1, 1), c)}, hi, lo)
+        pivot_inv = type(self)({self._neg_key(pivots[0]): _q.qdiv((1, 1), c)}, *bounds)
         u = self * pivot_inv - 1
-        acc = result = self.one(hi, lo)
-        for _ in range(hi + abs(dmin) + 1):
+        acc = result = self.one(*bounds)
+        for _ in range(bounds[0] + abs(dmin) + 1):
             acc = acc * (-u)
             if acc.is_zero():
                 break
@@ -221,27 +224,24 @@ class _Series:
 
 
 class EpsSeries(_Series):
-    """Truncated (optionally Laurent) power series in eps with exact coefficients.
+    """Truncated power series in eps with exact coefficients.
 
-    Keys are ``int`` exponents in ``[min_exp, order]``; the two bounds of the
-    constructors are ``(order, min_exp)``.
+    Keys are ``int`` exponents in ``[0, order]``; a negative exponent is
+    refused.  The one bound of the constructors is ``order``.
     """
 
     __slots__ = ()
 
-    _BOUND_NAMES = ("order", "min_exp")
+    _BOUND_NAMES = ("order",)
     _UNIT_KEY = 0
 
     order = property(lambda self: self._bounds[0])
-    min_exp = property(lambda self: self._bounds[1])
     _degree = staticmethod(lambda e: e)
     _neg_key = staticmethod(lambda e: -e)
 
-    def __init__(self, terms: Mapping[int, tuple], order: int, min_exp: int = 0):
+    def __init__(self, terms: Mapping[int, tuple], order: int):
         if order < 1:
             raise SeriesConfigError("truncation order must be >= 1")
-        if min_exp > 0:
-            raise SeriesConfigError("min_exp must be <= 0")
         clean = {}
         for e, c in terms.items():
             c = as_pair(c)
@@ -249,17 +249,13 @@ class EpsSeries(_Series):
                 continue
             if e > order:
                 continue
-            if e < min_exp:
+            if e < 0:
                 raise SeriesDomainError(
-                    f"exponent {e} below Laurent bound {min_exp}")
+                    f"eps exponent {e} is negative: an EpsSeries is a power "
+                    f"series (only units invert)")
             clean[e] = c
         self.terms = clean
-        self._bounds = (order, min_exp)
-
-    @classmethod
-    def eps_power(cls, value: RationalLike, k: int, order: int, min_exp: int = 0) -> "EpsSeries":
-        """The single-term series value * eps^k."""
-        return cls({k: value}, order, min_exp)
+        self._bounds = (order,)
 
     # -- misc queries ---------------------------------------------------
 
@@ -283,43 +279,29 @@ class EpsSeries(_Series):
         """The product of two payloads of one ring with these bounds."""
         if not a or not b:
             return {}
-        order, min_exp = bounds
-        # with min_exp == 0 every stored exponent is >= 0: no underflow
-        if min_exp < 0 and min(a) + min(b) < min_exp:
-            raise SeriesDomainError(
-                f"product underflows the Laurent bound {min_exp}")
-        return _q.s_mul(a, b, order)
+        return _q.s_mul(a, b, bounds[0])
 
     def sqrt(self) -> "EpsSeries":
-        """Square root, exact on rationals, leading coefficient positive.
-
-        The lowest exponent must be even and its coefficient a square of a
-        rational.
-        """
-        if not self.terms:
-            return self
-        k0 = min(self.terms)
-        if k0 % 2:
-            raise SeriesDomainError("square root needs an even lowest exponent")
-        c0 = self.terms[k0]
+        """Square root of a unit whose constant term is the square of a
+        positive rational; exact through the order."""
+        c0 = self.terms.get(0)
+        if c0 is None:
+            raise SeriesDomainError("square root needs a nonzero constant term")
         r0 = _rational_sqrt(c0)
         if r0 is None:
             raise SeriesDomainError(
-                f"leading coefficient {pair_str(c0)} is not a rational square")
-        half = k0 // 2
-        out = {half: r0}
+                f"constant term {pair_str(c0)} is not a rational square")
+        out = {0: r0}
         two_r0 = _q.qmul((2, 1), r0)
-        # b[half+n] = (a[k0+n] - sum_{i=1..n-1} b[half+i]*b[half+n-i]) / (2 b[half])
-        for n in range(1, self.order - half + 1):
-            acc = self.terms.get(k0 + n, (0, 1))
+        # b[n] = (a[n] - sum_{i=1..n-1} b[i]*b[n-i]) / (2 b[0])
+        for n in range(1, self.order + 1):
+            acc = self.terms.get(n, (0, 1))
             for i in range(1, n):
-                bi = out.get(half + i)
-                bj = out.get(half + n - i)
-                if bi is None or bj is None:
-                    continue
-                acc = _q.qsub(acc, _q.qmul(bi, bj))
+                bi, bj = out.get(i), out.get(n - i)
+                if bi and bj:
+                    acc = _q.qsub(acc, _q.qmul(bi, bj))
             if acc[0]:
-                out[half + n] = _q.qdiv(acc, two_r0)
+                out[n] = _q.qdiv(acc, two_r0)
         return self._wrap(out)
 
     # -- substitutions ----------------------------------------------------
@@ -332,22 +314,8 @@ class EpsSeries(_Series):
         """Substitute eps -> eps^k for k >= 1 (exponents scale by k)."""
         if k < 1:
             raise SeriesDomainError("stretch factor must be >= 1")
-        out = {}
-        for e, c in self.terms.items():
-            ek = e * k
-            if ek > self.order:
-                continue
-            if ek < self.min_exp:
-                raise SeriesDomainError(
-                    f"stretched exponent {ek} below Laurent bound {self.min_exp}")
-            out[ek] = c
-        return self._wrap(out)
-
-    def truncate(self, k: int) -> "EpsSeries":
-        """Drop all terms of exponent above k (keeps the ring order)."""
-        if k >= self.order:
-            return self
-        return self._wrap({e: c for e, c in self.terms.items() if e <= k})
+        return self._wrap({e * k: c for e, c in self.terms.items()
+                           if e * k <= self.order})
 
     # -- serialization ------------------------------------------------
 
@@ -398,7 +366,7 @@ def format_terms(terms: Mapping, power_str) -> str:
 # standard one-parameter series
 # ----------------------------------------------------------------------
 
-def exp_series(k: RationalLike, order: int, min_exp: int = 0) -> EpsSeries:
+def exp_series(k: RationalLike, order: int) -> EpsSeries:
     """exp(k*eps) = sum_j (k eps)^j / j!, truncated at ``order``."""
     kq = as_pair(k)
     terms = {}
@@ -407,24 +375,23 @@ def exp_series(k: RationalLike, order: int, min_exp: int = 0) -> EpsSeries:
         if j:
             c = _q.qmul(c, _q.qdiv(kq, (j, 1)))
         terms[j] = c
-    return EpsSeries(terms, order, min_exp)
+    return EpsSeries(terms, order)
 
 
-def sinh_series(k: RationalLike, order: int, min_exp: int = 0) -> EpsSeries:
+def sinh_series(k: RationalLike, order: int) -> EpsSeries:
     """Odd part of exp(k*eps)."""
-    e = exp_series(k, order, min_exp)
-    return EpsSeries({j: c for j, c in e.terms.items() if j % 2 == 1},
-                     order, min_exp)
+    e = exp_series(k, order)
+    return EpsSeries({j: c for j, c in e.terms.items() if j % 2 == 1}, order)
 
 
-def cosh_series(k: RationalLike, order: int, min_exp: int = 0) -> EpsSeries:
-    """Even part of exp(k*eps)."""
-    e = exp_series(k, order, min_exp)
-    return EpsSeries({j: c for j, c in e.terms.items() if j % 2 == 0},
-                     order, min_exp)
+def sinh_over_eps_series(k: RationalLike, order: int) -> EpsSeries:
+    """The unit sinh(k*eps)/eps = k + k^3 eps^2/6 + ..., exact through
+    ``order`` (read from sinh(k*eps) through ``order + 1``)."""
+    s = sinh_series(k, order + 1)
+    return EpsSeries({j - 1: c for j, c in s.terms.items()}, order)
 
 
-def even_series(coeffs: Iterable[RationalLike], order: int, min_exp: int = 0) -> EpsSeries:
+def even_series(coeffs: Iterable[RationalLike], order: int) -> EpsSeries:
     """Series with the given coefficients on eps^0, eps^2, eps^4, ...
 
     This is how the free even parameters (the A-series of the x2-x3 relation)
@@ -433,50 +400,54 @@ def even_series(coeffs: Iterable[RationalLike], order: int, min_exp: int = 0) ->
     terms = {}
     for i, c in enumerate(coeffs):
         terms[2 * i] = c
-    return EpsSeries(terms, order, min_exp)
+    return EpsSeries(terms, order)
 
 
 class _SeriesRing:
-    """Factory facade fixing the two bounds of one series type for one
+    """Factory facade fixing the bounds of one series type for one
     computation."""
 
     series = _Series
 
-    def __init__(self, hi: int, lo: int):
-        self._bounds = (hi, lo)
-        self.one = self.series.one(hi, lo)
-        self.zero = self.series.zero(hi, lo)
+    def __init__(self, *bounds: int):
+        self._bounds = bounds
+        self.one = self.series.one(*bounds)
+        self.zero = self.series.zero(*bounds)
 
     def constant(self, value: RationalLike):
         return self.series.constant(value, *self._bounds)
 
     def __repr__(self) -> str:
-        (n_hi, n_lo), (hi, lo) = self.series._BOUND_NAMES, self._bounds
-        return f"{type(self).__name__}({n_hi}={hi}, {n_lo}={lo})"
+        bounds = ", ".join(f"{name}={b}" for name, b
+                           in zip(self.series._BOUND_NAMES, self._bounds))
+        return f"{type(self).__name__}({bounds})"
 
 
 class EpsSeriesRing(_SeriesRing):
-    """The ring of ``EpsSeries`` with fixed (order, min_exp)."""
+    """The ring of ``EpsSeries`` truncated at ``order``."""
 
     kind = "eps"
     series = EpsSeries
 
-    def __init__(self, order: int = DEFAULT_ORDER, min_exp: int = 0):
-        super().__init__(order, min_exp)
+    def __init__(self, order: int = DEFAULT_ORDER):
+        super().__init__(order)
         self.order = order
-        self.min_exp = min_exp
 
     def eps_power(self, value: RationalLike, k: int) -> EpsSeries:
-        return EpsSeries.eps_power(value, k, self.order, self.min_exp)
+        """The single-term series value * eps^k."""
+        return EpsSeries({k: value}, self.order)
 
     def exp(self, k: RationalLike) -> EpsSeries:
-        return exp_series(k, self.order, self.min_exp)
+        return exp_series(k, self.order)
 
     def sinh(self, k: RationalLike) -> EpsSeries:
-        return sinh_series(k, self.order, self.min_exp)
+        return sinh_series(k, self.order)
+
+    def sinh_over_eps(self, k: RationalLike) -> EpsSeries:
+        return sinh_over_eps_series(k, self.order)
 
     def even(self, coeffs: Iterable[RationalLike]) -> EpsSeries:
-        return even_series(coeffs, self.order, self.min_exp)
+        return even_series(coeffs, self.order)
 
 
 # ----------------------------------------------------------------------
@@ -570,14 +541,14 @@ class BiSeries(_Series):
         """Terms with eps exponent exactly i0 (kept as a BiSeries)."""
         return self._wrap({k: c for k, c in self.terms.items() if k[0] == i0})
 
-    def specialize_h(self, factor: RationalLike, order: int,
-                     min_exp: int = 0) -> EpsSeries:
-        """Substitute h -> factor * eps, producing a one-parameter series."""
+    def specialize_h(self, factor: RationalLike, order: int) -> EpsSeries:
+        """Substitute h -> factor * eps, producing a one-parameter series
+        (a term of negative total degree is refused)."""
         f = Fraction(*as_pair(factor))
         out = {}
         for (i, j), (n, d) in self.terms.items():
             out[i + j] = out.get(i + j, 0) + Fraction(n, d) * f ** j
-        return EpsSeries(out, order, min_exp)
+        return EpsSeries(out, order)
 
     def to_json(self) -> dict:
         return {

@@ -5,10 +5,10 @@ Two changes of variables are verified on top of the one-parameter algebra:
 - the z-generators z1 = x1/eps, z2 = x2/lambda, z3 = x3/lambda with
   lambda^2 = 2 eps A(eps^2) sinh(2 eps), under which the relations become
   the standard quantum-enveloping presentation with [z2, z3] =
-  sinh(h z1)/sinh(h) at h = 2 eps.  Relations are checked through lambda^2
-  wherever possible (no square roots needed); the generator-level route with
-  an actual series square root is exercised separately when the leading
-  coefficient is a rational square.
+  sinh(h z1)/sinh(h) at h = 2 eps.  Relations are checked cross-multiplied
+  through lambda^2 (no square roots needed), and again on the elements
+  eps z_i = x_i/mu_i with mu = lambda/eps, the square root of a unit (when
+  A(0) is a rational square); every scalar is a power series in eps.
 
 - the xi-generators with independent parameters (eps, h), realized as a
   second rewrite system over two-parameter scalars.  Its h -> 0 limit
@@ -62,12 +62,6 @@ def report_passed(checks: List[RelationCheck]) -> bool:
 # the z-generators inside the one-parameter algebra
 # ----------------------------------------------------------------------
 
-def z_system(order: int = 8, a_coeffs=(4,)) -> RewriteSystem:
-    """The one-parameter algebra with the Laurent headroom (eps^-2) that the
-    z-generator scalings require."""
-    return x_algebra(order, a_coeffs, min_exp=-2)
-
-
 def lambda_squared(system: RewriteSystem) -> EpsSeries:
     """lambda^2 = 2 eps A(eps^2) sinh(2 eps) in the system's scalar ring."""
     ring = system.ring
@@ -75,10 +69,10 @@ def lambda_squared(system: RewriteSystem) -> EpsSeries:
 
 
 def default_substitution(system: RewriteSystem) -> EpsSeries:
-    """lambda with x2 = lambda z2 and x3 = lambda z3 (x1 = eps z1); needs
-    A(0) to be a rational square."""
+    """mu = lambda/eps, the square root of the unit 2 A(eps^2) sinh(2 eps)/eps,
+    with eps z2 = x2/mu and eps z3 = x3/mu; needs A(0) a rational square."""
     try:
-        return lambda_squared(system).sqrt()
+        return (system.a_series * system.ring.sinh_over_eps(2) * 2).sqrt()
     except SeriesDomainError as exc:
         raise SeriesDomainError(
             f"{exc}: the z-generators need the first of a_coeffs, A(0), "
@@ -102,10 +96,10 @@ def z_commutators(system: Optional[RewriteSystem] = None) -> List[RelationCheck]
 
     Each z-relation is an x-relation divided by the appropriate lambda
     factors; factors common to both sides cancel, and the z2-z3 relation is
-    checked after multiplying by the inverse of lambda^2, which requires no
-    square root.
+    checked cross-multiplied by lambda^2 and 2 sinh(2 eps), which needs no
+    square root and no inverse.
     """
-    system = system or z_system()
+    system = system or x_algebra()
     ring = system.ring
     x1 = system.generator(X1)
     x2 = system.generator(X2)
@@ -155,32 +149,29 @@ def z_commutators(system: Optional[RewriteSystem] = None) -> List[RelationCheck]
 
 
 def z_commutators_scaled(system: Optional[RewriteSystem] = None) -> List[RelationCheck]:
-    """The same relations via explicit z-elements x_i / lambda_i.
-
-    Uses the series square root, so it requires A(0) to be a perfect square
-    (the default 4 is); kept separate because it is optional.
+    """The same relations via explicit elements eps z_i = x_i / mu_i
+    (mu_1 = 1, mu_2 = mu_3 = mu = lambda/eps), each multiplied through by
+    eps^2: every scalar is a power series, exact through the order.
+    Requires A(0) to be a perfect square (the default 4 is).
     """
-    system = system or z_system()
+    system = system or x_algebra()
     ring = system.ring
-    inv_lam = default_substitution(system).invert()
-    z1 = system.generator(X1) * ring.eps_power(1, 1).invert()
-    z2 = system.generator(X2) * inv_lam
-    z3 = system.generator(X3) * inv_lam
+    eps = ring.eps_power(1, 1)
+    inv_mu = default_substitution(system).invert()
+    w1 = system.generator(X1)
+    w2 = system.generator(X2) * inv_mu
+    w3 = system.generator(X3) * inv_mu
     checks = []
     checks.append(_check_equal(
-        "[z1,z2] = 2 z2 (explicit)", system.commutator(z1, z2), z2 * 2))
+        "[z1,z2] = 2 z2 (explicit)", system.commutator(w1, w2), w2 * (2 * eps)))
     checks.append(_check_equal(
-        "[z1,z3] = -2 z3 (explicit)", system.commutator(z1, z3), z3 * (-2)))
-    rhs = _exp_difference(system) * (ring.sinh(2) * 2).invert()
-    # inverting the Laurent-valuation-one factor lambda costs two top orders,
-    # so this route is compared through order - 2 (the lambda^2 route is exact)
-    through = ring.order - 2
-    lhs_t = system.commutator(z2, z3).map_coefficients(lambda c: c.truncate(through))
-    rhs_t = rhs.map_coefficients(lambda c: c.truncate(through))
+        "[z1,z3] = -2 z3 (explicit)", system.commutator(w1, w3),
+        w3 * (-2 * eps)))
+    rhs = _exp_difference(system) * (eps * (ring.sinh_over_eps(2) * 2).invert())
     checks.append(_check_equal(
-        "[z2,z3] = sinh(h z1)/sinh(h) (explicit)", lhs_t, rhs_t,
-        note=f"compared through eps^{through}; 1/lambda is only determined "
-             "to that order at this truncation"))
+        "[z2,z3] = sinh(h z1)/sinh(h) (explicit)", system.commutator(w2, w3), rhs,
+        note=f"verified as [x2/mu, x3/mu] = eps (e^{{2x1}} - e^{{-2x1}}) / "
+             f"(2 sinh(2 eps)/eps) with mu = lambda/eps, through eps^{ring.order}"))
     return checks
 
 
@@ -190,7 +181,7 @@ def z_coproducts(system: Optional[RewriteSystem] = None) -> List[RelationCheck]:
     The scale factors pass through both legs linearly, so the z-coproducts
     have exactly the generator-table form with e^{+-h z1/2} = e^{+-x1}.
     """
-    system = system or z_system()
+    system = system or x_algebra()
     one = system.ring.one
     checks = []
 
@@ -404,12 +395,12 @@ def limits_report(system: Optional[RewriteSystem] = None) -> List[RelationCheck]
 # specialization h := 2 eps against the z-relations
 # ----------------------------------------------------------------------
 
-def _specialize(f: NCElement, order: int, min_exp: int = -2) -> dict:
-    """Coefficients of a two-parameter element under h -> 2 eps, as plain
-    {monomial: EpsSeries} data (the result does not live in either system)."""
+def _specialize(f: NCElement, order: int, factor=1) -> dict:
+    """Coefficients of a two-parameter element under h -> 2 eps, times
+    ``factor``, as plain {monomial: EpsSeries} data (in neither system)."""
     out = {}
     for mono, c in f.terms.items():
-        s = c.specialize_h(2, order, min_exp)
+        s = c.specialize_h(2, order) * factor
         if not s.is_zero():
             out[mono] = s
     return out
@@ -421,7 +412,7 @@ def specialization_report(total: int = 8) -> List[RelationCheck]:
     scalars at e^{2 eps^2} = (e^{2 eps} with eps -> eps^2).
     """
     xi = xi_algebra(total)
-    z = z_system(total)
+    z = x_algebra(total)
     zring = z.ring
     checks = []
 
@@ -430,12 +421,16 @@ def specialization_report(total: int = 8) -> List[RelationCheck]:
         "[xi1,xi2]|_{h=2eps} = eps * (2 z2)",
         _specialize(xi.commutator(xi.generator(X1), xi.generator(X2)), total),
         dict((z.generator(X2) * zring.eps_power(2, 1)).terms)))
-    rhs23 = _exp_difference(z) * ((zring.sinh(2) * 2).invert()
-                                  * zring.eps_power(1, 1))
+    # cross-multiplied by 2 sinh(2 eps), as in z_commutators: the eps^total
+    # term of each specialized scalar lands above the truncation
     checks.append(_check_equal(
         "[xi2,xi3]|_{h=2eps} = eps * sinh(2 eps z1)/sinh(2 eps)",
-        _specialize(xi.commutator(xi.generator(X2), xi.generator(X3)), total),
-        dict(rhs23.terms)))
+        _specialize(xi.commutator(xi.generator(X2), xi.generator(X3)), total,
+                    zring.sinh(2) * 2),
+        dict((_exp_difference(z) * zring.eps_power(1, 1)).terms),
+        note=f"verified as [xi2,xi3]|_{{h=2eps}} * 2 sinh(2 eps) = "
+             f"eps (e^{{2x1}} - e^{{-2x1}}); sees the xi scalars through "
+             f"eps^{total - 1}"))
 
     # exponential-letter scalars: e^{+-eps h} at h = 2 eps vs e^{+-2 eps}
     # stretched

@@ -140,7 +140,7 @@ def test_rewrite_oracle_on_a_three_letter_word(xsys):
     assert len(base.terms) == 3
 
 
-@pytest.mark.parametrize("system", [x_algebra(8), x_algebra(8, (4, 1), -2)],
+@pytest.mark.parametrize("system", [x_algebra(8), x_algebra(8, (4, 1))],
                          ids=["x", "x-tail"])
 def test_merged_reduction_matches_the_unmerged_walk(system):
     rng = random.Random(909)
@@ -194,7 +194,7 @@ def test_each_word_is_reduced_once(xsys, monkeypatch):
 
 TABLE_SYSTEMS = {
     "x": lambda: x_algebra(8),
-    "x-tail": lambda: x_algebra(8, (4, 1), -2),
+    "x-tail": lambda: x_algebra(8, (4, 1)),
     "xi": lambda: xi_algebra(8, -2),
 }
 LETTERS = (X1, X2, X3, EP, EM)

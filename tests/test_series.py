@@ -16,21 +16,24 @@ from sl2star.series import (
     BiSeries,
     BiSeriesRing,
     EpsSeries,
+    EpsSeriesRing,
     HBoundError,
     SeriesConfigError,
     SeriesDomainError,
-    cosh_series,
     exp_bi,
     exp_series,
     sinh_h,
+    sinh_over_eps_series,
     sinh_series,
 )
 
 N = 8
+BI_TOTAL = 8
+BI_H_MIN = -2
 
 
-def S(terms, order=N, min_exp=0):
-    return EpsSeries(terms, order, min_exp)
+def S(terms, order=N):
+    return EpsSeries(terms, order)
 
 
 # -- frozen examples ------------------------------------------------------
@@ -49,8 +52,7 @@ def test_add_order_mismatch():
 
 def test_mul_examples():
     assert S({0: 1, 1: 1}) * S({0: 1, 1: -1}) == S({0: 1, 2: -1})
-    laurent_eps = S({1: 1}, min_exp=-2)
-    assert laurent_eps * S({-1: 1}, min_exp=-2) == S({0: 1}, min_exp=-2)
+    assert S({1: 1}) * S({N - 1: 3, N: 5}) == S({N: 3})
 
 
 def test_mul_truncated_exponentials_cancel():
@@ -62,10 +64,14 @@ def test_mul_truncated_exponentials_cancel():
     assert e_plus * e_minus == EpsSeries.one(N)
 
 
-def test_mul_laurent_underflow():
-    a = S({-2: 1}, min_exp=-2)
+def test_negative_exponent_is_refused():
+    with pytest.raises(SeriesDomainError, match="eps exponent -1 is negative"):
+        EpsSeries({-1: 1}, 8)
     with pytest.raises(SeriesDomainError):
-        a * a
+        EpsSeriesRing(8).eps_power(1, -2)
+    with pytest.raises(SeriesDomainError):
+        # 1/(2 sinh h) at h = 2 eps starts at eps^-1
+        (sinh_h(1, 8, -2) * 2).invert().specialize_h(2, 8)
 
 
 def test_invert_examples():
@@ -77,22 +83,21 @@ def test_invert_examples():
 
 
 def test_invert_sinh_by_long_division():
-    # independent oracle: solve sinh(2 eps) * b = 1 term by term
-    sh = sinh_series(2, N, min_exp=-2)
-    coeffs = {j: sh.coefficient(j) for j in range(N + 1)}
+    # independent oracle: solve (sinh(2 eps)/eps) * b = 1 term by term, with
+    # the coefficients of sinh(2 eps)/eps read from the factorial sums
+    coeffs = {j: Fraction(2 ** (j + 1), math.factorial(j + 1))
+              for j in range(0, N + 1, 2)}
+    sh = sinh_over_eps_series(2, N)
+    assert sh == S(coeffs)
     b = {}
-    for k in range(-1, N + 1):
-        acc = Fraction(1) if k == -1 else Fraction(0)
-        # residual of (sum_{e<k} b_e eps^e) * sh at exponent k + 1
-        acc -= sum(b[e] * coeffs.get(k + 1 - e, Fraction(0))
-                   for e in b)
-        b[k] = acc / coeffs[1]
-    expected = S({e: c for e, c in b.items() if c}, min_exp=-2)
+    for k in range(N + 1):
+        acc = Fraction(1) if k == 0 else Fraction(0)
+        acc -= sum(b[e] * coeffs.get(k - e, Fraction(0)) for e in b)
+        b[k] = acc / coeffs[0]
     got = sh.invert()
-    # the inverse of a valuation-one series is determined through order N - 2
-    assert got.truncate(N - 2) == expected.truncate(N - 2)
-    assert got.coefficient(-1) == Fraction(1, 2)
-    assert got.coefficient(1) == Fraction(-1, 3)
+    assert got == S(b)
+    assert got.coefficient(0) == Fraction(1, 2)
+    assert got.coefficient(2) == Fraction(-1, 3)
 
 
 def test_invert_roundtrip():
@@ -100,46 +105,52 @@ def test_invert_roundtrip():
     assert a * a.invert() == EpsSeries.one(N)
 
 
-def test_invert_needs_laurent_headroom():
-    with pytest.raises(SeriesDomainError):
-        S({1: 1}).invert()  # would need eps^-1 but min_exp is 0
+def test_invert_needs_a_unit():
+    for a in (S({1: 1}), S({2: 3, 5: 1})):
+        with pytest.raises(SeriesDomainError):
+            a.invert()  # 1/eps is not a power series
 
 
 def test_invert_stores_no_exponent_above_order_minus_valuation():
-    # a = eps^v u with u known through order - v, and 1/a = eps^-v / u
+    # a = h^v u with u known through total - v, and 1/a = h^-v / u
     for v in (1, 2, 3):
-        a = S({v: 2, v + 1: 1, N: 5}, min_exp=-3)
+        a = BiSeries({(0, v): 2, (0, v + 1): 1, (0, N): 5}, N, -3)
         inv = a.invert()
-        assert max(inv.terms) <= N - v
-        assert inv.coefficient(-v) == Fraction(1, 2)
-        assert inv.coefficient(1 - v) == Fraction(-1, 4)
+        assert max(i + j for i, j in inv.terms) <= N - v
+        assert inv.coefficient(0, -v) == Fraction(1, 2)
+        assert inv.coefficient(0, 1 - v) == Fraction(-1, 4)
 
 
 def test_sqrt_examples():
-    assert S({2: 16}).sqrt() == S({1: 4})
     assert S({0: 9}).sqrt() == S({0: 3})
-    with pytest.raises(SeriesDomainError):
-        S({1: 1}).sqrt()
+    assert S({0: 1, 1: 2, 2: 1}).sqrt() == S({0: 1, 1: 1})
+    for non_unit in (S({2: 16}), S({1: 1}), EpsSeries.zero(N)):
+        with pytest.raises(SeriesDomainError, match="nonzero constant term"):
+            non_unit.sqrt()
     with pytest.raises(SeriesDomainError):
         S({0: 2}).sqrt()
 
 
 def test_sqrt_of_lambda_squared():
-    # 2 eps * 4 * sinh(2 eps) = 16 eps^2 (1 + (2 eps)^2/6 + ...)
-    arg = S({1: 2}) * S({0: 4}) * sinh_series(2, N)
+    # lambda^2 / eps^2 = 2 * 4 * sinh(2 eps)/eps = 16 (1 + (2 eps)^2/6 + ...)
+    arg = S({0: 2}) * S({0: 4}) * sinh_over_eps_series(2, N)
     root = arg.sqrt()
     assert root * root == arg
-    assert root.coefficient(1) == 4
-    # second coefficient: 4 * (2 eps)^2 / 12 -> 4/3 at eps^3
-    assert root.coefficient(3) == Fraction(4, 3)
+    assert root.coefficient(0) == 4
+    # second coefficient: 4 * (2 eps)^2 / 12 -> 4/3 at eps^2
+    assert root.coefficient(2) == Fraction(4, 3)
 
 
 def test_exp_sinh_cosh_values():
     assert exp_series(2, 2) == S({0: 1, 1: 2, 2: 2}, order=2)
     assert sinh_series(2, 3) == S({1: 2, 3: Fraction(4, 3)}, order=3)
     assert exp_series(0, N) == EpsSeries.one(N)
-    assert cosh_series(2, N) * cosh_series(2, N) \
-        - sinh_series(2, N) * sinh_series(2, N) == EpsSeries.one(N)
+    cosh = exp_series(2, N) - sinh_series(2, N)
+    assert cosh * cosh - sinh_series(2, N) * sinh_series(2, N) == EpsSeries.one(N)
+    # sinh(2 eps)/eps is read through eps^(N + 1): its eps^N term is there
+    assert sinh_over_eps_series(2, N) * S({1: 1}) == sinh_series(2, N)
+    assert sinh_over_eps_series(2, N).coefficient(N) \
+        == Fraction(2 ** (N + 1), math.factorial(N + 1))
 
 
 def test_eps_flip_and_stretch():
@@ -158,8 +169,8 @@ def test_terms_beyond_the_bound_are_dropped():
 
 
 def test_json_form():
-    a = S({-1: Fraction(2, 3), 0: 1, 5: -7}, min_exp=-2)
-    assert a.to_json() == {"terms": [[-1, "2/3"], [0, "1"], [5, "-7"]],
+    a = S({0: 1, 1: Fraction(2, 3), 5: -7})
+    assert a.to_json() == {"terms": [[0, "1"], [1, "2/3"], [5, "-7"]],
                            "order": N}
 
 
@@ -175,13 +186,13 @@ coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
 
 @st.composite
-def series(draw, order=12, min_exp=0):
+def series(draw, order=12):
     n = draw(st.integers(min_value=0, max_value=4))
     terms = {}
     for _ in range(n):
-        e = draw(st.integers(min_value=min_exp, max_value=order))
+        e = draw(st.integers(min_value=0, max_value=order))
         terms[e] = draw(coeffs)
-    return EpsSeries(terms, order, min_exp)
+    return EpsSeries(terms, order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,26 +224,29 @@ def test_invert_is_right_inverse(a):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=3), coeffs.filter(bool),
-       series(min_exp=-3))
+       series(order=BI_TOTAL))
 def test_invert_is_right_inverse_at_positive_valuation(v, c, tail):
-    # c eps^v plus terms of exponent above v
-    a = EpsSeries({v: c}, 12, -3) + EpsSeries(
-        {e: q for e, q in tail.terms.items() if e > v}, 12, -3)
-    assert a * a.invert() == EpsSeries.one(12, -3)
+    # c h^v plus terms of h exponent above v; an EpsSeries of positive
+    # valuation has no inverse, so this is the BiSeries h pivot
+    a = BiSeries({(0, v): c}, BI_TOTAL, -3) + BiSeries(
+        {(0, e): q for e, q in tail.terms.items() if e > v}, BI_TOTAL, -3)
+    assert a * a.invert() == BiSeries.one(BI_TOTAL, -3)
+    with pytest.raises(SeriesDomainError):
+        EpsSeries({v: c}, BI_TOTAL).invert()
 
 
 @settings(max_examples=40, deadline=None)
 @given(series())
 def test_square_then_sqrt(a):
     sq = a * a
-    if sq.is_zero():
-        return
-    lead = min(sq.terms)
-    if sq.terms[lead][0] < 0:
+    if 0 not in sq.terms:
+        with pytest.raises(SeriesDomainError):
+            sq.sqrt()
         return
     root = sq.sqrt()
-    # sqrt of a truncated square recovers it through the determined orders
-    assert (root * root).truncate(12 - lead) == sq.truncate(12 - lead)
+    # the root of a unit is exact through the order: it is +-a
+    assert root * root == sq
+    assert root in (a, -a)
 
 
 # -- two-parameter series --------------------------------------------------
@@ -283,7 +297,8 @@ def test_biseries_slices_and_specialize():
     assert spec == exp_series(2, T).stretch(2)
     inv = (ring.sinh_h(1) * 2).invert()
     assert inv.h_pole_order() == -1
-    assert inv.specialize_h(2, T, -1).coefficient(-1) == Fraction(1, 4)
+    assert (inv * ring.monomial(1, 1, 0)).specialize_h(2, T).coefficient(0) \
+        == Fraction(1, 4)
 
 
 def test_biseries_json_form():
@@ -310,9 +325,6 @@ def test_biseries_h_bound_errors():
 
 
 # -- ring axioms of the two-parameter series --------------------------------
-
-BI_TOTAL = 8
-BI_H_MIN = -2
 
 
 @st.composite

@@ -23,7 +23,6 @@ from sl2star.uhsl2 import (
     z_commutators,
     z_commutators_scaled,
     z_coproducts,
-    z_system,
 )
 
 
@@ -44,17 +43,21 @@ def test_z_commutators_all_pass():
 
 
 def test_z_relation_x_representation():
-    """[x2,x3]/lambda^2 equals (e^{2x1} - e^{-2x1}) * 1/(2 sinh(2 eps))."""
-    system = z_system()
+    """[x2,x3]/mu^2, with mu = lambda/eps, equals
+    (e^{2x1} - e^{-2x1}) * eps/(2 sinh(2 eps)/eps)."""
+    system = x_algebra()
     ring = system.ring
+    mu = uhsl2.default_substitution(system)
+    assert mu * mu * ring.eps_power(1, 2) == uhsl2.lambda_squared(system)
     comm = system.commutator(system.generator(X2), system.generator(X3))
-    lhs = comm * uhsl2.lambda_squared(system).invert()
-    coeff = (ring.sinh(2) * 2).invert()
+    lhs = comm * (mu * mu).invert()
+    coeff = ring.eps_power(1, 1) * (ring.sinh_over_eps(2) * 2).invert()
     assert lhs.coefficient(PbwMonomial(0, 0, 0, 2)) == coeff
     assert lhs.coefficient(PbwMonomial(0, 0, 0, -2)) == -coeff
     assert set(lhs.terms) == {PbwMonomial(0, 0, 0, 2), PbwMonomial(0, 0, 0, -2)}
-    # ... and the coefficient's leading Laurent term is 1/(4 eps)
-    assert coeff.coefficient(-1) == Fraction(1, 4)
+    # ... and the coefficient's leading term is eps/4: 1/(4 eps) times eps^2
+    assert min(coeff.terms) == 1
+    assert coeff.coefficient(1) == Fraction(1, 4)
 
 
 def test_z_relations_hold_for_random_a_tails():
@@ -63,7 +66,7 @@ def test_z_relations_hold_for_random_a_tails():
         tail = (Fraction(4),
                 Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
                 Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
-        checks = z_commutators(z_system(8, tail))
+        checks = z_commutators(x_algebra(8, tail))
         assert report_passed(checks)
 
 
@@ -71,10 +74,31 @@ def test_z_scaled_route():
     assert report_passed(z_commutators_scaled())
 
 
+@pytest.mark.parametrize("a_coeffs", [(4,), (9, Fraction(1, 3), 2)],
+                         ids=["A=4", "A=9,1/3,2"])
+@pytest.mark.parametrize("order", range(1, 13))
+def test_z_scaled_route_at_every_order(order, a_coeffs):
+    checks = z_commutators_scaled(x_algebra(order, a_coeffs))
+    assert report_passed(checks), [c.name for c in checks if not c.passed]
+
+
+def test_z_scaled_route_sees_every_coefficient_of_mu(monkeypatch):
+    """A wrong mu coefficient fails the explicit [z2,z3] check.  [x2,x3] is
+    O(eps), so through eps^order it meets mu through eps^(order - 1); the
+    eps^order coefficient of mu enters no relation at this truncation."""
+    system = x_algebra(8)
+    mu = uhsl2.default_substitution(system)
+    for k in range(system.ring.order):
+        bumped = mu + system.ring.eps_power(Fraction(1, 7), k)
+        monkeypatch.setattr(uhsl2, "default_substitution", lambda _: bumped)
+        failed = [c.name for c in z_commutators_scaled(system) if not c.passed]
+        assert failed == ["[z2,z3] = sinh(h z1)/sinh(h) (explicit)"], k
+
+
 def test_z_scaled_needs_square_leading_coefficient():
     from sl2star.series import SeriesDomainError
     with pytest.raises(SeriesDomainError):
-        uhsl2.default_substitution(z_system(8, (3,)))
+        uhsl2.default_substitution(x_algebra(8, (3,)))
 
 
 def test_z_coproducts_all_pass():
@@ -101,11 +125,14 @@ def test_xi_printed_sign_is_inconsistent():
 
 
 def test_one_presentation_under_all_three_systems():
-    """The x-, z- and xi-systems share one presentation: the same rule keys
-    with the same replacement words in the same order, the same coproduct
-    table, and unit terms that are the ring's own ``one`` (rewriting and
-    the tensor product skip the product with it by identity)."""
-    systems = [x_algebra(8), z_system(8), xi_algebra(8, -2)]
+    """The x-system, the x-system with an A tail (the z-relations are
+    checked in both) and the xi-system share one presentation: the same
+    rule keys with the same replacement words in the same order, the same
+    coproduct table, and unit terms that are the ring's own ``one``
+    (rewriting and the tensor product skip the product with it by
+    identity)."""
+    systems = [x_algebra(8), x_algebra(8, (9, Fraction(1, 3), 2)),
+               xi_algebra(8, -2)]
     rule_words = [{pair: [word for word, _ in terms]
                    for pair, terms in s.rules.items()} for s in systems]
     assert rule_words[0] == rule_words[1] == rule_words[2]
