@@ -2,7 +2,8 @@
 
 Subpackages:
 
-- :mod:`sl2star.series`: exact truncated power-series scalars (Laurent in h only).
+- :mod:`sl2star.series`: exact truncated series scalars, one truncation bound
+  per ring (Laurent in h, with no floor).
 - :mod:`sl2star.ncalg`: words, PBW normal ordering, star products.
 - :mod:`sl2star.coalg`: deformed coproduct and bialgebra verifications.
 - :mod:`sl2star.gauge`: gauge-operator recursions and Bernoulli series.

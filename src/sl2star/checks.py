@@ -30,13 +30,6 @@ from .ncalg import (
 from .series import EpsSeries, exp_series
 from .uhsl2 import RelationCheck
 
-#: h floor of the xi algebra that criterion 9's random words and elements
-#: are reduced in.  Each xi3 moved past an xi2 brings one more 1/sinh(h),
-#: and products of random elements stack several such swaps, so the
-#: default floor of -2 is too shallow for them.
-XI_RANDOM_H_MIN = -8
-
-
 def _check(name: str, passed: bool, detail: str = "") -> RelationCheck:
     return RelationCheck(name, bool(passed), detail)
 
@@ -207,7 +200,8 @@ def opposite_product_symmetry(config: Config) -> List[RelationCheck]:
 
 def gauge_solver(config: Config) -> List[RelationCheck]:
     """Criterion 7: the gauge recursion straightens the raw x1-line model."""
-    kmax, nmax = config.gauge_kmax, config.gauge_nmax
+    nmax = config.gauge_nmax
+    kmax = nmax + nmax % 2  # solve_gauge takes an even bound
     model = gauge.RawX1Model(dict(config.b_coeffs))
     configured = gauge.verify_gauge(model, gauge.solve_gauge(model, kmax), nmax)
     rng = _rng(config, 707)
@@ -306,7 +300,6 @@ def uh_sl2(config: Config) -> List[RelationCheck]:
     checks.extend(uhsl2.specialization_report(config.order))
     checks.extend(_confluence(xi, "xi rule"))
 
-    xi = uhsl2.xi_algebra(config.order, XI_RANDOM_H_MIN)
     rng = _rng(config, 909)
     words = [random_word(rng, 4) for _ in range(60)]
     checks.append(_check("xi table normal form equals rewriting (60 words)",

@@ -17,7 +17,7 @@ from typing import Optional
 from . import checks as checks_mod
 from . import coalg, gauge, uhsl2
 from .config import Config, load_config, parse_a_coeffs, parse_b_coeffs
-from .expr import choose_alphabet, evaluate, h_floor, parse
+from .expr import choose_alphabet, evaluate, parse
 from .ncalg import x_algebra
 from .uhsl2 import xi_algebra
 
@@ -40,7 +40,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _config_from(args: argparse.Namespace) -> Config:
     keys = ("order", "a_coeffs", "fmt", "seed", "tol", "samples",
-            "b_coeffs", "gauge_kmax", "gauge_nmax")
+            "b_coeffs", "gauge_nmax")
     overrides = {k: getattr(args, k, None) for k in keys}
     return load_config(getattr(args, "config_path", None), overrides)
 
@@ -48,7 +48,7 @@ def _config_from(args: argparse.Namespace) -> Config:
 def _system_for(text: str, config: Config):
     ast = parse(text)
     if choose_alphabet(ast) == "xi":
-        return ast, xi_algebra(config.order, h_floor(ast))
+        return ast, xi_algebra(config.order)
     return ast, x_algebra(config.order, config.a_coeffs)
 
 
@@ -113,14 +113,13 @@ def cmd_check(args) -> int:
 
 def cmd_gauge(args) -> int:
     config = _config_from(args)
-    kmax, nmax = config.gauge_kmax, config.gauge_nmax
+    nmax = config.gauge_nmax
     model = gauge.RawX1Model(dict(config.b_coeffs))
-    solution = gauge.solve_gauge(model, kmax)
+    solution = gauge.solve_gauge(model, nmax + nmax % 2)
     verdict = gauge.verify_gauge(model, solution, nmax)
     payload = {
         "b": {str(k): str(v) for k, v in sorted(model.b.items())},
         "a": {str(k): str(v) for k, v in sorted(solution.a.items())},
-        "kmax": kmax,
         "nmax": nmax,
         "verified": verdict,
     }
@@ -221,10 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gauge", help="solve and verify the gauge recursion")
     p.add_argument("--b", dest="b_coeffs", type=parse_b_coeffs, default=None,
                    metavar="k:p/q,...", help="raw even b coefficients")
-    p.add_argument("--kmax", dest="gauge_kmax", type=int, default=None,
-                   help="solve for a_k up to k = kmax (even, >= nmax)")
     p.add_argument("--nmax", dest="gauge_nmax", type=int, default=None,
-                   help="verify the solution up to n = nmax")
+                   help="solve for a_k up to the even k >= nmax and verify "
+                        "the solution up to n = nmax")
     _add_common(p)
     p.set_defaults(fn=cmd_gauge)
 

@@ -98,7 +98,7 @@ def _times(a: dict, c, one) -> dict:
         return a
     if a is one.terms:
         return c.terms
-    return one._mul_terms(a, c.terms, one._bounds)
+    return one._mul_terms(a, c.terms, one._bound)
 
 
 def _add(out: dict, key, p: dict) -> None:

@@ -52,7 +52,6 @@ class Config:
     a_coeffs: Tuple[Fraction, ...] = (Fraction(4),)
     b_coeffs: Mapping[int, Fraction] = field(
         default_factory=lambda: {2: Fraction(1, 4)})
-    gauge_kmax: int = 12
     gauge_nmax: int = 12
     samples: int = 50
     tol: float = 1e-6
@@ -62,13 +61,8 @@ class Config:
     def validate(self) -> "Config":
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if self.gauge_kmax % 2:
-            raise ValueError("gauge_kmax must be even")
         if self.gauge_nmax < 1:
             raise ValueError("gauge_nmax must be >= 1")
-        if self.gauge_kmax < self.gauge_nmax:
-            raise ValueError("gauge_kmax must be >= gauge_nmax (the gauge is "
-                             "verified up to gauge_nmax)")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not self.tol > 0:
@@ -84,7 +78,6 @@ _PARSERS = {
     "order": int,
     "a_coeffs": parse_a_coeffs,
     "b_coeffs": parse_b_coeffs,
-    "gauge_kmax": int,
     "gauge_nmax": int,
     "samples": int,
     "tol": float,

@@ -266,34 +266,6 @@ def choose_alphabet(node: Expr) -> str:
     return "x"
 
 
-def _most_letters(node: Expr, name: str) -> int:
-    """The most letters ``name`` that one word of the expression can hold:
-    a product adds the counts of its factors, a power multiplies the count
-    of its base, and a sum takes the larger count of its two sides."""
-    if isinstance(node, Sym):
-        return int(node.name == name)
-    if isinstance(node, Mul):
-        return _most_letters(node.left, name) + _most_letters(node.right, name)
-    if isinstance(node, (Add, Sub)):
-        return max(_most_letters(node.left, name),
-                   _most_letters(node.right, name))
-    if isinstance(node, Pow):
-        return _most_letters(node.base, name) * node.exponent
-    return 0
-
-
-def h_floor(node: Expr) -> int:
-    """The lowest h exponent that evaluating a two-parameter expression, or
-    taking its coproduct, can reach; at most -2, the floor of the
-    generators' own relations.
-
-    Each xi3 moved past an xi2 brings at most one 1/sinh(h), a word with n2
-    letters xi2 and n3 letters xi3 has at most n2 n3 such pairs, and the
-    coproduct of a normal-ordered monomial moves no xi3 past an xi2.
-    """
-    return -max(2, _most_letters(node, "xi2") * _most_letters(node, "xi3"))
-
-
 def evaluate(node: Expr, system: RewriteSystem) -> NCElement:
     """Interpret an AST in the given rewrite system, normal-formed.
 

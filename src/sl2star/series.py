@@ -6,11 +6,11 @@ series in one parameter ``eps`` over arbitrary-precision rationals, in which
 every operation is exact through the truncation order (only units are
 inverted or square-rooted).  ``BiSeries`` keys them by an ``(i, j)``
 exponent pair: the two-parameter variant in ``(eps, h)`` used by the
-two-parameter algebra, truncated by total degree, with an ``h`` exponent
-that may go below zero (for 1/sinh(h)).  A value is its terms plus the
-bounds of its ring, nothing else.  Sums, differences, negation, rational
-multiples, equality, powers and the inverse are the core's; each key type
-has its own product and substitutions.
+two-parameter algebra, truncated by total degree, Laurent in ``h`` (for
+1/sinh(h)).  A value is its terms plus the one bound of its ring, nothing
+else.  Sums, differences, negation, rational multiples, equality, powers
+and the inverse are the core's; each key type has its own product and
+substitutions.
 
 All values are immutable after construction and all operations are pure, so
 instances are safe to share across threads.  Coefficients are stored as
@@ -39,15 +39,11 @@ class SeriesError(ValueError):
 
 
 class SeriesConfigError(SeriesError):
-    """Mismatched truncation order or h bound between operands."""
+    """Mismatched truncation bound between operands."""
 
 
 class SeriesDomainError(SeriesError):
     """Operation not defined for the given series (non-unit inverse or sqrt, ...)."""
-
-
-class HBoundError(SeriesDomainError):
-    """A two-parameter result needs an h exponent below the ring's ``h_min``."""
 
 
 def as_pair(x: RationalLike) -> tuple:
@@ -73,24 +69,22 @@ class _Series:
     """The ring core shared by ``EpsSeries`` and ``BiSeries``.
 
     A value is ``terms``, a sparse dict from an exponent key to a reduced
-    rational pair with no stored zeros, plus the bounds of its ring: the
-    truncation degree, and for ``BiSeries`` the lowest admissible h
-    exponent.  Everything that is blind to the key type lives here: sums,
-    differences, negation and rational multiples through the kernel's
-    ``s_add``/``s_sub``/``s_neg``/``s_scale``, the constructors
-    ``zero``/``one``/``constant`` (each taking the bounds), coercion of ints
-    and Fractions, equality (which ignores the h bound), powers, the
-    inverse and printing.  A
-    subclass supplies its key type: the key check of its constructor,
-    ``_mul_terms`` (the product of two payloads, with the bound check of
-    the type, which ``__mul__`` and the coalgebra loops share), ``_degree``
-    and ``_neg_key`` of a key, and its substitutions.
+    rational pair with no stored zeros, plus the one bound of its ring: the
+    truncation degree.  Everything that is blind to the key type lives
+    here: sums, differences, negation and rational multiples through the
+    kernel's ``s_add``/``s_sub``/``s_neg``/``s_scale``, the constructors
+    ``zero``/``one``/``constant`` (each taking the bound), coercion of ints
+    and Fractions, equality, powers, the inverse and printing.  A subclass
+    supplies its key type: the key check of its constructor, ``_mul_terms``
+    (the product of two payloads truncated at the bound, which ``__mul__``
+    and the coalgebra loops share), ``_degree`` and ``_neg_key`` of a key,
+    and its substitutions.
     """
 
-    __slots__ = ("terms", "_bounds")
+    __slots__ = ("terms", "_bound")
 
-    #: names of the bounds, for display
-    _BOUND_NAMES = ("hi", "lo")
+    #: name of the bound, for display
+    _BOUND_NAME = "hi"
     #: the key of the constant term
     _UNIT_KEY = None
 
@@ -98,20 +92,20 @@ class _Series:
         """A value of this ring whose terms are already clean (not copied)."""
         out = object.__new__(type(self))
         out.terms = terms
-        out._bounds = self._bounds
+        out._bound = self._bound
         return out
 
     @classmethod
-    def zero(cls, *bounds: int):
-        return cls({}, *bounds)
+    def zero(cls, bound: int):
+        return cls({}, bound)
 
     @classmethod
-    def constant(cls, value: RationalLike, *bounds: int):
-        return cls({cls._UNIT_KEY: value}, *bounds)
+    def constant(cls, value: RationalLike, bound: int):
+        return cls({cls._UNIT_KEY: value}, bound)
 
     @classmethod
-    def one(cls, *bounds: int):
-        return cls.constant(1, *bounds)
+    def one(cls, bound: int):
+        return cls.constant(1, bound)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -121,32 +115,30 @@ class _Series:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, type(self)):
-            return self._bounds[0] == other._bounds[0] and self.terms == other.terms
+            return self._bound == other._bound and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self == self.constant(other, *self._bounds)
+            return self == self.constant(other, self._bound)
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self!s}, "
-                f"{self._BOUND_NAMES[0]}={self._bounds[0]})")
+                f"{self._BOUND_NAME}={self._bound})")
 
     def __str__(self) -> str:
         return format_terms(self.terms, self._power_str)
 
     def _check(self, other) -> None:
-        if self._bounds != other._bounds:
-            hi, ohi = self._bounds[0], other._bounds[0]
-            if hi != ohi:
-                raise SeriesConfigError(f"truncation mismatch: {hi} vs {ohi}")
-            raise SeriesConfigError(f"h bound mismatch: {self.h_min} vs {other.h_min}")
+        if self._bound != other._bound:
+            raise SeriesConfigError(
+                f"truncation mismatch: {self._bound} vs {other._bound}")
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
             return other
         if isinstance(other, (int, Fraction)):
-            return self.constant(other, *self._bounds)
+            return self.constant(other, self._bound)
         return NotImplemented
 
     def __add__(self, other):
@@ -180,14 +172,14 @@ class _Series:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
-        return self._wrap(self._mul_terms(self.terms, other.terms, self._bounds))
+        return self._wrap(self._mul_terms(self.terms, other.terms, self._bound))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             return self.invert() ** (-n)
-        out = self.one(*self._bounds)
+        out = self.one(self._bound)
         for _ in range(n):
             out = out * self
         return out
@@ -196,7 +188,7 @@ class _Series:
         """Inverse when the lowest-degree part is a single monomial c*m.
 
         The result is (1/c) m^-1 sum_k (-u)^k with u = s/(c m) - 1, whose
-        terms all have positive degree.  m^-1 must lie inside the bounds, so
+        terms all have positive degree.  m^-1 must be a key of the type, so
         an ``EpsSeries`` must be a unit.  For a ``BiSeries`` of leading
         degree v > 0 the result stores no degree above ``hi - v``; its terms
         above ``hi - 2v`` depend on coefficients of ``s`` beyond the
@@ -210,12 +202,12 @@ class _Series:
         if len(pivots) != 1:
             raise SeriesDomainError(
                 "inverse needs a unique lowest-total-degree monomial")
-        bounds = self._bounds
+        bound = self._bound
         c = self.terms[pivots[0]]
-        pivot_inv = type(self)({self._neg_key(pivots[0]): _q.qdiv((1, 1), c)}, *bounds)
+        pivot_inv = type(self)({self._neg_key(pivots[0]): _q.qdiv((1, 1), c)}, bound)
         u = self * pivot_inv - 1
-        acc = result = self.one(*bounds)
-        for _ in range(bounds[0] + abs(dmin) + 1):
+        acc = result = self.one(bound)
+        for _ in range(bound + abs(dmin) + 1):
             acc = acc * (-u)
             if acc.is_zero():
                 break
@@ -227,15 +219,15 @@ class EpsSeries(_Series):
     """Truncated power series in eps with exact coefficients.
 
     Keys are ``int`` exponents in ``[0, order]``; a negative exponent is
-    refused.  The one bound of the constructors is ``order``.
+    refused.  The bound of the constructors is ``order``.
     """
 
     __slots__ = ()
 
-    _BOUND_NAMES = ("order",)
+    _BOUND_NAME = "order"
     _UNIT_KEY = 0
 
-    order = property(lambda self: self._bounds[0])
+    order = property(lambda self: self._bound)
     _degree = staticmethod(lambda e: e)
     _neg_key = staticmethod(lambda e: -e)
 
@@ -255,7 +247,7 @@ class EpsSeries(_Series):
                     f"series (only units invert)")
             clean[e] = c
         self.terms = clean
-        self._bounds = (order,)
+        self._bound = order
 
     # -- misc queries ---------------------------------------------------
 
@@ -275,11 +267,11 @@ class EpsSeries(_Series):
     # -- ring operations ------------------------------------------------
 
     @staticmethod
-    def _mul_terms(a: dict, b: dict, bounds: tuple) -> dict:
-        """The product of two payloads of one ring with these bounds."""
+    def _mul_terms(a: dict, b: dict, hi: int) -> dict:
+        """The product of two payloads, truncated above degree ``hi``."""
         if not a or not b:
             return {}
-        return _q.s_mul(a, b, bounds[0])
+        return _q.s_mul(a, b, hi)
 
     def sqrt(self) -> "EpsSeries":
         """Square root of a unit whose constant term is the square of a
@@ -404,23 +396,21 @@ def even_series(coeffs: Iterable[RationalLike], order: int) -> EpsSeries:
 
 
 class _SeriesRing:
-    """Factory facade fixing the bounds of one series type for one
+    """Factory facade fixing the bound of one series type for one
     computation."""
 
     series = _Series
 
-    def __init__(self, *bounds: int):
-        self._bounds = bounds
-        self.one = self.series.one(*bounds)
-        self.zero = self.series.zero(*bounds)
+    def __init__(self, bound: int):
+        self._bound = bound
+        self.one = self.series.one(bound)
+        self.zero = self.series.zero(bound)
 
     def constant(self, value: RationalLike):
-        return self.series.constant(value, *self._bounds)
+        return self.series.constant(value, self._bound)
 
     def __repr__(self) -> str:
-        bounds = ", ".join(f"{name}={b}" for name, b
-                           in zip(self.series._BOUND_NAMES, self._bounds))
-        return f"{type(self).__name__}({bounds})"
+        return f"{type(self).__name__}({self.series._BOUND_NAME}={self._bound})"
 
 
 class EpsSeriesRing(_SeriesRing):
@@ -458,27 +448,26 @@ class BiSeries(_Series):
     """Sparse series in (eps, h), truncated by total degree.
 
     Keys are ``(eps_exp, h_exp)`` pairs; ``eps_exp >= 0`` always, while
-    ``h_exp`` may go down to ``h_min`` (Laurent in h only, for 1/sinh(h)).
-    The two bounds of the constructors are ``(total, h_min)``.
+    ``h_exp`` may be any integer (Laurent in h only, for 1/sinh(h)).  The
+    bound of the constructors is ``total``.
 
-    Truncation is a window on total degree.  For operands whose stored
-    terms all have nonnegative total degree the windowed product is exact
-    inside the window (no dropped term can re-enter it through a 1/h
-    factor), which keeps multiplication associative; all scalars produced
-    by the two-parameter rewrite system have that property.
+    Truncation is a window on total degree.  The windowed product is exact
+    inside the window when every stored scalar has nonnegative total
+    degree: then no dropped term can re-enter the window through a 1/h
+    factor, which keeps multiplication associative.  Every scalar of the
+    two-parameter rewrite system has that property; nothing enforces it.
     """
 
     __slots__ = ()
 
-    _BOUND_NAMES = ("total", "h_min")
+    _BOUND_NAME = "total"
     _UNIT_KEY = (0, 0)
 
-    total = property(lambda self: self._bounds[0])
-    h_min = property(lambda self: self._bounds[1])
+    total = property(lambda self: self._bound)
     _degree = staticmethod(lambda key: key[0] + key[1])
     _neg_key = staticmethod(lambda key: (-key[0], -key[1]))
 
-    def __init__(self, terms: Mapping[tuple, tuple], total: int, h_min: int = 0):
+    def __init__(self, terms: Mapping[tuple, tuple], total: int):
         if total < 1:
             raise SeriesConfigError("total degree bound must be >= 1")
         clean = {}
@@ -488,19 +477,16 @@ class BiSeries(_Series):
                 continue
             if i < 0:
                 raise SeriesDomainError("negative eps exponent in BiSeries")
-            if j < h_min:
-                raise HBoundError(
-                    f"h exponent {j} below Laurent bound {h_min}")
             if i + j > total:
                 continue
             clean[(i, j)] = c
         self.terms = clean
-        self._bounds = (total, h_min)
+        self._bound = total
 
     @classmethod
-    def monomial(cls, value: RationalLike, i: int, j: int, total: int,
-                 h_min: int = 0) -> "BiSeries":
-        return cls({(i, j): value}, total, h_min)
+    def monomial(cls, value: RationalLike, i: int, j: int,
+                 total: int) -> "BiSeries":
+        return cls({(i, j): value}, total)
 
     def coefficient(self, i: int, j: int) -> Fraction:
         n, d = self.terms.get((i, j), (0, 1))
@@ -517,13 +503,9 @@ class BiSeries(_Series):
         return "*".join(parts)
 
     @staticmethod
-    def _mul_terms(a: dict, b: dict, bounds: tuple) -> dict:
-        """The product of two payloads of one ring with these bounds."""
-        total, h_min = bounds
-        out = _q.s_mul_total(a, b, total)
-        if out and min(j for _, j in out) < h_min:
-            raise HBoundError(f"product underflows h Laurent bound {h_min}")
-        return out
+    def _mul_terms(a: dict, b: dict, hi: int) -> dict:
+        """The product of two payloads, truncated above total degree ``hi``."""
+        return _q.s_mul_total(a, b, hi)
 
     # -- substitutions and slices --------------------------------------
 
@@ -555,11 +537,10 @@ class BiSeries(_Series):
             "terms": [[[i, j], pair_str(c)]
                       for (i, j), c in sorted(self.terms.items())],
             "total": self.total,
-            "h_min": self.h_min,
         }
 
 
-def exp_bi(value: RationalLike, i: int, j: int, total: int, h_min: int = 0) -> BiSeries:
+def exp_bi(value: RationalLike, i: int, j: int, total: int) -> BiSeries:
     """exp(value * eps^i h^j) for a monomial argument with i+j >= 1."""
     if i + j < 1 or i < 0 or j < 0:
         raise SeriesDomainError("exp argument must be a positive-degree monomial")
@@ -572,32 +553,30 @@ def exp_bi(value: RationalLike, i: int, j: int, total: int, h_min: int = 0) -> B
             c = _q.qmul(c, _q.qdiv(v, (k, 1)))
         terms[(k * i, k * j)] = c
         k += 1
-    return BiSeries(terms, total, h_min)
+    return BiSeries(terms, total)
 
 
-def sinh_h(value: RationalLike, total: int, h_min: int = 0) -> BiSeries:
+def sinh_h(value: RationalLike, total: int) -> BiSeries:
     """sinh(value * h) as a BiSeries in h alone."""
-    e = exp_bi(value, 0, 1, total, h_min)
-    return BiSeries({k: c for k, c in e.terms.items() if k[1] % 2 == 1},
-                    total, h_min)
+    e = exp_bi(value, 0, 1, total)
+    return BiSeries({k: c for k, c in e.terms.items() if k[1] % 2 == 1}, total)
 
 
 class BiSeriesRing(_SeriesRing):
-    """The ring of ``BiSeries`` with fixed (total, h_min)."""
+    """The ring of ``BiSeries`` truncated at total degree ``total``."""
 
     kind = "bi"
     series = BiSeries
 
-    def __init__(self, total: int = DEFAULT_ORDER, h_min: int = -2):
-        super().__init__(total, h_min)
+    def __init__(self, total: int = DEFAULT_ORDER):
+        super().__init__(total)
         self.total = total
-        self.h_min = h_min
 
     def monomial(self, value: RationalLike, i: int, j: int) -> BiSeries:
-        return BiSeries.monomial(value, i, j, self.total, self.h_min)
+        return BiSeries.monomial(value, i, j, self.total)
 
     def exp(self, value: RationalLike, i: int, j: int) -> BiSeries:
-        return exp_bi(value, i, j, self.total, self.h_min)
+        return exp_bi(value, i, j, self.total)
 
     def sinh_h(self, value: RationalLike = 1) -> BiSeries:
-        return sinh_h(value, self.total, self.h_min)
+        return sinh_h(value, self.total)

@@ -167,6 +167,17 @@ def test_cli_gauge(capsys):
     assert data["a"]["4"] == "5/128"
 
 
+def test_cli_gauge_solves_through_nmax_rounded_up_to_even(capsys):
+    """The solve runs through the first even k >= nmax and the solution is
+    verified up to nmax."""
+    for nmax, last in (("12", "12"), ("7", "8")):
+        code, out = run_cli(capsys, "gauge", "--nmax", nmax, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["verified"] is True and "kmax" not in data
+        assert list(data["a"]) == [str(k) for k in range(0, int(last) + 1, 2)]
+
+
 def test_cli_uh(capsys):
     code, out = run_cli(capsys, "uh", "verify-z")
     assert code == 0
@@ -190,17 +201,22 @@ def test_cli_poisson_verify(capsys):
     ("xi_h_min", ["normalize", "xi1"], {"SL2STAR_XI_H_MIN": "-3"}),
     ("gauge_kmax", ["check", "gauge"], {"SL2STAR_GAUGE_KMAX": "11"}),
     ("gauge_nmax", ["gauge", "--nmax", "0"], {}),
-    ("gauge_kmax", ["gauge", "--kmax", "4"], {}),
+    ("gauge_kmax", ["gauge"], {"SL2STAR_GAUGE_KMAX": "12"}),
     ("order", ["normalize", "x1"], {"SL2STAR_ORDER": "abc"}),
     ("a_coeffs", ["normalize", "x1", "--A", "0"], {}),
     ("a_coeffs", ["normalize", "x1", "--A", ","], {}),
     ("a_coeffs", ["check", "uh", "--A", "2"], {}),
     ("SL2STAR_ODRER", ["normalize", "e+*x2"], {"SL2STAR_ODRER": "3"}),
+    ("--kmax", ["gauge", "--kmax", "12"], {}),
 ])
 def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert cli.main(argv) == 2
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses an unknown flag
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert setting in captured.err
     assert captured.out == ""
@@ -238,14 +254,15 @@ def test_cli_xi_expression(capsys):
     assert out.strip() == "2*eps*xi2"
 
 
-def test_cli_reads_the_h_floor_from_the_input(capsys):
-    """Three xi3 letters moved past three xi2 letters reach h^-9, below the
-    default floor of -2; the floor is read from the expression."""
+def test_cli_normalizes_words_with_deep_h_poles(capsys):
+    """Three xi3 letters moved past three xi2 letters leave h^-3 in the
+    normal form; the coefficients carry their total degree and no h bound."""
     for text in ("xi3^3*xi2^3", "xi3^2*xi2*xi3*xi2^2"):
         code, out = run_cli(capsys, "normalize", text, "--format", "json")
         assert code == 0
-        floors = {t["coeff"]["h_min"] for t in json.loads(out)["terms"]}
-        assert floors == {-9}
+        coeffs = [t["coeff"] for t in json.loads(out)["terms"]]
+        assert all(set(c) == {"terms", "total"} for c in coeffs)
+        assert min(j for c in coeffs for (_, j), _ in c["terms"]) == -3
 
 
 def test_cli_order_truncates_the_xi_algebra(capsys):

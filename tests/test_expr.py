@@ -16,7 +16,6 @@ from sl2star.expr import (
     Sym,
     choose_alphabet,
     evaluate,
-    h_floor,
     parse,
     print_expr,
     tokenize,
@@ -121,17 +120,6 @@ def test_choose_alphabet():
         choose_alphabet(parse("h*x2"))
 
 
-def test_h_floor_counts_the_xi2_and_xi3_letters_of_one_word():
-    """-n2 n3, with n2 and n3 the most xi2 and xi3 letters one word of the
-    expression can hold, and never above -2."""
-    assert h_floor(parse("xi1*E+")) == -2
-    assert h_floor(parse("xi3^3*xi2^3")) == -9
-    assert h_floor(parse("xi3^2*xi2*xi3*xi2^2")) == -9
-    assert h_floor(parse("(xi2 + xi3)^2")) == -4
-    assert h_floor(parse("xi3^4*xi2 - xi2^2*xi3")) == -8
-    assert h_floor(parse("(xi3*xi2)^0 + h")) == -2
-
-
 def random_xi_expression(rng):
     """One or two products of up to three powers of xi letters, the second
     times h, the whole squared at random."""
@@ -149,15 +137,21 @@ def random_xi_expression(rng):
     return text
 
 
-def test_expressions_and_their_coproducts_stay_above_the_derived_h_floor():
+def test_expressions_with_h_poles_evaluate_and_take_coproducts():
+    """The coproduct of a normal-ordered monomial moves no xi3 past an xi2,
+    so it keeps the h poles of the value and adds none."""
     rng = random.Random(13)
-    floors = []
+    xi = xi_algebra(8)
+    deep = 0
     for _ in range(200):
-        ast = parse(random_xi_expression(rng))
-        floors.append(h_floor(ast))
-        coalg.coproduct(evaluate(ast, xi_algebra(8, floors[-1])))
-    # 61 of the 200 draws need a floor below the default of -2
-    assert sum(f < -2 for f in floors) == 61
+        value = evaluate(parse(random_xi_expression(rng)), xi)
+        pole = min((c.h_pole_order() for c in value.terms.values()), default=0)
+        delta = coalg.coproduct(value)
+        assert min((c.h_pole_order() for c in delta.terms.values()),
+                   default=0) == pole
+        deep += pole < -2
+    # 11 of the 200 values keep a pole deeper than h^-2
+    assert deep == 11
 
 
 def test_eval_examples(xsys):
@@ -192,7 +186,7 @@ def _exp2_text(system):
 
 
 def test_eval_xi_expression():
-    xi = xi_algebra(8, -2)
+    xi = xi_algebra(8)
     got = evaluate(parse("xi2*xi1"), xi)
     assert got.terms == {
         PbwMonomial(1, 1, 0, 0): xi.ring.one,

@@ -17,7 +17,6 @@ from sl2star.ncalg import (
     add_term, measure, pbw_rules, random_element, random_word,
     rules_raising_measure, word_to_monomial, x_algebra,
 )
-from sl2star.series import HBoundError
 from sl2star.uhsl2 import xi_algebra
 
 
@@ -150,7 +149,7 @@ def test_merged_reduction_matches_the_unmerged_walk(system):
 
 
 def test_merged_reduction_matches_the_unmerged_walk_on_xi_words():
-    system = xi_algebra(8, -2)
+    system = xi_algebra(8)
     rng = random.Random(910)
     words = []
     while len(words) < 100:
@@ -195,7 +194,7 @@ def test_each_word_is_reduced_once(xsys, monkeypatch):
 TABLE_SYSTEMS = {
     "x": lambda: x_algebra(8),
     "x-tail": lambda: x_algebra(8, (4, 1)),
-    "xi": lambda: xi_algebra(8, -2),
+    "xi": lambda: xi_algebra(8),
 }
 LETTERS = (X1, X2, X3, EP, EM)
 
@@ -243,26 +242,22 @@ def test_basis_star_matches_rewriting(name):
             == {k for k, c in rewritten.items() if c is one}, (ma, mb)
 
 
-def test_tables_and_rewriting_leave_the_h_floor_on_the_same_words():
+def test_tables_equal_rewriting_on_words_with_deep_h_poles():
     """xi words of up to 6 letters with three or more xi3-before-xi2 pairs:
-    both paths raise HBoundError on the same five words and agree on the
-    rest."""
-    system = xi_algebra(8, -2)
-    raised = []
+    the two paths agree on every one.  The five words with three xi3 and
+    three xi2 letters keep an h^-3 in their normal forms."""
+    system = xi_algebra(8)
+    deep = []
     for k in range(7):
         for w in itertools.product(LETTERS, repeat=k):
             if xi_inversions(w) < 3:
                 continue
-            try:
-                expected = system.rewrite(w)
-            except HBoundError:
-                with pytest.raises(HBoundError):
-                    system.normal_form(w)
-                raised.append(w)
-                continue
+            expected = system.rewrite(w)
             assert system.normal_form(w) == expected, w
-    assert len(raised) == 5
-    assert all(sorted(w) == [X2] * 3 + [X3] * 3 for w in raised)
+            if min(c.h_pole_order() for c in expected.terms.values()) < -2:
+                deep.append(w)
+    assert len(deep) == 5
+    assert all(sorted(w) == [X2] * 3 + [X3] * 3 for w in deep)
 
 
 def test_rules_of_another_layout_are_refused(xsys):

@@ -17,7 +17,6 @@ from sl2star.series import (
     BiSeriesRing,
     EpsSeries,
     EpsSeriesRing,
-    HBoundError,
     SeriesConfigError,
     SeriesDomainError,
     exp_bi,
@@ -29,7 +28,8 @@ from sl2star.series import (
 
 N = 8
 BI_TOTAL = 8
-BI_H_MIN = -2
+#: the deepest h pole of a drawn two-parameter series
+BI_H_LOW = -2
 
 
 def S(terms, order=N):
@@ -71,7 +71,7 @@ def test_negative_exponent_is_refused():
         EpsSeriesRing(8).eps_power(1, -2)
     with pytest.raises(SeriesDomainError):
         # 1/(2 sinh h) at h = 2 eps starts at eps^-1
-        (sinh_h(1, 8, -2) * 2).invert().specialize_h(2, 8)
+        (sinh_h(1, 8) * 2).invert().specialize_h(2, 8)
 
 
 def test_invert_examples():
@@ -114,7 +114,7 @@ def test_invert_needs_a_unit():
 def test_invert_stores_no_exponent_above_order_minus_valuation():
     # a = h^v u with u known through total - v, and 1/a = h^-v / u
     for v in (1, 2, 3):
-        a = BiSeries({(0, v): 2, (0, v + 1): 1, (0, N): 5}, N, -3)
+        a = BiSeries({(0, v): 2, (0, v + 1): 1, (0, N): 5}, N)
         inv = a.invert()
         assert max(i + j for i, j in inv.terms) <= N - v
         assert inv.coefficient(0, -v) == Fraction(1, 2)
@@ -164,7 +164,7 @@ def test_eps_flip_and_stretch():
 def test_terms_beyond_the_bound_are_dropped():
     assert (S({5: 1}) * S({5: 1})).is_zero()
     assert S({9: 1}).is_zero()
-    assert BiSeries({(5, 4): 1}, 8, -2).is_zero()
+    assert BiSeries({(5, 4): 1}, 8).is_zero()
     assert sorted(exp_series(2, N).terms) == list(range(N + 1))
 
 
@@ -228,9 +228,9 @@ def test_invert_is_right_inverse(a):
 def test_invert_is_right_inverse_at_positive_valuation(v, c, tail):
     # c h^v plus terms of h exponent above v; an EpsSeries of positive
     # valuation has no inverse, so this is the BiSeries h pivot
-    a = BiSeries({(0, v): c}, BI_TOTAL, -3) + BiSeries(
-        {(0, e): q for e, q in tail.terms.items() if e > v}, BI_TOTAL, -3)
-    assert a * a.invert() == BiSeries.one(BI_TOTAL, -3)
+    a = BiSeries({(0, v): c}, BI_TOTAL) + BiSeries(
+        {(0, e): q for e, q in tail.terms.items() if e > v}, BI_TOTAL)
+    assert a * a.invert() == BiSeries.one(BI_TOTAL)
     with pytest.raises(SeriesDomainError):
         EpsSeries({v: c}, BI_TOTAL).invert()
 
@@ -253,10 +253,10 @@ def test_square_then_sqrt(a):
 
 def test_biseries_basics():
     T = 8
-    one = BiSeries.one(T, -2)
-    eps = BiSeries.monomial(1, 1, 0, T, -2)
-    h = BiSeries.monomial(1, 0, 1, T, -2)
-    assert eps * h == BiSeries.monomial(1, 1, 1, T, -2)
+    one = BiSeries.one(T)
+    eps = BiSeries.monomial(1, 1, 0, T)
+    h = BiSeries.monomial(1, 0, 1, T)
+    assert eps * h == BiSeries.monomial(1, 1, 1, T)
     assert (one + eps) * (one - eps) == one - eps * eps
     assert (eps * h).eps_flip() == -(eps * h)
     assert (h * h).eps_flip() == h * h
@@ -268,7 +268,7 @@ def test_biseries_exp_and_sinh():
     assert e.coefficient(0, 0) == 1
     assert e.coefficient(1, 1) == 1
     assert e.coefficient(2, 2) == Fraction(1, 2)
-    s = sinh_h(1, T, -2)
+    s = sinh_h(1, T)
     assert s.coefficient(0, 1) == 1
     assert s.coefficient(0, 3) == Fraction(1, 6)
     assert s.coefficient(0, 2) == 0
@@ -276,20 +276,20 @@ def test_biseries_exp_and_sinh():
 
 def test_biseries_invert_sinh():
     T = 8
-    s2 = sinh_h(1, T, -2) * 2
+    s2 = sinh_h(1, T) * 2
     inv = s2.invert()
-    assert s2 * inv == BiSeries.one(T, -2)
+    assert s2 * inv == BiSeries.one(T)
     assert inv.coefficient(0, -1) == Fraction(1, 2)
     with pytest.raises(SeriesDomainError):
         BiSeries.zero(T).invert()
-    mixed = BiSeries({(1, 0): 1, (0, 1): 1}, T, -2)
+    mixed = BiSeries({(1, 0): 1, (0, 1): 1}, T)
     with pytest.raises(SeriesDomainError):
         mixed.invert()  # two monomials at the lowest total degree
 
 
 def test_biseries_slices_and_specialize():
     T = 8
-    ring = BiSeriesRing(T, -2)
+    ring = BiSeriesRing(T)
     e = ring.exp(1, 1, 1)
     assert e.eps_slice(0) == ring.one
     # e^{eps h} at h = 2 eps is e^{2 eps^2}
@@ -302,33 +302,40 @@ def test_biseries_slices_and_specialize():
 
 
 def test_biseries_json_form():
-    a = BiSeries({(1, -1): Fraction(1, 2), (2, 0): -3}, 8, -2)
+    a = BiSeries({(1, -1): Fraction(1, 2), (2, 0): -3}, 8)
     assert a.to_json() == {"terms": [[[1, -1], "1/2"], [[2, 0], "-3"]],
-                           "total": 8, "h_min": -2}
+                           "total": 8}
 
 
 def test_biseries_config_mismatch():
-    a = BiSeries.one(8, -2)
+    a = BiSeries.one(8)
+    with pytest.raises(SeriesConfigError, match="truncation mismatch: 8 vs 6"):
+        a + BiSeries.one(6)
     with pytest.raises(SeriesConfigError):
-        a + BiSeries.one(6, -2)
-    with pytest.raises(SeriesConfigError):
-        a * BiSeries.one(8, -1)
+        a * BiSeries.one(6)
 
 
-def test_biseries_h_bound_errors():
-    with pytest.raises(HBoundError):
-        BiSeries({(0, -3): 1}, 8, -2)
-    with pytest.raises(HBoundError):
-        BiSeries.monomial(1, 1, -2, 8, -2) * BiSeries.monomial(1, 1, -1, 8, -2)
-    with pytest.raises(HBoundError):
-        BiSeries.monomial(1, 0, 1, 8, 0).invert()
+def test_each_ring_has_one_bound():
+    assert repr(BiSeries.monomial(1, 0, -1, 8)) == "BiSeries(h^-1, total=8)"
+    assert repr(BiSeriesRing(8)) == "BiSeriesRing(total=8)"
+    assert repr(EpsSeriesRing(5)) == "EpsSeriesRing(order=5)"
+    assert BiSeriesRing(8).one == BiSeries.one(8) == 1
+
+
+def test_biseries_h_poles_have_no_floor():
+    h = BiSeries.monomial(1, 0, 1, 8)
+    assert h.invert() == BiSeries.monomial(1, 0, -1, 8)
+    # eps^2 h^-2 times eps h^-1: the product reaches h^-3
+    product = BiSeries.monomial(1, 2, -2, 8) * BiSeries.monomial(3, 1, -1, 8)
+    assert product == BiSeries.monomial(3, 3, -3, 8)
+    assert product.h_pole_order() == -3
 
 
 # -- ring axioms of the two-parameter series --------------------------------
 
 
 @st.composite
-def bi_series(draw, h_low=BI_H_MIN):
+def bi_series(draw, h_low=BI_H_LOW):
     """Terms of nonnegative total degree with h exponents >= h_low."""
     n = draw(st.integers(min_value=0, max_value=4))
     terms = {}
@@ -336,7 +343,7 @@ def bi_series(draw, h_low=BI_H_MIN):
         j = draw(st.integers(min_value=h_low, max_value=BI_TOTAL))
         i = draw(st.integers(min_value=max(0, -j), max_value=BI_TOTAL - j))
         terms[(i, j)] = draw(coeffs)
-    return BiSeries(terms, BI_TOTAL, BI_H_MIN)
+    return BiSeries(terms, BI_TOTAL)
 
 
 @st.composite
@@ -344,7 +351,7 @@ def bi_unit(draw):
     """A nonzero constant plus terms of positive total degree, h exponents >= 0."""
     a = draw(bi_series(h_low=0))
     c0 = draw(coeffs.filter(bool))
-    return a - BiSeries.constant(a.coefficient(0, 0) - c0, BI_TOTAL, BI_H_MIN)
+    return a - BiSeries.constant(a.coefficient(0, 0) - c0, BI_TOTAL)
 
 
 @settings(max_examples=60, deadline=None)
@@ -352,30 +359,28 @@ def bi_unit(draw):
 def test_biseries_sum_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
-    assert a - a == BiSeries.zero(BI_TOTAL, BI_H_MIN)
+    assert a - a == BiSeries.zero(BI_TOTAL)
     assert -(-a) == a
-    assert a + BiSeries.zero(BI_TOTAL, BI_H_MIN) == a
+    assert a + BiSeries.zero(BI_TOTAL) == a
 
 
-# two factors with h^-1 terms meet the h_min of -2 at worst, so the third
-# factor of a product of three is drawn polynomial in h
 @settings(max_examples=60, deadline=None)
-@given(bi_series(h_low=-1), bi_series(h_low=-1), bi_series(h_low=0))
+@given(bi_series(), bi_series(), bi_series())
 def test_biseries_product_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a * BiSeries.one(BI_TOTAL, BI_H_MIN) == a
+    assert a * BiSeries.one(BI_TOTAL) == a
 
 
 @settings(max_examples=40, deadline=None)
 @given(bi_series(), coeffs)
 def test_biseries_rational_scale(a, q):
-    assert a * q == a * BiSeries.constant(q, BI_TOTAL, BI_H_MIN)
+    assert a * q == a * BiSeries.constant(q, BI_TOTAL)
     assert q * a == a * q
 
 
 @settings(max_examples=40, deadline=None)
 @given(bi_unit())
 def test_biseries_invert_is_right_inverse(a):
-    assert a * a.invert() == BiSeries.one(BI_TOTAL, BI_H_MIN)
+    assert a * a.invert() == BiSeries.one(BI_TOTAL)
