@@ -252,14 +252,10 @@ def poisson_lemma(config: Config) -> List[RelationCheck]:
     multiplicativity and the Jacobi identity."""
     from . import poisson  # numpy and scipy stay off the exact criteria
 
-    lemma = poisson.verify_integration_lemma(
-        samples=config.samples, tol=config.tol, seed=config.seed)
-    mult = poisson.verify_multiplicativity(pairs=config.samples,
-                                           seed=config.seed + 1)
-    jac = poisson.verify_jacobi(points=20, tol=config.tol,
-                                seed=config.seed + 2)
-    jac_lin = poisson.verify_jacobi(points=20, tol=config.tol,
-                                    seed=config.seed + 3, linearized=True)
+    lemma = poisson.verify_integration_lemma(seed=config.seed)
+    mult = poisson.verify_multiplicativity(seed=config.seed + 1)
+    jac = poisson.verify_jacobi(seed=config.seed + 2)
+    jac_lin = poisson.verify_jacobi(seed=config.seed + 3, linearized=True)
     return [
         _check("cobracket is the r-matrix coboundary (exact)",
                poisson.cocycle_check(poisson.standard_sl2_data()) == 0),

@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: normalize, product, commutator, coproduct, check, gauge,
-poisson verify, uh verify-z|verify-xi|limits.  Global flags (order,
-A-series, seed, tolerance, output format) may also come from a config file
+Subcommands: normalize, product, commutator, coproduct, check, gauge.
+Every verification suite runs through ``check <suite>``.  Global flags
+(order, A-series, seed, output format) may also come from a config file
 (--config) or SL2STAR_* environment variables; explicit flags win.  The
-exit code is 0 exactly when every requested check passed.
+exit code is 0 exactly when every requested check passed; a bad setting,
+an unparsable expression or a command line that argparse refuses gives 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import checks as checks_mod
-from . import coalg, gauge, uhsl2
+from . import coalg, gauge
 from .config import Config, load_config, parse_a_coeffs, parse_b_coeffs
 from .expr import choose_alphabet, evaluate, parse
 from .ncalg import x_algebra
@@ -32,15 +33,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", dest="fmt", choices=("text", "json"),
                         default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--config", dest="config_path", default=None,
                         help="flat key=value configuration file")
 
 
 def _config_from(args: argparse.Namespace) -> Config:
-    keys = ("order", "a_coeffs", "fmt", "seed", "tol", "samples",
-            "b_coeffs", "gauge_nmax")
+    keys = ("order", "a_coeffs", "fmt", "seed", "b_coeffs", "gauge_nmax")
     overrides = {k: getattr(args, k, None) for k in keys}
     return load_config(getattr(args, "config_path", None), overrides)
 
@@ -100,6 +98,8 @@ def _print_checks(report: dict) -> None:
             line = f"  {status}  {c['name']}"
             if c.get("detail") and c["detail"] != "exact":
                 line += f"  [{c['detail']}]"
+            if c.get("note"):
+                line += f"  ({c['note']})"
             print(line)
     print("all passed" if report["passed"] else "FAILURES present")
 
@@ -129,58 +129,6 @@ def cmd_gauge(args) -> int:
         print(f"verified up to n = {nmax}: {verdict}")
     _emit(payload, config, text)
     return 0 if verdict else 1
-
-
-def cmd_poisson(args) -> int:
-    from . import poisson  # numpy and scipy stay off the exact commands
-
-    config = _config_from(args)
-    lemma = poisson.verify_integration_lemma(
-        samples=config.samples, tol=config.tol, seed=config.seed)
-    mult = poisson.verify_multiplicativity(pairs=config.samples,
-                                           seed=config.seed + 1)
-    jac = poisson.verify_jacobi(points=20, tol=config.tol, seed=config.seed + 2)
-    passed = lemma["passed"] and mult["passed"] and jac["passed"]
-    payload = {"integration_lemma": lemma, "multiplicativity": mult,
-               "jacobi": jac, "passed": passed}
-
-    def text():
-        print(f"fitted kappa: {lemma['kappa']:.12g} "
-              f"(spread {lemma['kappa_spread']:.3e})")
-        print(f"bivector residual: {lemma['max_residual']:.3e} "
-              f"(tol {lemma['tolerance']:g}) -> "
-              f"{'PASS' if lemma['passed'] else 'FAIL'}")
-        print(f"multiplicativity residual: {mult['max_residual']:.3e} -> "
-              f"{'PASS' if mult['passed'] else 'FAIL'}")
-        print(f"jacobi residual: {jac['max_residual']:.3e} -> "
-              f"{'PASS' if jac['passed'] else 'FAIL'}")
-    _emit(payload, config, text)
-    return 0 if passed else 1
-
-
-def _print_report(checks) -> None:
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        line = f"{status}  {c.name}"
-        if c.note:
-            line += f"  ({c.note})"
-        print(line)
-
-
-def cmd_uh(args) -> int:
-    config = _config_from(args)
-    if args.mode == "verify-z":
-        z_sys = x_algebra(config.order, config.a_coeffs)
-        checks = uhsl2.z_commutators(z_sys) + uhsl2.z_coproducts(z_sys)
-    elif args.mode == "verify-xi":
-        checks = uhsl2.xi_relation_checks(xi_algebra(config.order))
-    else:
-        checks = uhsl2.limits_report(xi_algebra(config.order))
-        checks += uhsl2.specialization_report(config.order)
-    payload = {"mode": args.mode, "checks": [c.to_json() for c in checks],
-               "passed": uhsl2.report_passed(checks)}
-    _emit(payload, config, lambda: _print_report(checks))
-    return 0 if payload["passed"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,29 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_gauge)
 
-    p = sub.add_parser("poisson", help="numeric Poisson-Lie checks")
-    psub = p.add_subparsers(dest="mode", required=True)
-    pv = psub.add_parser("verify", help="integration lemma, multiplicativity, "
-                                        "Jacobi")
-    _add_common(pv)
-    pv.set_defaults(fn=cmd_poisson)
-
-    p = sub.add_parser("uh", help="enveloping-algebra change of variables")
-    usub = p.add_subparsers(dest="mode", required=True)
-    for mode, desc in (("verify-z", "z-generator relations and coproducts"),
-                       ("verify-xi", "two-parameter relations"),
-                       ("limits", "h->0 / eps->0 limits and h=2eps "
-                                  "specialization")):
-        pu = usub.add_parser(mode, help=desc)
-        _add_common(pu)
-        pu.set_defaults(fn=cmd_uh, mode=mode)
-
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage or help
+        return exc.code
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as exc:

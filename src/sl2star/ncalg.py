@@ -40,6 +40,7 @@ from .series import (
     EpsSeriesRing,
     RationalLike,
     SeriesConfigError,
+    binary_power,
 )
 
 
@@ -519,15 +520,7 @@ class NCElement(Combination):
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative star powers are not defined")
-        # binary powering: about 2 log2(n) star products, not n
-        out, square = None, self
-        while n:
-            if n & 1:
-                out = square if out is None else out * square
-            n >>= 1
-            if n:
-                square = square * square
-        return self.system.one if out is None else out
+        return binary_power(self, n, self.system.one)
 
     def classical(self, other: "NCElement") -> "NCElement":
         """Pointwise commutative product: basis exponents add componentwise."""

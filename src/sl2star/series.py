@@ -34,6 +34,19 @@ RationalLike = Union[int, Fraction, tuple, str]
 DEFAULT_ORDER = 8
 
 
+def binary_power(base, n: int, one):
+    """``base ** n`` for n >= 0 by square-and-multiply: about 2 log2(n)
+    products, not n; ``one`` is the result for n = 0."""
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if out is None else out
+
+
 class SeriesError(ValueError):
     """Base class for series arithmetic errors."""
 
@@ -179,10 +192,7 @@ class _Series:
     def __pow__(self, n: int):
         if n < 0:
             return self.invert() ** (-n)
-        out = self.one(self._bound)
-        for _ in range(n):
-            out = out * self
-        return out
+        return binary_power(self, n, self.one(self._bound))
 
     def invert(self):
         """Inverse when the lowest-degree part is a single monomial c*m.

@@ -19,7 +19,7 @@ Two changes of variables are verified on top of the one-parameter algebra:
 Sign convention: the printed source relations give the exponential letter
 the same scalar e^{+eps h} against xi2 and xi3; that choice contradicts
 [xi1, xi3] = -2 eps xi3 (the coideal check fails with it), so the xi3 rule
-uses e^{-eps h}.  The discrepancy is reported in the verify-xi output.
+uses e^{-eps h}.  The discrepancy is noted on that check in `check uh`.
 """
 
 from __future__ import annotations

@@ -55,11 +55,11 @@ def test_config_file(tmp_path):
 def test_precedence_env_and_cli(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("order = 6\nseed = 9\n")
-    env = {"SL2STAR_ORDER": "10", "SL2STAR_TOL": "1e-7"}
+    env = {"SL2STAR_ORDER": "10", "SL2STAR_GAUGE_NMAX": "7"}
     cfg = load_config(str(path), environ=env)
     assert cfg.order == 10           # env beats file
     assert cfg.seed == 9             # file survives where env is silent
-    assert cfg.tol == 1e-7
+    assert cfg.gauge_nmax == 7
     cfg = load_config(str(path), cli_overrides={"order": 12}, environ=env)
     assert cfg.order == 12           # CLI beats env
 
@@ -178,24 +178,33 @@ def test_cli_gauge_solves_through_nmax_rounded_up_to_even(capsys):
         assert list(data["a"]) == [str(k) for k in range(0, int(last) + 1, 2)]
 
 
-def test_cli_uh(capsys):
-    code, out = run_cli(capsys, "uh", "verify-z")
+def test_cli_check_uh_prints_the_notes(capsys):
+    """A check's note follows its line in text output."""
+    code, out = run_cli(capsys, "check", "uh")
     assert code == 0
-    assert "FAIL" not in out
+    assert "PASS" in out and "FAIL" not in out
+    assert "(sign opposite to the printed relation" in out
 
 
-def test_cli_poisson_verify(capsys):
-    code, out = run_cli(capsys, "poisson", "verify", "--format", "json")
+def test_cli_check_poisson_json(capsys):
+    code, out = run_cli(capsys, "check", "poisson", "--format", "json")
     assert code == 0
-    data = json.loads(out)
-    assert data["passed"] is True
-    assert data["integration_lemma"]["kappa"] == pytest.approx(8.0, abs=1e-6)
+    report = json.loads(out)
+    checks = report["suites"][0]["checks"]
+    assert report["passed"] is True and all(c["passed"] for c in checks)
+    assert any(c["detail"].startswith("kappa=8 ") for c in checks)
+
+
+def test_cli_help_returns_zero(capsys):
+    """main returns the code argparse exits with, here 0, and never raises."""
+    assert cli.main(["--help"]) == 0
+    assert "check" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("setting, argv, env", [
-    ("samples", ["poisson", "verify", "--samples", "0"], {}),
-    ("tol", ["poisson", "verify", "--tol", "-1"], {}),
     # settings that no longer exist are unknown names, refused as such
+    ("samples", ["check", "poisson", "--samples", "50"], {}),
+    ("tol", ["check", "poisson"], {"SL2STAR_TOL": "1e-6"}),
     ("laurent_min", ["normalize", "x1"], {"SL2STAR_LAURENT_MIN": "-2"}),
     ("xi_total", ["normalize", "xi1"], {"SL2STAR_XI_TOTAL": "8"}),
     ("xi_h_min", ["normalize", "xi1"], {"SL2STAR_XI_H_MIN": "-3"}),
@@ -208,15 +217,15 @@ def test_cli_poisson_verify(capsys):
     ("a_coeffs", ["check", "uh", "--A", "2"], {}),
     ("SL2STAR_ODRER", ["normalize", "e+*x2"], {"SL2STAR_ODRER": "3"}),
     ("--kmax", ["gauge", "--kmax", "12"], {}),
+    # argparse's refusals come back as the exit code, not as SystemExit
+    ("--tol", ["check", "poisson", "--tol", "1e-6"], {}),
+    ("nosuch", ["check", "nosuch"], {}),
+    ("command", ["--version"], {}),
 ])
 def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse refuses an unknown flag
-        code = exc.code
-    assert code == 2
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert setting in captured.err
     assert captured.out == ""

@@ -225,19 +225,18 @@ def test_exact_jacobian_matches_finite_differences():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_lemma_verification_report(seed):
-    rep = P.verify_integration_lemma(samples=50, tol=1e-6, seed=seed)
+    rep = P.verify_integration_lemma(seed=seed)
     assert rep["passed"]
     assert rep["kappa"] == pytest.approx(8.0, abs=1e-6)
     assert rep["kappa_spread"] < 1e-9
     assert rep["max_residual"] < 1e-6
-    assert len(rep["points"]) == 50
 
 
 def test_multiplicativity():
     g = P.point_from_coords([0.5, 0.2, -0.7])
     assert P.multiplicativity_check(g, P.IDENTITY) == 0.0
     assert P.multiplicativity_check(P.IDENTITY, g) == 0.0
-    rep = P.verify_multiplicativity(pairs=50, tol=1e-8, seed=1)
+    rep = P.verify_multiplicativity(seed=1)
     assert rep["passed"]
     assert rep["max_residual"] < 1e-8
 
@@ -246,7 +245,7 @@ def test_jacobi():
     assert P.jacobi_check([0.0, 0.0, 0.0]) < 1e-12
     assert P.jacobi_check([0.3, 1.2, -0.7]) < 1e-6
     assert P.jacobi_check([0.3, 1.2, -0.7], linearized=True) < 1e-6
-    rep = P.verify_jacobi(points=20, tol=1e-6, seed=2)
+    rep = P.verify_jacobi(seed=2)
     assert rep["passed"]
 
 

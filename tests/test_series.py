@@ -380,6 +380,17 @@ def test_biseries_rational_scale(a, q):
     assert q * a == a * q
 
 
+@settings(max_examples=30, deadline=None)
+@given(series(), bi_series())
+def test_powers_equal_repeated_products(a, b):
+    """Square-and-multiply gives the n-fold product, for both key types."""
+    for s, one in ((a, EpsSeries.one(12)), (b, BiSeries.one(BI_TOTAL))):
+        product = one
+        for n in range(13):
+            assert s ** n == product
+            product = product * s
+
+
 @settings(max_examples=40, deadline=None)
 @given(bi_unit())
 def test_biseries_invert_is_right_inverse(a):
