@@ -201,18 +201,17 @@ def opposite_product_symmetry(config: Config) -> List[RelationCheck]:
 def gauge_solver(config: Config) -> List[RelationCheck]:
     """Criterion 7: the gauge recursion straightens the raw x1-line model."""
     nmax = config.gauge_nmax
-    kmax = nmax + nmax % 2  # solve_gauge takes an even bound
     model = gauge.RawX1Model(dict(config.b_coeffs))
-    configured = gauge.verify_gauge(model, gauge.solve_gauge(model, kmax), nmax)
+    configured = gauge.verify_gauge(model, gauge.solve_gauge(model, nmax), nmax)
     rng = _rng(config, 707)
     random_ok = True
     for _ in range(20):
         b = {2 * k: Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
              for k in range(1, rng.randrange(2, 7))}
         m = gauge.RawX1Model(b)
-        random_ok &= gauge.verify_gauge(m, gauge.solve_gauge(m, kmax), nmax)
+        random_ok &= gauge.verify_gauge(m, gauge.solve_gauge(m, nmax), nmax)
     c = Fraction(5, 9)
-    a2 = gauge.solve_gauge(gauge.RawX1Model({2: c}), kmax).a_at(2)
+    a2 = gauge.solve_gauge(gauge.RawX1Model({2: c}), nmax).a_at(2)
     return [
         _check("gauge solver straightens configured b", configured),
         _check("gauge solver on random even b (20 draws)", random_ok),

@@ -1,53 +1,60 @@
 """Command-line interface.
 
-Subcommands: normalize, product, commutator, coproduct, check, gauge.
-Every verification suite runs through ``check <suite>``.  Global flags
-(order, A-series, seed, output format) may also come from a config file
-(--config) or SL2STAR_* environment variables; explicit flags win.  The
-exit code is 0 exactly when every requested check passed; a bad setting,
-an unparsable expression or a command line that argparse refuses gives 2.
+Subcommands: normalize, coproduct, check, gauge.  A product or commutator
+is an expression: ``normalize "(a)*(b) - (b)*(a)"``.  Every verification
+suite runs through ``check <suite>``.  Settings come only from flags, and
+each subcommand takes exactly the flags it reads.  The exit code is 0
+exactly when every requested check passed; a bad flag value, a set
+``SL2STAR_*`` variable, an unparsable expression or a command line that
+argparse refuses gives 2, with a message that names the culprit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from . import checks as checks_mod
 from . import coalg, gauge
-from .config import Config, load_config, parse_a_coeffs, parse_b_coeffs
+from .config import (
+    Config, int_at_least, parse_a_coeffs, parse_b_coeffs,
+)
 from .expr import choose_alphabet, evaluate, parse
 from .ncalg import x_algebra
 from .uhsl2 import xi_algebra
 
+#: settings come only from flags; a set variable with this prefix is refused
+#: by name, so a stale one cannot change what a run did unseen
+ENV_PREFIX = "SL2STAR_"
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--order", type=int, default=None,
+
+def _add_algebra_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--order", type=int_at_least(1),
                         help="series truncation order of both algebras "
                              "(default 8)")
     parser.add_argument("--A", dest="a_coeffs", type=parse_a_coeffs,
-                        default=None, metavar="c0,c2,...",
+                        metavar="c0,c2,...",
                         help="even coefficients of the free A-series")
-    parser.add_argument("--format", dest="fmt", choices=("text", "json"),
-                        default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--config", dest="config_path", default=None,
-                        help="flat key=value configuration file")
+
+
+def _add_gauge_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--b", dest="b_coeffs", type=parse_b_coeffs,
+                        metavar="k:p/q,...",
+                        help="raw even b coefficients (default 2:1/4)")
+    parser.add_argument("--nmax", dest="gauge_nmax", type=int_at_least(1),
+                        metavar="N",
+                        help="solve for a_k up to the even k >= nmax and "
+                             "verify the solution up to n = nmax (default 12)")
 
 
 def _config_from(args: argparse.Namespace) -> Config:
-    keys = ("order", "a_coeffs", "fmt", "seed", "b_coeffs", "gauge_nmax")
-    overrides = {k: getattr(args, k, None) for k in keys}
-    return load_config(getattr(args, "config_path", None), overrides)
-
-
-def _system_for(text: str, config: Config):
-    ast = parse(text)
-    if choose_alphabet(ast) == "xi":
-        return ast, xi_algebra(config.order)
-    return ast, x_algebra(config.order, config.a_coeffs)
+    """The Config of the flags given; a flag left out keeps its default."""
+    return Config(**{f.name: getattr(args, f.name) for f in fields(Config)
+                     if getattr(args, f.name, None) is not None})
 
 
 def _emit(payload, config: Config, text_fn) -> None:
@@ -57,35 +64,15 @@ def _emit(payload, config: Config, text_fn) -> None:
         text_fn()
 
 
-def cmd_normalize(args) -> int:
+def cmd_expression(args) -> int:
+    """``args.op`` (the normal form itself, or its coproduct) of ``args.expr``."""
     config = _config_from(args)
-    ast, system = _system_for(args.expr, config)
-    result = evaluate(ast, system)
-    _emit(result.to_json(), config, lambda: print(result))
-    return 0
-
-
-def cmd_product(args) -> int:
-    config = _config_from(args)
-    ast1, system = _system_for(f"({args.expr1})*({args.expr2})", config)
-    result = evaluate(ast1, system)
-    _emit(result.to_json(), config, lambda: print(result))
-    return 0
-
-
-def cmd_commutator(args) -> int:
-    config = _config_from(args)
-    combined = f"({args.expr1})*({args.expr2}) - ({args.expr2})*({args.expr1})"
-    ast, system = _system_for(combined, config)
-    result = evaluate(ast, system)
-    _emit(result.to_json(), config, lambda: print(result))
-    return 0
-
-
-def cmd_coproduct(args) -> int:
-    config = _config_from(args)
-    ast, system = _system_for(args.expr, config)
-    result = coalg.coproduct(evaluate(ast, system))
+    ast = parse(args.expr)
+    if choose_alphabet(ast) == "xi":
+        system = xi_algebra(config.order)
+    else:
+        system = x_algebra(config.order, config.a_coeffs)
+    result = args.op(evaluate(ast, system))
     _emit(result.to_json(), config, lambda: print(result))
     return 0
 
@@ -115,7 +102,7 @@ def cmd_gauge(args) -> int:
     config = _config_from(args)
     nmax = config.gauge_nmax
     model = gauge.RawX1Model(dict(config.b_coeffs))
-    solution = gauge.solve_gauge(model, nmax + nmax % 2)
+    solution = gauge.solve_gauge(model, nmax)
     verdict = gauge.verify_gauge(model, solution, nmax)
     payload = {
         "b": {str(k): str(v) for k, v in sorted(model.b.items())},
@@ -138,46 +125,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "the quantized dual of sl(2,R)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normalize", help="normal form of an expression")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(fn=cmd_normalize)
-
-    p = sub.add_parser("product", help="star product of two expressions")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-    _add_common(p)
-    p.set_defaults(fn=cmd_product)
-
-    p = sub.add_parser("commutator", help="star commutator of two expressions")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-    _add_common(p)
-    p.set_defaults(fn=cmd_commutator)
-
-    p = sub.add_parser("coproduct", help="deformed coproduct of an expression")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(fn=cmd_coproduct)
+    for name, op, what in (
+            ("normalize", lambda result: result, "normal form"),
+            ("coproduct", coalg.coproduct, "deformed coproduct")):
+        p = sub.add_parser(name, help=f"{what} of an expression")
+        p.add_argument("expr")
+        _add_algebra_flags(p)
+        p.set_defaults(fn=cmd_expression, op=op)
 
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("suite", choices=sorted(checks_mod.SUITES) + ["all"])
-    _add_common(p)
+    _add_algebra_flags(p)
+    p.add_argument("--seed", type=int_at_least(0),
+                   help="moves every random draw of the checks (default 0)")
+    _add_gauge_flags(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("gauge", help="solve and verify the gauge recursion")
-    p.add_argument("--b", dest="b_coeffs", type=parse_b_coeffs, default=None,
-                   metavar="k:p/q,...", help="raw even b coefficients")
-    p.add_argument("--nmax", dest="gauge_nmax", type=int, default=None,
-                   help="solve for a_k up to the even k >= nmax and verify "
-                        "the solution up to n = nmax")
-    _add_common(p)
+    _add_gauge_flags(p)
     p.set_defaults(fn=cmd_gauge)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", dest="fmt", choices=("text", "json"))
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
+    leftover = sorted(name for name in os.environ
+                      if name.startswith(ENV_PREFIX))
+    if leftover:
+        print(f"error: {', '.join(leftover)}: settings come only from "
+              f"command-line flags; unset the environment variable",
+              file=sys.stderr)
+        return 2
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed its usage or help

@@ -112,15 +112,14 @@ def cnk_from_b(model: RawX1Model, nmax: int) -> CnkTable:
 
 
 def solve_gauge(model: RawX1Model, kmax: int) -> GaugeSolution:
-    """Solve a_k = (1/k) sum over even m in [2, k] of a_{k-m} b_m, a_0 = 1.
+    """Solve a_k = (1/k) sum over even m in [2, k] of a_{k-m} b_m, a_0 = 1,
+    for every even k up to kmax rounded up to even.
 
     The recursion carries no n-dependence; that the same a_k straighten
     every power is what verify_gauge checks.
     """
-    if kmax % 2:
-        raise ValueError("kmax must be even")
     a = {0: Fraction(1)}
-    for k in range(2, kmax + 1, 2):
+    for k in range(2, kmax + 2, 2):
         acc = Fraction(0)
         for m in range(2, k + 1, 2):
             bm = model.b_at(m)

@@ -42,12 +42,12 @@ BASIS_LABELS = ("H", "X+", "X-")
 DEFAULT_KAPPA = 8.0
 
 #: largest spread of the kappa fitted at the samples of the integration lemma
-KAPPA_SPREAD_TOL = 1e-9
+KAPPA_SPREAD_TOL = 1e-10
 
 #: sizes and pass bounds of the three numeric checks of criterion 10: the
 #: integration lemma (largest relative residual), multiplicativity and Jacobi
-LEMMA_SAMPLES, LEMMA_TOL = 50, 1e-6
-MULTIPLICATIVITY_PAIRS, MULTIPLICATIVITY_TOL = 50, 1e-8
+LEMMA_SAMPLES, LEMMA_TOL = 50, 1e-10
+MULTIPLICATIVITY_PAIRS, MULTIPLICATIVITY_TOL = 50, 1e-10
 JACOBI_POINTS, JACOBI_TOL = 20, 1e-6
 
 #: step of the central differences in ``jacobi_check``

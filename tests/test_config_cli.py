@@ -1,5 +1,6 @@
-"""Configuration layering and the command-line surface."""
+"""Flag parsers, the Config defaults and the command-line surface."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -9,13 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from sl2star import cli
+from sl2star import checks, cli
 from sl2star.config import (
     Config,
-    load_config,
+    int_at_least,
     parse_a_coeffs,
     parse_b_coeffs,
-    read_config_file,
 )
 from sl2star.expr import evaluate, parse
 from sl2star.ncalg import EM, X1, X2, X3, x_algebra
@@ -28,49 +28,28 @@ def test_parse_helpers():
                                          Fraction(1, 3))
     assert parse_b_coeffs("2:1/4,4:1/8") == {2: Fraction(1, 4),
                                              4: Fraction(1, 8)}
-    with pytest.raises(ValueError):
+    assert int_at_least(1)("12") == 12 and int_at_least(0)("0") == 0
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_b_coeffs("2=1/4")
 
 
 def test_defaults():
-    cfg = load_config(environ={})
+    cfg = Config()
     assert cfg.order == 8
     assert cfg.a_coeffs == (Fraction(4),)
     assert cfg.b_coeffs == {2: Fraction(1, 4)}
+    assert cfg.gauge_nmax == 12
     assert cfg.fmt == "text"
 
 
-def test_config_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("order = 6\nA = 4,1/2  # free tail\nformat = json\n")
-    values = read_config_file(str(path))
-    assert values == {"order": 6, "a_coeffs": (Fraction(4), Fraction(1, 2)),
-                      "fmt": "json"}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no_such_key = 3\n")
-    with pytest.raises(ValueError):
-        read_config_file(str(bad))
-
-
-def test_precedence_env_and_cli(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("order = 6\nseed = 9\n")
-    env = {"SL2STAR_ORDER": "10", "SL2STAR_GAUGE_NMAX": "7"}
-    cfg = load_config(str(path), environ=env)
-    assert cfg.order == 10           # env beats file
-    assert cfg.seed == 9             # file survives where env is silent
-    assert cfg.gauge_nmax == 7
-    cfg = load_config(str(path), cli_overrides={"order": 12}, environ=env)
-    assert cfg.order == 12           # CLI beats env
-
-
 def test_validation():
-    with pytest.raises(ValueError):
-        Config(order=0).validate()
-    with pytest.raises(ValueError):
-        Config(a_coeffs=(Fraction(0),)).validate()
-    with pytest.raises(ValueError):
-        Config(fmt="yaml").validate()
+    """The flag parsers refuse the values a Config cannot hold."""
+    for parser, text in ((int_at_least(1), "0"), (int_at_least(0), "-1"),
+                         (parse_a_coeffs, "0"), (parse_a_coeffs, ""),
+                         (parse_a_coeffs, "4,1/0"), (parse_b_coeffs, "3:1"),
+                         (parse_b_coeffs, "0:1")):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parser(text)
 
 
 # -- CLI ---------------------------------------------------------------
@@ -125,10 +104,15 @@ def test_cli_normalize_json(capsys):
 
 
 def test_cli_product_and_commutator(capsys):
-    code, out = run_cli(capsys, "product", "x1", "x2")
-    assert code == 0 and out.strip() == "x1*x2"
-    code, out = run_cli(capsys, "commutator", "x1", "x2")
-    assert code == 0 and out.strip() == "2*eps*x2"
+    """A product or commutator is an expression; the output is pinned."""
+    for argv, expected in (
+            (["(x1)*(x2)"], "x1*x2"),
+            (["(x1)*(x2) - (x2)*(x1)"], "2*eps*x2"),
+            (["(x2)*(x1)", "--order", "10"], "0 - 2*eps*x2 + x1*x2"),
+            (["(x2)*(x3) - (x3)*(x2)", "--A", "4,0,1/3"],
+             "0 - (4*eps + 1/3*eps^5)*e-^2 + (4*eps + 1/3*eps^5)*e+^2")):
+        code, out = run_cli(capsys, "normalize", *argv)
+        assert code == 0 and out.strip() == expected
 
 
 def test_cli_coproduct(capsys):
@@ -167,6 +151,18 @@ def test_cli_gauge(capsys):
     assert data["a"]["4"] == "5/128"
 
 
+def test_cli_check_reads_the_gauge_flags(capsys, monkeypatch):
+    """Criterion 7 runs at the b and nmax given to check."""
+    seen = []
+    run_suite = checks.run_suite
+    monkeypatch.setattr(checks, "run_suite", lambda suite, config: (
+        seen.append(config) or run_suite(suite, config)))
+    code, out = run_cli(capsys, "check", "gauge", "--b", "2:1/3",
+                        "--nmax", "5", "--format", "json")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert seen[0].b_coeffs == {2: Fraction(1, 3)} and seen[0].gauge_nmax == 5
+
+
 def test_cli_gauge_solves_through_nmax_rounded_up_to_even(capsys):
     """The solve runs through the first even k >= nmax and the solution is
     verified up to nmax."""
@@ -202,18 +198,20 @@ def test_cli_help_returns_zero(capsys):
 
 
 @pytest.mark.parametrize("setting, argv, env", [
-    # settings that no longer exist are unknown names, refused as such
+    # a flag that no longer exists is an unknown name, refused as such
     ("samples", ["check", "poisson", "--samples", "50"], {}),
-    ("tol", ["check", "poisson"], {"SL2STAR_TOL": "1e-6"}),
-    ("laurent_min", ["normalize", "x1"], {"SL2STAR_LAURENT_MIN": "-2"}),
-    ("xi_total", ["normalize", "xi1"], {"SL2STAR_XI_TOTAL": "8"}),
-    ("xi_h_min", ["normalize", "xi1"], {"SL2STAR_XI_H_MIN": "-3"}),
-    ("gauge_kmax", ["check", "gauge"], {"SL2STAR_GAUGE_KMAX": "11"}),
-    ("gauge_nmax", ["gauge", "--nmax", "0"], {}),
-    ("gauge_kmax", ["gauge"], {"SL2STAR_GAUGE_KMAX": "12"}),
-    ("order", ["normalize", "x1"], {"SL2STAR_ORDER": "abc"}),
-    ("a_coeffs", ["normalize", "x1", "--A", "0"], {}),
-    ("a_coeffs", ["normalize", "x1", "--A", ","], {}),
+    # settings come only from flags: any set SL2STAR_* variable is refused
+    ("SL2STAR_TOL", ["check", "poisson"], {"SL2STAR_TOL": "1e-6"}),
+    ("SL2STAR_LAURENT_MIN", ["normalize", "x1"], {"SL2STAR_LAURENT_MIN": "-2"}),
+    ("SL2STAR_XI_TOTAL", ["normalize", "xi1"], {"SL2STAR_XI_TOTAL": "8"}),
+    ("SL2STAR_XI_H_MIN", ["normalize", "xi1"], {"SL2STAR_XI_H_MIN": "-3"}),
+    ("SL2STAR_GAUGE_KMAX", ["check", "gauge"], {"SL2STAR_GAUGE_KMAX": "11"}),
+    ("--nmax", ["gauge", "--nmax", "0"], {}),
+    ("SL2STAR_GAUGE_KMAX", ["gauge"], {"SL2STAR_GAUGE_KMAX": "12"}),
+    ("SL2STAR_ORDER", ["normalize", "x1"], {"SL2STAR_ORDER": "abc"}),
+    ("--A", ["normalize", "x1", "--A", "0"], {}),
+    ("--A", ["normalize", "x1", "--A", ","], {}),
+    # a valid --A whose constant the z-generators cannot take a root of
     ("a_coeffs", ["check", "uh", "--A", "2"], {}),
     ("SL2STAR_ODRER", ["normalize", "e+*x2"], {"SL2STAR_ODRER": "3"}),
     ("--kmax", ["gauge", "--kmax", "12"], {}),
@@ -221,6 +219,24 @@ def test_cli_help_returns_zero(capsys):
     ("--tol", ["check", "poisson", "--tol", "1e-6"], {}),
     ("nosuch", ["check", "nosuch"], {}),
     ("command", ["--version"], {}),
+    ("--order", ["normalize", "x1", "--order", "0"], {}),
+    ("--order", ["check", "bialgebra", "--order", "ten"], {}),
+    ("--nmax", ["check", "gauge", "--nmax", "-2"], {}),
+    ("--b", ["gauge", "--b", "3:1"], {}),
+    ("--b", ["check", "gauge", "--b", "2=1/4"], {}),
+    ("--A", ["coproduct", "x1", "--A", "4,1/0"], {}),
+    ("--format", ["gauge", "--format", "yaml"], {}),
+    ("--config", ["normalize", "x1", "--config", "run.cfg"], {}),
+    ("SL2STAR_ORDER", ["normalize", "x1", "--order", "3"],
+     {"SL2STAR_ORDER": "10"}),
+    # each subcommand takes exactly the flags it reads
+    ("--order", ["gauge", "--order", "8"], {}),
+    ("--seed", ["gauge", "--seed", "1"], {}),
+    ("--seed", ["normalize", "x1", "--seed", "1"], {}),
+    ("--seed", ["check", "poisson", "--seed", "-1"], {}),
+    ("--b", ["coproduct", "x1", "--b", "2:1"], {}),
+    ("product", ["product", "x1", "x2"], {}),
+    ("commutator", ["commutator", "x1", "x2"], {}),
 ])
 def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, env):
     for name, value in env.items():
@@ -229,15 +245,6 @@ def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, e
     captured = capsys.readouterr()
     assert setting in captured.err
     assert captured.out == ""
-
-
-def test_cli_names_a_bad_config_file_line(capsys, tmp_path):
-    path = tmp_path / "bad.cfg"
-    for line, setting in (("order = ten", "order"), ("b = 2:1/0", "b_coeffs")):
-        path.write_text(f"# first line\n{line}\n")
-        assert cli.main(["normalize", "x1", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert f"{path}:2" in err and setting in err
 
 
 def test_cli_error_exit_code(capsys):
@@ -258,7 +265,7 @@ def test_cli_mixed_alphabet_error(capsys):
 
 
 def test_cli_xi_expression(capsys):
-    code, out = run_cli(capsys, "commutator", "xi1", "xi2")
+    code, out = run_cli(capsys, "normalize", "(xi1)*(xi2) - (xi2)*(xi1)")
     assert code == 0
     assert out.strip() == "2*eps*xi2"
 

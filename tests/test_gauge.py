@@ -38,9 +38,10 @@ def test_solve_gauge_values():
     assert trivial.a == {0: 1, 2: 0, 4: 0, 6: 0}
 
 
-def test_solve_gauge_requires_even_kmax():
-    with pytest.raises(ValueError):
-        gauge.solve_gauge(gauge.RawX1Model({}), 5)
+def test_solve_gauge_rounds_an_odd_bound_up_to_even():
+    model = gauge.RawX1Model({2: Fraction(1, 4), 4: Fraction(2, 5)})
+    assert gauge.solve_gauge(model, 5).a == gauge.solve_gauge(model, 6).a
+    assert list(gauge.solve_gauge(model, 5).a) == [0, 2, 4, 6]
 
 
 def test_verify_gauge():

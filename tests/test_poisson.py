@@ -228,17 +228,21 @@ def test_lemma_verification_report(seed):
     rep = P.verify_integration_lemma(seed=seed)
     assert rep["passed"]
     assert rep["kappa"] == pytest.approx(8.0, abs=1e-6)
-    assert rep["kappa_spread"] < 1e-9
-    assert rep["max_residual"] < 1e-6
+    assert rep["kappa_spread"] <= P.KAPPA_SPREAD_TOL == 1e-10
+    assert rep["max_residual"] < P.LEMMA_TOL == 1e-10
 
 
 def test_multiplicativity():
     g = P.point_from_coords([0.5, 0.2, -0.7])
     assert P.multiplicativity_check(g, P.IDENTITY) == 0.0
     assert P.multiplicativity_check(P.IDENTITY, g) == 0.0
-    rep = P.verify_multiplicativity(seed=1)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_multiplicativity_passes_at_every_seed(seed):
+    rep = P.verify_multiplicativity(seed=seed)
     assert rep["passed"]
-    assert rep["max_residual"] < 1e-8
+    assert rep["max_residual"] < P.MULTIPLICATIVITY_TOL == 1e-10
 
 
 def test_jacobi():
