@@ -166,7 +166,8 @@ def coassociativity_and_counit(config: Config) -> List[RelationCheck]:
 
 def nontrivial_deformation(config: Config) -> List[RelationCheck]:
     """Criterion 6: the coproduct of x2*x2 is deformed at order 2, by
-    (2 cosh(2 eps) - 2) x2 e+ (x) x2 e-."""
+    (2 cosh(2 eps) - 2) x2 e+ (x) x2 e-.  Below order 2 the deformation
+    lies above the truncation, so none may be visible."""
     system = _x_system(config)
     x2sq = system.star(system.generator(X2), system.generator(X2))
     diff = coalg.coproduct(x2sq) - coalg.classical_coproduct(x2sq)
@@ -175,11 +176,16 @@ def nontrivial_deformation(config: Config) -> List[RelationCheck]:
     defect = EpsSeries(
         {j: 2 * Fraction(2 ** j, math.factorial(j))
          for j in range(2, config.order + 1, 2)}, config.order)
+    visible = config.order >= 2
+    detail = "" if visible else (
+        f"the deformation starts at eps^2, above the truncation order "
+        f"{config.order}")
     return [
         _check("coproduct deformation order of x2*x2 is 2",
-               coalg.deformation_order(x2sq) == 2),
+               coalg.deformation_order(x2sq) == (2 if visible else None),
+               detail),
         _check("Delta(x2*x2) defect is (2 cosh(2 eps) - 2) x2 e+ (x) x2 e-",
-               set(diff.terms) == {key} and diff.terms[key] == defect),
+               diff.terms == ({key: defect} if visible else {}), detail),
     ]
 
 

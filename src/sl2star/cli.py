@@ -38,7 +38,8 @@ def _add_algebra_flags(parser: argparse.ArgumentParser) -> None:
                              "(default 8)")
     parser.add_argument("--A", dest="a_coeffs", type=parse_a_coeffs,
                         metavar="c0,c2,...",
-                        help="even coefficients of the free A-series")
+                        help="even coefficients of the free A-series; "
+                             "write a negative constant as --A=-4,1")
 
 
 def _add_gauge_flags(parser: argparse.ArgumentParser) -> None:

@@ -137,6 +137,10 @@ def tokenize(text: str) -> List[Token]:
 
 # -- parser -------------------------------------------------------------
 
+def _shown(tok: Token) -> str:
+    return "end of input" if tok.kind == "END" else repr(tok.text)
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
@@ -153,7 +157,7 @@ class _Parser:
     def expect_op(self, op: str) -> Token:
         tok = self.next()
         if tok.kind != "OP" or tok.text != op:
-            raise ExprError(f"expected {op!r}, found {tok.text!r}", tok.pos)
+            raise ExprError(f"expected {op!r}, found {_shown(tok)}", tok.pos)
         return tok
 
     def parse_expr(self) -> Expr:
@@ -192,6 +196,8 @@ class _Parser:
             node = self.parse_expr()
             self.expect_op(")")
             return node
+        if tok.kind == "END":
+            raise ExprError("unexpected end of input", tok.pos)
         raise ExprError(f"unexpected token {tok.text!r}", tok.pos)
 
 

@@ -72,9 +72,8 @@ class GaugeSolution:
 class CnkTable:
     """Coefficients of the iterated product: x^{*n} = sum eps^k c^n_k x^{n-k}."""
 
-    def __init__(self, values: Dict[tuple, Fraction], nmax: int):
+    def __init__(self, values: Dict[tuple, Fraction]):
         self.values = values
-        self.nmax = nmax
 
     def value(self, n: int, k: int) -> Fraction:
         if k == 0:
@@ -91,24 +90,18 @@ def cnk_from_b(model: RawX1Model, nmax: int) -> CnkTable:
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    values: Dict[tuple, Fraction] = {}
-
-    def c(n, k):
-        if k == 0:
-            return Fraction(1)
-        return values.get((n, k), Fraction(0))
-
+    table = CnkTable({})
     for n in range(2, nmax + 1):
         for k in range(2, n + 1, 2):
-            acc = c(n - 1, k)
+            acc = table.value(n - 1, k)
             for l in range(0, k - 1, 2):
                 bk = model.b_at(k - l)
                 if bk:
-                    acc += c(n - 1, l) * Fraction(
+                    acc += table.value(n - 1, l) * Fraction(
                         math.factorial(n - l - 1), math.factorial(n - k)) * bk
             if acc:
-                values[(n, k)] = acc
-    return CnkTable(values, nmax)
+                table.values[(n, k)] = acc
+    return table
 
 
 def solve_gauge(model: RawX1Model, kmax: int) -> GaugeSolution:

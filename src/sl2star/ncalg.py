@@ -509,9 +509,6 @@ class NCElement(Combination):
             mono = PbwMonomial(*mono)
         return self.terms.get(mono, self.system.ring.zero)
 
-    def monomials(self) -> list:
-        return sorted(self.terms)
-
     def __mul__(self, other):
         if isinstance(other, NCElement):
             return self.system.star(self, other)

@@ -4,7 +4,7 @@ There is one ring core, ``_Series``, with two key types.  ``EpsSeries``
 keys its terms by a nonnegative ``int`` exponent: a sparse truncated power
 series in one parameter ``eps`` over arbitrary-precision rationals, in which
 every operation is exact through the truncation order (only units are
-inverted or square-rooted).  ``BiSeries`` keys them by an ``(i, j)``
+inverted, and no root is ever taken).  ``BiSeries`` keys them by an ``(i, j)``
 exponent pair: the two-parameter variant in ``(eps, h)`` used by the
 two-parameter algebra, truncated by total degree, Laurent in ``h`` (for
 1/sinh(h)).  A value is its terms plus the one bound of its ring, nothing
@@ -21,7 +21,6 @@ boundary.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -56,7 +55,7 @@ class SeriesConfigError(SeriesError):
 
 
 class SeriesDomainError(SeriesError):
-    """Operation not defined for the given series (non-unit inverse or sqrt, ...)."""
+    """Operation not defined for the given series (non-unit inverse, ...)."""
 
 
 def as_pair(x: RationalLike) -> tuple:
@@ -265,9 +264,6 @@ class EpsSeries(_Series):
         n, d = self.terms.get(k, (0, 1))
         return Fraction(n, d)
 
-    def items(self):
-        return sorted((e, Fraction(n, d)) for e, (n, d) in self.terms.items())
-
     @staticmethod
     def _power_str(e: int) -> str:
         if e == 0:
@@ -282,29 +278,6 @@ class EpsSeries(_Series):
         if not a or not b:
             return {}
         return _q.s_mul(a, b, hi)
-
-    def sqrt(self) -> "EpsSeries":
-        """Square root of a unit whose constant term is the square of a
-        positive rational; exact through the order."""
-        c0 = self.terms.get(0)
-        if c0 is None:
-            raise SeriesDomainError("square root needs a nonzero constant term")
-        r0 = _rational_sqrt(c0)
-        if r0 is None:
-            raise SeriesDomainError(
-                f"constant term {pair_str(c0)} is not a rational square")
-        out = {0: r0}
-        two_r0 = _q.qmul((2, 1), r0)
-        # b[n] = (a[n] - sum_{i=1..n-1} b[i]*b[n-i]) / (2 b[0])
-        for n in range(1, self.order + 1):
-            acc = self.terms.get(n, (0, 1))
-            for i in range(1, n):
-                bi, bj = out.get(i), out.get(n - i)
-                if bi and bj:
-                    acc = _q.qsub(acc, _q.qmul(bi, bj))
-            if acc[0]:
-                out[n] = _q.qdiv(acc, two_r0)
-        return self._wrap(out)
 
     # -- substitutions ----------------------------------------------------
 
@@ -326,18 +299,6 @@ class EpsSeries(_Series):
             "terms": [[e, pair_str(c)] for e, c in sorted(self.terms.items())],
             "order": self.order,
         }
-
-
-def _rational_sqrt(q: tuple):
-    """Exact square root of a positive rational pair, or None."""
-    n, d = q
-    if n < 0:
-        return None
-    rn = math.isqrt(n)
-    rd = math.isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        return None
-    return (rn, rd)
 
 
 def format_terms(terms: Mapping, power_str) -> str:

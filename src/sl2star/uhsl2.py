@@ -3,12 +3,14 @@
 Two changes of variables are verified on top of the one-parameter algebra:
 
 - the z-generators z1 = x1/eps, z2 = x2/lambda, z3 = x3/lambda with
-  lambda^2 = 2 eps A(eps^2) sinh(2 eps), under which the relations become
-  the standard quantum-enveloping presentation with [z2, z3] =
-  sinh(h z1)/sinh(h) at h = 2 eps.  Relations are checked cross-multiplied
-  through lambda^2 (no square roots needed), and again on the elements
-  eps z_i = x_i/mu_i with mu = lambda/eps, the square root of a unit (when
-  A(0) is a rational square); every scalar is a power series in eps.
+  lambda = eps mu and mu^2 = 2 A(eps^2) sinh(2 eps)/eps, a unit for every
+  nonzero A(0), under which the relations become the standard
+  quantum-enveloping presentation with [z2, z3] = sinh(h z1)/sinh(h) at
+  h = 2 eps.  Only mu^2 is ever built: the relations fix the product of
+  the z2 and z3 scalings, since z2 -> c z2, z3 -> z3/c is an automorphism.
+  They are checked cross-multiplied through eps^2 mu^2 (no inverse
+  needed), and again on the elements x1, x2/mu^2 and x3, whose brackets
+  are those of x1, x2/mu and x3/mu; every scalar is a power series in eps.
 
 - the xi-generators with independent parameters (eps, h), realized as a
   second rewrite system over two-parameter scalars.  Its h -> 0 limit
@@ -62,21 +64,9 @@ def report_passed(checks: List[RelationCheck]) -> bool:
 # the z-generators inside the one-parameter algebra
 # ----------------------------------------------------------------------
 
-def lambda_squared(system: RewriteSystem) -> EpsSeries:
-    """lambda^2 = 2 eps A(eps^2) sinh(2 eps) in the system's scalar ring."""
-    ring = system.ring
-    return ring.eps_power(2, 1) * system.a_series * ring.sinh(2)
-
-
-def default_substitution(system: RewriteSystem) -> EpsSeries:
-    """mu = lambda/eps, the square root of the unit 2 A(eps^2) sinh(2 eps)/eps,
-    with eps z2 = x2/mu and eps z3 = x3/mu; needs A(0) a rational square."""
-    try:
-        return (system.a_series * system.ring.sinh_over_eps(2) * 2).sqrt()
-    except SeriesDomainError as exc:
-        raise SeriesDomainError(
-            f"{exc}: the z-generators need the first of a_coeffs, A(0), "
-            f"to be the square of a positive rational") from exc
+def mu_squared(system: RewriteSystem) -> EpsSeries:
+    """mu^2 = 2 A(eps^2) sinh(2 eps)/eps, the unit with lambda^2 = eps^2 mu^2."""
+    return system.a_series * system.ring.sinh_over_eps(2) * 2
 
 
 def _exp_difference(system: RewriteSystem) -> NCElement:
@@ -96,8 +86,8 @@ def z_commutators(system: Optional[RewriteSystem] = None) -> List[RelationCheck]
 
     Each z-relation is an x-relation divided by the appropriate lambda
     factors; factors common to both sides cancel, and the z2-z3 relation is
-    checked cross-multiplied by lambda^2 and 2 sinh(2 eps), which needs no
-    square root and no inverse.
+    checked cross-multiplied by lambda^2 = eps^2 mu^2 and 2 sinh(2 eps),
+    which needs no inverse.
     """
     system = system or x_algebra()
     ring = system.ring
@@ -120,7 +110,7 @@ def z_commutators(system: Optional[RewriteSystem] = None) -> List[RelationCheck]
     # cross-multiplied form, exact for every admissible A: dividing by
     # lambda^2 would cost the top truncation orders when A has a tail
     lhs = system.commutator(x2, x3) * (ring.sinh(2) * 2)
-    rhs = _exp_difference(system) * lambda_squared(system)
+    rhs = _exp_difference(system) * (ring.eps_power(1, 2) * mu_squared(system))
     checks.append(_check_equal(
         "[z2,z3] = sinh(h z1)/sinh(h)", lhs, rhs,
         note="verified as [x2,x3] * 2 sinh(2 eps) = "
@@ -149,18 +139,18 @@ def z_commutators(system: Optional[RewriteSystem] = None) -> List[RelationCheck]
 
 
 def z_commutators_scaled(system: Optional[RewriteSystem] = None) -> List[RelationCheck]:
-    """The same relations via explicit elements eps z_i = x_i / mu_i
-    (mu_1 = 1, mu_2 = mu_3 = mu = lambda/eps), each multiplied through by
-    eps^2: every scalar is a power series, exact through the order.
-    Requires A(0) to be a perfect square (the default 4 is).
+    """The same relations on explicit elements w1 = x1 = eps z1,
+    w2 = x2/mu^2 and w3 = x3, for any nonzero A(0).  Scalars are central,
+    so [w2, w3] = [x2/mu, x3/mu] = eps^2 [z2, z3], and [w1, w2], [w1, w3]
+    hold for any scaling: every scalar is a power series, exact through the
+    order.
     """
     system = system or x_algebra()
     ring = system.ring
     eps = ring.eps_power(1, 1)
-    inv_mu = default_substitution(system).invert()
     w1 = system.generator(X1)
-    w2 = system.generator(X2) * inv_mu
-    w3 = system.generator(X3) * inv_mu
+    w2 = system.generator(X2) * mu_squared(system).invert()
+    w3 = system.generator(X3)
     checks = []
     checks.append(_check_equal(
         "[z1,z2] = 2 z2 (explicit)", system.commutator(w1, w2), w2 * (2 * eps)))

@@ -182,6 +182,26 @@ def test_cli_check_uh_prints_the_notes(capsys):
     assert "(sign opposite to the printed relation" in out
 
 
+def test_cli_check_all_takes_any_nonzero_a(capsys):
+    """The z-generators need no root of A(0): a non-square constant runs
+    every suite, and a negative one is given as --A=-4,1."""
+    code, out = run_cli(capsys, "check", "all", "--A", "2")
+    assert code == 0 and out.rstrip().endswith("all passed")
+    code, out = run_cli(capsys, "normalize", "x3*x2", "--A=-4,1")
+    system = x_algebra(8, (-4, 1))
+    assert code == 0
+    assert evaluate(parse(out.strip()), system) \
+        == system.normal_form((X3, X2))
+
+
+def test_cli_check_bialgebra_at_order_1(capsys):
+    """At order 1 the coproduct deformation of x2*x2 (at eps^2) is not yet
+    visible, and criterion 6 expects none."""
+    code, out = run_cli(capsys, "check", "bialgebra", "--order", "1")
+    assert code == 0 and "FAIL" not in out
+    assert "above the truncation order 1" in out
+
+
 def test_cli_check_poisson_json(capsys):
     code, out = run_cli(capsys, "check", "poisson", "--format", "json")
     assert code == 0
@@ -211,8 +231,8 @@ def test_cli_help_returns_zero(capsys):
     ("SL2STAR_ORDER", ["normalize", "x1"], {"SL2STAR_ORDER": "abc"}),
     ("--A", ["normalize", "x1", "--A", "0"], {}),
     ("--A", ["normalize", "x1", "--A", ","], {}),
-    # a valid --A whose constant the z-generators cannot take a root of
-    ("a_coeffs", ["check", "uh", "--A", "2"], {}),
+    # a negative constant needs the --A=-4,1 form: "-4,1" reads as a flag
+    ("--A", ["normalize", "x3*x2", "--A", "-4,1"], {}),
     ("SL2STAR_ODRER", ["normalize", "e+*x2"], {"SL2STAR_ODRER": "3"}),
     ("--kmax", ["gauge", "--kmax", "12"], {}),
     # argparse's refusals come back as the exit code, not as SystemExit

@@ -54,9 +54,14 @@ def test_parse_precedence():
 
 
 def test_parse_errors():
-    with pytest.raises(ExprError):
+    with pytest.raises(ExprError, match=r"unexpected end of input \(column 5\)"):
         parse("x1 +")
-    with pytest.raises(ExprError):
+    with pytest.raises(ExprError, match=r"unexpected end of input \(column 4\)"):
+        parse("x1*")
+    with pytest.raises(ExprError, match=r"unexpected end of input \(column 1\)"):
+        parse("")
+    with pytest.raises(ExprError,
+                       match=r"expected '\)', found end of input \(column 4\)"):
         parse("(x1")
     with pytest.raises(ExprError):
         parse("x9")

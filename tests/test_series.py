@@ -121,26 +121,6 @@ def test_invert_stores_no_exponent_above_order_minus_valuation():
         assert inv.coefficient(0, 1 - v) == Fraction(-1, 4)
 
 
-def test_sqrt_examples():
-    assert S({0: 9}).sqrt() == S({0: 3})
-    assert S({0: 1, 1: 2, 2: 1}).sqrt() == S({0: 1, 1: 1})
-    for non_unit in (S({2: 16}), S({1: 1}), EpsSeries.zero(N)):
-        with pytest.raises(SeriesDomainError, match="nonzero constant term"):
-            non_unit.sqrt()
-    with pytest.raises(SeriesDomainError):
-        S({0: 2}).sqrt()
-
-
-def test_sqrt_of_lambda_squared():
-    # lambda^2 / eps^2 = 2 * 4 * sinh(2 eps)/eps = 16 (1 + (2 eps)^2/6 + ...)
-    arg = S({0: 2}) * S({0: 4}) * sinh_over_eps_series(2, N)
-    root = arg.sqrt()
-    assert root * root == arg
-    assert root.coefficient(0) == 4
-    # second coefficient: 4 * (2 eps)^2 / 12 -> 4/3 at eps^2
-    assert root.coefficient(2) == Fraction(4, 3)
-
-
 def test_exp_sinh_cosh_values():
     assert exp_series(2, 2) == S({0: 1, 1: 2, 2: 2}, order=2)
     assert sinh_series(2, 3) == S({1: 2, 3: Fraction(4, 3)}, order=3)
@@ -233,20 +213,6 @@ def test_invert_is_right_inverse_at_positive_valuation(v, c, tail):
     assert a * a.invert() == BiSeries.one(BI_TOTAL)
     with pytest.raises(SeriesDomainError):
         EpsSeries({v: c}, BI_TOTAL).invert()
-
-
-@settings(max_examples=40, deadline=None)
-@given(series())
-def test_square_then_sqrt(a):
-    sq = a * a
-    if 0 not in sq.terms:
-        with pytest.raises(SeriesDomainError):
-            sq.sqrt()
-        return
-    root = sq.sqrt()
-    # the root of a unit is exact through the order: it is +-a
-    assert root * root == sq
-    assert root in (a, -a)
 
 
 # -- two-parameter series --------------------------------------------------

@@ -41,10 +41,12 @@ def test_z_relation_x_representation():
     (e^{2x1} - e^{-2x1}) * eps/(2 sinh(2 eps)/eps)."""
     system = x_algebra()
     ring = system.ring
-    mu = uhsl2.default_substitution(system)
-    assert mu * mu * ring.eps_power(1, 2) == uhsl2.lambda_squared(system)
+    mu2 = uhsl2.mu_squared(system)
+    # lambda^2 = 2 eps A(eps^2) sinh(2 eps), built independently
+    assert mu2 * ring.eps_power(1, 2) \
+        == ring.eps_power(2, 1) * system.a_series * ring.sinh(2)
     comm = system.commutator(system.generator(X2), system.generator(X3))
-    lhs = comm * (mu * mu).invert()
+    lhs = comm * mu2.invert()
     coeff = ring.eps_power(1, 1) * (ring.sinh_over_eps(2) * 2).invert()
     assert lhs.coefficient(PbwMonomial(0, 0, 0, 2)) == coeff
     assert lhs.coefficient(PbwMonomial(0, 0, 0, -2)) == -coeff
@@ -57,7 +59,8 @@ def test_z_relation_x_representation():
 def test_z_relations_hold_for_random_a_tails():
     rng = random.Random(12)
     for _ in range(3):
-        tail = (Fraction(4),
+        tail = (Fraction(rng.choice([-5, -3, -1, 1, 2, 3, 5]),
+                         rng.randrange(1, 4)),
                 Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
                 Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
         checks = z_commutators(x_algebra(8, tail))
@@ -68,8 +71,11 @@ def test_z_scaled_route():
     assert report_passed(z_commutators_scaled())
 
 
-@pytest.mark.parametrize("a_coeffs", [(4,), (9, Fraction(1, 3), 2)],
-                         ids=["A=4", "A=9,1/3,2"])
+@pytest.mark.parametrize(
+    "a_coeffs",
+    [(4,), (9, Fraction(1, 3), 2), (2,), (3,), (-3, Fraction(1, 5)),
+     (Fraction(1, 2), 5)],
+    ids=["A=4", "A=9,1/3,2", "A=2", "A=3", "A=-3,1/5", "A=1/2,5"])
 @pytest.mark.parametrize("order", range(1, 13))
 def test_z_scaled_route_at_every_order(order, a_coeffs):
     checks = z_commutators_scaled(x_algebra(order, a_coeffs))
@@ -77,22 +83,30 @@ def test_z_scaled_route_at_every_order(order, a_coeffs):
 
 
 def test_z_scaled_route_sees_every_coefficient_of_mu(monkeypatch):
-    """A wrong mu coefficient fails the explicit [z2,z3] check.  [x2,x3] is
-    O(eps), so through eps^order it meets mu through eps^(order - 1); the
-    eps^order coefficient of mu enters no relation at this truncation."""
-    system = x_algebra(8)
-    mu = uhsl2.default_substitution(system)
-    for k in range(system.ring.order):
-        bumped = mu + system.ring.eps_power(Fraction(1, 7), k)
-        monkeypatch.setattr(uhsl2, "default_substitution", lambda _: bumped)
-        failed = [c.name for c in z_commutators_scaled(system) if not c.passed]
-        assert failed == ["[z2,z3] = sinh(h z1)/sinh(h) (explicit)"], k
+    """A wrong coefficient of the unit mu^2 fails the explicit [z2,z3]
+    check.  [x2,x3] is O(eps), so through eps^order it meets mu^2 through
+    eps^(order - 1); the eps^order coefficient of mu^2 enters no relation
+    at this truncation."""
+    for a_coeffs in [(4,), (2,), (-3, Fraction(1, 5))]:
+        system = x_algebra(8, a_coeffs)
+        mu2 = uhsl2.mu_squared(system)
+        for k in range(system.ring.order):
+            bumped = mu2 + system.ring.eps_power(Fraction(1, 7), k)
+            monkeypatch.setattr(uhsl2, "mu_squared", lambda _: bumped)
+            failed = [c.name for c in z_commutators_scaled(system)
+                      if not c.passed]
+            assert failed == ["[z2,z3] = sinh(h z1)/sinh(h) (explicit)"], \
+                (a_coeffs, k)
 
 
-def test_z_scaled_needs_square_leading_coefficient():
-    from sl2star.series import SeriesDomainError
-    with pytest.raises(SeriesDomainError):
-        uhsl2.default_substitution(x_algebra(8, (3,)))
+def test_z_routes_pass_without_a_square_leading_coefficient():
+    """The relations fix only the product of the z2 and z3 scalings, so
+    A(0) need not be a rational square, nor positive."""
+    for a_coeffs in [(3,), (2,), (-4, 1), (Fraction(-1, 3),)]:
+        system = x_algebra(8, a_coeffs)
+        for checks in (z_commutators(system), z_commutators_scaled(system)):
+            assert report_passed(checks), \
+                (a_coeffs, [c.name for c in checks if not c.passed])
 
 
 def test_z_coproducts_all_pass():
