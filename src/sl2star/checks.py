@@ -27,7 +27,7 @@ from .ncalg import (
     EM, EP, PbwMonomial, X1, X2, X3, random_element, random_word,
     rules_raising_measure, word_to_monomial, x_algebra,
 )
-from .series import EpsSeries, exp_series
+from .series import EpsSeries, EpsSeriesRing
 from .uhsl2 import RelationCheck
 
 def _check(name: str, passed: bool, detail: str = "") -> RelationCheck:
@@ -177,13 +177,13 @@ def nontrivial_deformation(config: Config) -> List[RelationCheck]:
         {j: 2 * Fraction(2 ** j, math.factorial(j))
          for j in range(2, config.order + 1, 2)}, config.order)
     visible = config.order >= 2
+    lowest = min((min(c.terms) for c in diff.terms.values()), default=None)
     detail = "" if visible else (
         f"the deformation starts at eps^2, above the truncation order "
         f"{config.order}")
     return [
         _check("coproduct deformation order of x2*x2 is 2",
-               coalg.deformation_order(x2sq) == (2 if visible else None),
-               detail),
+               lowest == (2 if visible else None), detail),
         _check("Delta(x2*x2) defect is (2 cosh(2 eps) - 2) x2 e+ (x) x2 e-",
                diff.terms == ({key: defect} if visible else {}), detail),
     ]
@@ -244,7 +244,7 @@ def bernoulli_suite(config: Config) -> List[RelationCheck]:
         _check("Bernoulli alternating-binomial identity to n=20",
                gauge.bernoulli_identity_check(20)),
         _check("c(+eps) = e^{2 eps} c(-eps) at order 12",
-               c_plus == exp_series(2, order) * c_minus),
+               c_plus == EpsSeriesRing(order).exp(2) * c_minus),
         _check("c(+eps) * (1 - e^{-2 eps})/(2 eps) = 1",
                c_plus * gen == EpsSeries.one(order)),
     ]
@@ -347,7 +347,7 @@ def run_suite(name: str, config: Config) -> dict:
         entry = {
             "suite": s,
             "checks": [c.to_json() for c in checks],
-            "passed": uhsl2.report_passed(checks),
+            "passed": all(c.passed for c in checks),
         }
         report["suites"].append(entry)
         report["passed"] &= entry["passed"]

@@ -58,8 +58,8 @@ def _config_from(args: argparse.Namespace) -> Config:
                      if getattr(args, f.name, None) is not None})
 
 
-def _emit(payload, config: Config, text_fn) -> None:
-    if config.fmt == "json":
+def _emit(payload, args: argparse.Namespace, text_fn) -> None:
+    if args.fmt == "json":
         print(json.dumps(payload, indent=2, default=str))
     else:
         text_fn()
@@ -74,7 +74,7 @@ def cmd_expression(args) -> int:
     else:
         system = x_algebra(config.order, config.a_coeffs)
     result = args.op(evaluate(ast, system))
-    _emit(result.to_json(), config, lambda: print(result))
+    _emit(result.to_json(), args, lambda: print(result))
     return 0
 
 
@@ -95,7 +95,7 @@ def _print_checks(report: dict) -> None:
 def cmd_check(args) -> int:
     config = _config_from(args)
     report = checks_mod.run_suite(args.suite, config)
-    _emit(report, config, lambda: _print_checks(report))
+    _emit(report, args, lambda: _print_checks(report))
     return 0 if report["passed"] else 1
 
 
@@ -115,7 +115,7 @@ def cmd_gauge(args) -> int:
         for k, v in sorted(solution.a.items()):
             print(f"a_{k} = {v}")
         print(f"verified up to n = {nmax}: {verdict}")
-    _emit(payload, config, text)
+    _emit(payload, args, text)
     return 0 if verdict else 1
 
 
@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gauge)
 
     for p in sub.choices.values():
-        p.add_argument("--format", dest="fmt", choices=("text", "json"))
+        p.add_argument("--format", dest="fmt", choices=("text", "json"),
+                       default="text")
     return parser
 
 

@@ -247,19 +247,3 @@ def classical_coproduct(f: NCElement) -> TensorElement:
         for key, cc in t.terms.items():
             add_term(out, key, cc * c)
     return TensorElement(system, out)
-
-
-def deformation_order(f: NCElement):
-    """Lowest eps degree at which the coproduct of f deviates from the
-    classical one; None when they agree up to truncation."""
-    diff = coproduct(f) - classical_coproduct(f)
-    if diff.is_zero():
-        return None
-    degree = None
-    for c in diff.terms.values():
-        if f.system.ring.kind == "eps":
-            low = min(c.terms)
-        else:
-            low = min(i for (i, _) in c.terms)
-        degree = low if degree is None else min(degree, low)
-    return degree

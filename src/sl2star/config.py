@@ -44,10 +44,14 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def parse_a_coeffs(text: str) -> Tuple[Fraction, ...]:
-    """Comma list of even-degree coefficients: "4,0,1/3" -> A = 4 + eps^4/3."""
-    coeffs = tuple(parse_fraction(part) for part in text.split(",")
-                   if part.strip())
-    if not coeffs or coeffs[0] == 0:
+    """Comma list of even-degree coefficients: "4,0,1/3" -> A = 4 + eps^4/3.
+    An empty entry is refused, not skipped: "4,,1" must not read as "4,1"."""
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ArgumentTypeError(
+            f"empty entry in {text!r}; write 0 for a zero coefficient")
+    coeffs = tuple(parse_fraction(part) for part in parts)
+    if coeffs[0] == 0:
         raise ArgumentTypeError(
             f"must start with a nonzero constant, got {text!r}")
     return coeffs
@@ -59,9 +63,12 @@ def parse_b_coeffs(text: str) -> Dict[int, Fraction]:
     for part in filter(None, (p.strip() for p in text.split(","))):
         key, _, value = part.partition(":")
         try:
-            out[int(key)] = parse_fraction(value)
+            k, v = int(key), parse_fraction(value)
         except (ValueError, ArgumentTypeError):
             raise ArgumentTypeError(f"expected k:p/q, got {part!r}") from None
+        if k in out:
+            raise ArgumentTypeError(f"b_{k} is given twice in {text!r}")
+        out[k] = v
     try:
         RawX1Model(out)  # the model holds the rule on the keys
     except ValueError as exc:
@@ -77,4 +84,3 @@ class Config:
         default_factory=lambda: {2: Fraction(1, 4)})
     gauge_nmax: int = 12
     seed: int = 0
-    fmt: str = "text"

@@ -1,4 +1,4 @@
-"""Expression front end: tokenizer, parser, canonical printer, evaluator.
+"""Expression front end: tokenizer, parser, evaluator.
 
 Grammar (left-associative products, ^ > * > +/-):
 
@@ -7,10 +7,12 @@ Grammar (left-associative products, ^ > * > +/-):
     factor := base ('^' NAT)?
     base   := RATIONAL | SYMBOL | '(' expr ')'
 
-Symbols: x1 x2 x3 e+ e- (one-parameter alphabet), xi1 xi2 xi3 E+ E-
-(two-parameter alphabet), and the scalar parameters eps and h.  The two
-alphabets cannot be mixed in one expression, and h is only a scalar of the
-two-parameter ring.  There is no unary minus; write ``0 - x1``.
+Symbols: x1 x2 x3 e+ e- (one-parameter alphabet, ``ncalg.X_SYMBOLS``),
+xi1 xi2 xi3 E+ E- (two-parameter alphabet, ``uhsl2.XI_SYMBOLS``), and the
+scalar parameters eps and h.  The two alphabets cannot be mixed in one
+expression, and h is only a scalar of the two-parameter ring.  There is no
+unary minus; write ``0 - x1``.  Parentheses nest at most ``MAX_NESTING``
+deep, so the recursive-descent parser stays within Python's stack.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Union
 
-from .ncalg import EM, EP, NCElement, RewriteSystem, X1, X2, X3
+from .ncalg import NCElement, RewriteSystem, X_SYMBOLS
+from .uhsl2 import XI_SYMBOLS
 
-X_ALPHABET = {"x1": X1, "x2": X2, "x3": X3, "e+": EP, "e-": EM}
-XI_ALPHABET = {"xi1": X1, "xi2": X2, "xi3": X3, "E+": EP, "E-": EM}
+X_ALPHABET = {name: g for g, name in X_SYMBOLS.items()}
+XI_ALPHABET = {name: g for g, name in XI_SYMBOLS.items()}
 SCALAR_SYMBOLS = ("eps", "h")
 ALL_SYMBOLS = tuple(X_ALPHABET) + tuple(XI_ALPHABET) + SCALAR_SYMBOLS
+MAX_NESTING = 100
 
 
 class ExprError(ValueError):
@@ -145,6 +149,7 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.i = 0
+        self.open = 0  # parentheses open at the current token
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -193,8 +198,13 @@ class _Parser:
         if tok.kind == "SYMBOL":
             return Sym(tok.text)
         if tok.kind == "OP" and tok.text == "(":
+            self.open += 1
+            if self.open > MAX_NESTING:
+                raise ExprError(f"expression nests too deeply: more than "
+                                f"{MAX_NESTING} open parentheses", tok.pos)
             node = self.parse_expr()
             self.expect_op(")")
+            self.open -= 1
             return node
         if tok.kind == "END":
             raise ExprError("unexpected end of input", tok.pos)
@@ -208,35 +218,6 @@ def parse(text: str) -> Expr:
     if tail.kind != "END":
         raise ExprError(f"trailing input {tail.text!r}", tail.pos)
     return node
-
-
-# -- canonical printer ---------------------------------------------------
-
-_PREC = {Add: 1, Sub: 1, Mul: 2, Pow: 3}
-
-
-def print_expr(node: Expr) -> str:
-    """Canonical text form; parse(print_expr(t)) reproduces t."""
-    return _print(node, 0)
-
-
-def _print(node: Expr, parent_prec: int, right_side: bool = False) -> str:
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Sym):
-        return node.name
-    prec = _PREC[type(node)]
-    if isinstance(node, Pow):
-        s = f"{_print(node.base, prec, True)}^{node.exponent}"
-    else:
-        op = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
-        s = (f"{_print(node.left, prec)} {op} "
-             f"{_print(node.right, prec, True)}") if op != "*" else (
-            f"{_print(node.left, prec)}*{_print(node.right, prec, True)}")
-    # left-associative operators need parens around a same-precedence right child
-    if prec < parent_prec or (prec == parent_prec and right_side):
-        return f"({s})"
-    return s
 
 
 # -- evaluator -----------------------------------------------------------

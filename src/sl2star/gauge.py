@@ -1,4 +1,4 @@
-"""Gauge transformation on the x1-line: recursions, Bernoulli data, transforms.
+"""Gauge transformation on the x1-line: recursions and Bernoulli data.
 
 The undeformed-powers normalization is achieved by conjugating the product
 with a formal operator D = sum a_m eps^m d/dx1^m (a_0 = 1, even m).  This
@@ -69,38 +69,28 @@ class GaugeSolution:
         return self.a.get(k, Fraction(0))
 
 
-class CnkTable:
-    """Coefficients of the iterated product: x^{*n} = sum eps^k c^n_k x^{n-k}."""
-
-    def __init__(self, values: Dict[tuple, Fraction]):
-        self.values = values
-
-    def value(self, n: int, k: int) -> Fraction:
-        if k == 0:
-            return Fraction(1)
-        return self.values.get((n, k), Fraction(0))
-
-
-def cnk_from_b(model: RawX1Model, nmax: int) -> CnkTable:
-    """Build the c^n_k table from the b_k by the product recursion.
+def cnk_from_b(model: RawX1Model, nmax: int) -> Dict[tuple, Fraction]:
+    """The nonzero c^n_k of x^{*n} = sum eps^k c^n_k x^{n-k} for n <= nmax,
+    keyed by (n, k), from the b_k by the product recursion
 
     c^n_k = c^{n-1}_k + sum over even l <= k-2 of
             c^{n-1}_l (n-l-1)!/(n-k)! b_{k-l}
-    starting from c^1_k = [k == 0].
+
+    starting from c^n_0 = 1.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    table = CnkTable({})
+    table = {(n, 0): Fraction(1) for n in range(1, nmax + 1)}
     for n in range(2, nmax + 1):
         for k in range(2, n + 1, 2):
-            acc = table.value(n - 1, k)
+            acc = table.get((n - 1, k), 0)
             for l in range(0, k - 1, 2):
                 bk = model.b_at(k - l)
                 if bk:
-                    acc += table.value(n - 1, l) * Fraction(
+                    acc += table.get((n - 1, l), 0) * Fraction(
                         math.factorial(n - l - 1), math.factorial(n - k)) * bk
             if acc:
-                table.values[(n, k)] = acc
+                table[(n, k)] = acc
     return table
 
 
@@ -129,7 +119,7 @@ def verify_gauge(model: RawX1Model, solution: GaugeSolution, nmax: int) -> bool:
         for k in range(0, n + 1, 2):
             expect = solution.a_at(k) * Fraction(
                 math.factorial(n), math.factorial(n - k))
-            if table.value(n, k) != expect:
+            if table.get((n, k), 0) != expect:
                 return False
     return True
 
@@ -184,32 +174,3 @@ def c_series(sign: int, order: int) -> EpsSeries:
         if coeff:
             terms[k] = coeff
     return EpsSeries(terms, order)
-
-
-def d_symbol_series(solution: GaugeSolution, order: int) -> EpsSeries:
-    """sum over even k of (2 eps)^k a_k: the gauge operator applied to e^{2 x1},
-    divided by e^{2 x1}."""
-    terms = {}
-    for k, ak in solution.a.items():
-        if k <= order and ak:
-            terms[k] = ak * (2 ** k)
-    return EpsSeries(terms, order)
-
-
-def gauge_AB_transform(a_raw: EpsSeries, solution: GaugeSolution,
-                       inverse: bool = False) -> EpsSeries:
-    """Transform the free even parameter series through the gauge.
-
-    Default multiplies by sum (2 eps)^k a_k.  Deriving the transform from
-    f *new g = D^{-1}(D f *old D g) with D trivial on x2 and x3 instead
-    applies D^{-1} to the exponentials, i.e. divides by that sum; pass
-    ``inverse=True`` for that direction.  Both are exposed because the two
-    conventions differ exactly by this reciprocal.
-    """
-    for e, _ in a_raw.terms.items():
-        if e % 2:
-            raise ValueError("the raw parameter series must be even")
-    factor = d_symbol_series(solution, a_raw.order)
-    if inverse:
-        factor = factor.invert()
-    return a_raw * factor

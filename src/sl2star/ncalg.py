@@ -519,15 +519,6 @@ class NCElement(Combination):
             raise ValueError("negative star powers are not defined")
         return binary_power(self, n, self.system.one)
 
-    def classical(self, other: "NCElement") -> "NCElement":
-        """Pointwise commutative product: basis exponents add componentwise."""
-        self._check(other)
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                add_term(out, ma.classical_mul(mb), ca * cb)
-        return NCElement(self.system, out)
-
     def eps_flip(self) -> "NCElement":
         """The eps-parity anti-involution: reverse each basis word, eps -> -eps.
 

@@ -10,7 +10,9 @@ two-parameter algebra, truncated by total degree, Laurent in ``h`` (for
 1/sinh(h)).  A value is its terms plus the one bound of its ring, nothing
 else.  Sums, differences, negation, rational multiples, equality, powers
 and the inverse are the core's; each key type has its own product and
-substitutions.
+substitutions.  The standard series (exp, sinh, sinh/eps, the even
+A-series, sinh h) have one constructor each, a method of the ring
+(``EpsSeriesRing``, ``BiSeriesRing``) that fixes the bound.
 
 All values are immutable after construction and all operations are pure, so
 instances are safe to share across threads.  Coefficients are stored as
@@ -325,45 +327,13 @@ def format_terms(terms: Mapping, power_str) -> str:
     return out
 
 
-# ----------------------------------------------------------------------
-# standard one-parameter series
-# ----------------------------------------------------------------------
-
-def exp_series(k: RationalLike, order: int) -> EpsSeries:
-    """exp(k*eps) = sum_j (k eps)^j / j!, truncated at ``order``."""
-    kq = as_pair(k)
-    terms = {}
-    c = (1, 1)
-    for j in range(0, order + 1):
-        if j:
-            c = _q.qmul(c, _q.qdiv(kq, (j, 1)))
-        terms[j] = c
-    return EpsSeries(terms, order)
-
-
-def sinh_series(k: RationalLike, order: int) -> EpsSeries:
-    """Odd part of exp(k*eps)."""
-    e = exp_series(k, order)
-    return EpsSeries({j: c for j, c in e.terms.items() if j % 2 == 1}, order)
-
-
-def sinh_over_eps_series(k: RationalLike, order: int) -> EpsSeries:
-    """The unit sinh(k*eps)/eps = k + k^3 eps^2/6 + ..., exact through
-    ``order`` (read from sinh(k*eps) through ``order + 1``)."""
-    s = sinh_series(k, order + 1)
-    return EpsSeries({j - 1: c for j, c in s.terms.items()}, order)
-
-
-def even_series(coeffs: Iterable[RationalLike], order: int) -> EpsSeries:
-    """Series with the given coefficients on eps^0, eps^2, eps^4, ...
-
-    This is how the free even parameters (the A-series of the x2-x3 relation)
-    enter configuration.
-    """
-    terms = {}
-    for i, c in enumerate(coeffs):
-        terms[2 * i] = c
-    return EpsSeries(terms, order)
+def _exp_coefficients(value: RationalLike, count: int) -> list:
+    """value^k / k! for 0 <= k < count, as reduced pairs."""
+    v = as_pair(value)
+    out = [(1, 1)]
+    for k in range(1, count):
+        out.append(_q.qmul(out[-1], _q.qdiv(v, (k, 1))))
+    return out
 
 
 class _SeriesRing:
@@ -399,16 +369,26 @@ class EpsSeriesRing(_SeriesRing):
         return EpsSeries({k: value}, self.order)
 
     def exp(self, k: RationalLike) -> EpsSeries:
-        return exp_series(k, self.order)
+        """exp(k*eps) = sum_j (k eps)^j / j!."""
+        return EpsSeries(dict(enumerate(_exp_coefficients(k, self.order + 1))),
+                         self.order)
 
     def sinh(self, k: RationalLike) -> EpsSeries:
-        return sinh_series(k, self.order)
+        """sinh(k*eps), the odd part of exp(k*eps)."""
+        return EpsSeries({j: c for j, c in self.exp(k).terms.items() if j % 2},
+                         self.order)
 
     def sinh_over_eps(self, k: RationalLike) -> EpsSeries:
-        return sinh_over_eps_series(k, self.order)
+        """The unit sinh(k*eps)/eps = k + k^3 eps^2/6 + ..., exact through
+        ``order`` (read from sinh(k*eps) through ``order + 1``)."""
+        s = EpsSeriesRing(self.order + 1).sinh(k)
+        return EpsSeries({j - 1: c for j, c in s.terms.items()}, self.order)
 
     def even(self, coeffs: Iterable[RationalLike]) -> EpsSeries:
-        return even_series(coeffs, self.order)
+        """The series with the given coefficients on eps^0, eps^2, eps^4, ...:
+        how the free even parameters (the A-series of the x2-x3 relation)
+        enter."""
+        return EpsSeries({2 * i: c for i, c in enumerate(coeffs)}, self.order)
 
 
 # ----------------------------------------------------------------------
@@ -511,28 +491,6 @@ class BiSeries(_Series):
         }
 
 
-def exp_bi(value: RationalLike, i: int, j: int, total: int) -> BiSeries:
-    """exp(value * eps^i h^j) for a monomial argument with i+j >= 1."""
-    if i + j < 1 or i < 0 or j < 0:
-        raise SeriesDomainError("exp argument must be a positive-degree monomial")
-    v = as_pair(value)
-    terms = {}
-    c = (1, 1)
-    k = 0
-    while k * (i + j) <= total:
-        if k:
-            c = _q.qmul(c, _q.qdiv(v, (k, 1)))
-        terms[(k * i, k * j)] = c
-        k += 1
-    return BiSeries(terms, total)
-
-
-def sinh_h(value: RationalLike, total: int) -> BiSeries:
-    """sinh(value * h) as a BiSeries in h alone."""
-    e = exp_bi(value, 0, 1, total)
-    return BiSeries({k: c for k, c in e.terms.items() if k[1] % 2 == 1}, total)
-
-
 class BiSeriesRing(_SeriesRing):
     """The ring of ``BiSeries`` truncated at total degree ``total``."""
 
@@ -547,7 +505,14 @@ class BiSeriesRing(_SeriesRing):
         return BiSeries.monomial(value, i, j, self.total)
 
     def exp(self, value: RationalLike, i: int, j: int) -> BiSeries:
-        return exp_bi(value, i, j, self.total)
+        """exp(value * eps^i h^j) for a monomial argument with i+j >= 1."""
+        if i + j < 1 or i < 0 or j < 0:
+            raise SeriesDomainError("exp argument must be a positive-degree monomial")
+        coeffs = _exp_coefficients(value, self.total // (i + j) + 1)
+        return BiSeries({(k * i, k * j): c for k, c in enumerate(coeffs)},
+                        self.total)
 
     def sinh_h(self, value: RationalLike = 1) -> BiSeries:
-        return sinh_h(value, self.total)
+        """sinh(value * h) as a BiSeries in h alone."""
+        return BiSeries({k: c for k, c in self.exp(value, 0, 1).terms.items()
+                         if k[1] % 2}, self.total)

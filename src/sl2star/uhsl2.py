@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from . import coalg
 from .ncalg import (
@@ -56,10 +56,6 @@ class RelationCheck:
         return out
 
 
-def report_passed(checks: List[RelationCheck]) -> bool:
-    return all(c.passed for c in checks)
-
-
 # ----------------------------------------------------------------------
 # the z-generators inside the one-parameter algebra
 # ----------------------------------------------------------------------
@@ -81,7 +77,7 @@ def _check_equal(name: str, lhs, rhs, note: str = "") -> RelationCheck:
     return RelationCheck(name, passed, detail, note)
 
 
-def z_commutators(system: Optional[RewriteSystem] = None) -> List[RelationCheck]:
+def z_commutators(system: RewriteSystem) -> List[RelationCheck]:
     """Verify the z-generator commutation relations inside the algebra.
 
     Each z-relation is an x-relation divided by the appropriate lambda
@@ -89,7 +85,6 @@ def z_commutators(system: Optional[RewriteSystem] = None) -> List[RelationCheck]
     checked cross-multiplied by lambda^2 = eps^2 mu^2 and 2 sinh(2 eps),
     which needs no inverse.
     """
-    system = system or x_algebra()
     ring = system.ring
     x1 = system.generator(X1)
     x2 = system.generator(X2)
@@ -138,14 +133,13 @@ def z_commutators(system: Optional[RewriteSystem] = None) -> List[RelationCheck]
     return checks
 
 
-def z_commutators_scaled(system: Optional[RewriteSystem] = None) -> List[RelationCheck]:
+def z_commutators_scaled(system: RewriteSystem) -> List[RelationCheck]:
     """The same relations on explicit elements w1 = x1 = eps z1,
     w2 = x2/mu^2 and w3 = x3, for any nonzero A(0).  Scalars are central,
     so [w2, w3] = [x2/mu, x3/mu] = eps^2 [z2, z3], and [w1, w2], [w1, w3]
     hold for any scaling: every scalar is a power series, exact through the
     order.
     """
-    system = system or x_algebra()
     ring = system.ring
     eps = ring.eps_power(1, 1)
     w1 = system.generator(X1)
@@ -165,13 +159,12 @@ def z_commutators_scaled(system: Optional[RewriteSystem] = None) -> List[Relatio
     return checks
 
 
-def z_coproducts(system: Optional[RewriteSystem] = None) -> List[RelationCheck]:
+def z_coproducts(system: RewriteSystem) -> List[RelationCheck]:
     """Verify the coproduct table keeps its shape under the z-substitution.
 
     The scale factors pass through both legs linearly, so the z-coproducts
     have exactly the generator-table form with e^{+-h z1/2} = e^{+-x1}.
     """
-    system = system or x_algebra()
     one = system.ring.one
     checks = []
 
@@ -226,8 +219,7 @@ def xi_algebra(total: int = 8, h_min=None) -> RewriteSystem:
     return RewriteSystem(ring, rules, XI_SYMBOLS, label="xi")
 
 
-def xi_relation_checks(system: Optional[RewriteSystem] = None) -> List[RelationCheck]:
-    system = system or xi_algebra()
+def xi_relation_checks(system: RewriteSystem) -> List[RelationCheck]:
     ring = system.ring
     xi1 = system.generator(X1)
     xi2 = system.generator(X2)
@@ -342,9 +334,8 @@ def limit_eps_to_zero(obj):
     return obj.map_coefficients(lambda c: c.eps_slice(0))
 
 
-def limits_report(system: Optional[RewriteSystem] = None) -> List[RelationCheck]:
+def limits_report(system: RewriteSystem) -> List[RelationCheck]:
     """The four corners: both limits of the commutators and coproducts."""
-    system = system or xi_algebra()
     ring = system.ring
     xi1 = system.generator(X1)
     xi2 = system.generator(X2)
@@ -396,7 +387,7 @@ def _specialize(f: NCElement, order: int, factor=1) -> dict:
     return out
 
 
-def specialization_report(total: int = 8) -> List[RelationCheck]:
+def specialization_report(total: int) -> List[RelationCheck]:
     """Check that h := 2 eps collapses the two-parameter relations onto the
     z-relations with the bracket rescaled by eps and the exponential-letter
     scalars at e^{2 eps^2} = (e^{2 eps} with eps -> eps^2).

@@ -39,7 +39,6 @@ def test_defaults():
     assert cfg.a_coeffs == (Fraction(4),)
     assert cfg.b_coeffs == {2: Fraction(1, 4)}
     assert cfg.gauge_nmax == 12
-    assert cfg.fmt == "text"
 
 
 def test_validation():
@@ -257,6 +256,10 @@ def test_cli_help_returns_zero(capsys):
     ("--b", ["coproduct", "x1", "--b", "2:1"], {}),
     ("product", ["product", "x1", "x2"], {}),
     ("commutator", ["commutator", "x1", "x2"], {}),
+    # an empty entry is refused, not skipped: 4,,1 is not 4,1
+    ("--A", ["normalize", "x3*x2", "--A", "4,,1", "--order", "4"], {}),
+    ("--A", ["check", "uh", "--A", "4,"], {}),
+    ("--b", ["gauge", "--b", "2:1/4,2:1/2"], {}),
 ])
 def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, env):
     for name, value in env.items():
@@ -270,6 +273,13 @@ def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, e
 def test_cli_error_exit_code(capsys):
     code = cli.main(["normalize", "x1*(("])
     assert code == 2
+
+
+def test_cli_refuses_deep_nesting(capsys):
+    """Parentheses 400 deep are refused by name, not by a RecursionError."""
+    assert cli.main(["normalize", "(" * 400 + "x1" + ")" * 400]) == 2
+    captured = capsys.readouterr()
+    assert "nests too deeply" in captured.err and captured.out == ""
 
 
 def test_cli_names_a_zero_denominator(capsys):

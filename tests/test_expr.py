@@ -1,4 +1,4 @@
-"""Expression language: parsing, printing round trip, evaluation."""
+"""Expression language: parsing, a printing round trip, evaluation."""
 
 import random
 from fractions import Fraction
@@ -17,7 +17,6 @@ from sl2star.expr import (
     choose_alphabet,
     evaluate,
     parse,
-    print_expr,
     tokenize,
 )
 from sl2star import coalg
@@ -73,6 +72,9 @@ def test_parse_errors():
         parse("x1 x2 extra)")
     with pytest.raises(ExprError):
         parse("-x1")  # no unary minus in the grammar
+    with pytest.raises(ExprError, match=r"nests too deeply.*\(column 101\)"):
+        parse("(" * 101 + "x1" + ")" * 101)
+    assert parse("(" * 100 + "x1" + ")" * 100) == Sym("x1")
 
 
 def test_zero_denominator_is_refused_at_its_literal():
@@ -106,11 +108,30 @@ def random_ast(rng, depth=0):
     return Pow(base, rng.randrange(0, 5))
 
 
+PREC = {Add: 1, Sub: 1, Mul: 2, Pow: 3}
+
+
+def show(node, parent=0, right=False):
+    """The text of an AST with the fewest parentheses the grammar needs, so
+    the round trip exercises precedence and left associativity."""
+    if isinstance(node, Num):
+        return str(node.value)
+    if isinstance(node, Sym):
+        return node.name
+    prec = PREC[type(node)]
+    if isinstance(node, Pow):
+        text = f"{show(node.base, prec, True)}^{node.exponent}"
+    else:
+        op = {Add: " + ", Sub: " - ", Mul: "*"}[type(node)]
+        text = show(node.left, prec) + op + show(node.right, prec, True)
+    return f"({text})" if prec < parent or (prec == parent and right) else text
+
+
 def test_print_parse_roundtrip_random_asts():
     rng = random.Random(77)
     for _ in range(300):
         ast = random_ast(rng)
-        assert parse(print_expr(ast)) == ast
+        assert parse(show(ast)) == ast
 
 
 def test_choose_alphabet():
@@ -167,6 +188,13 @@ def test_eval_examples(xsys):
     }
     assert evaluate(parse("e+*e-"), xsys) == xsys.one
     assert evaluate(parse("0"), xsys).is_zero()
+
+
+def test_printed_generator_names_parse_to_their_generators(xsys):
+    """The alphabets are the names the systems print, read back."""
+    for system in (xsys, xi_algebra(8)):
+        for g, name in system.symbols.items():
+            assert evaluate(parse(name), system) == system.generator(g)
 
 
 def test_eval_scalar_and_mixed(xsys):

@@ -19,11 +19,6 @@ from sl2star.series import (
     EpsSeriesRing,
     SeriesConfigError,
     SeriesDomainError,
-    exp_bi,
-    exp_series,
-    sinh_h,
-    sinh_over_eps_series,
-    sinh_series,
 )
 
 N = 8
@@ -59,8 +54,8 @@ def test_mul_truncated_exponentials_cancel():
     # oracle: coefficients of exp are 1/j! exactly
     e_plus = S({j: Fraction(2 ** j, math.factorial(j)) for j in range(N + 1)})
     e_minus = S({j: Fraction((-2) ** j, math.factorial(j)) for j in range(N + 1)})
-    assert exp_series(2, N) == e_plus
-    assert exp_series(-2, N) == e_minus
+    assert EpsSeriesRing(N).exp(2) == e_plus
+    assert EpsSeriesRing(N).exp(-2) == e_minus
     assert e_plus * e_minus == EpsSeries.one(N)
 
 
@@ -71,7 +66,7 @@ def test_negative_exponent_is_refused():
         EpsSeriesRing(8).eps_power(1, -2)
     with pytest.raises(SeriesDomainError):
         # 1/(2 sinh h) at h = 2 eps starts at eps^-1
-        (sinh_h(1, 8) * 2).invert().specialize_h(2, 8)
+        (BiSeriesRing(8).sinh_h(1) * 2).invert().specialize_h(2, 8)
 
 
 def test_invert_examples():
@@ -87,7 +82,7 @@ def test_invert_sinh_by_long_division():
     # the coefficients of sinh(2 eps)/eps read from the factorial sums
     coeffs = {j: Fraction(2 ** (j + 1), math.factorial(j + 1))
               for j in range(0, N + 1, 2)}
-    sh = sinh_over_eps_series(2, N)
+    sh = EpsSeriesRing(N).sinh_over_eps(2)
     assert sh == S(coeffs)
     b = {}
     for k in range(N + 1):
@@ -122,14 +117,15 @@ def test_invert_stores_no_exponent_above_order_minus_valuation():
 
 
 def test_exp_sinh_cosh_values():
-    assert exp_series(2, 2) == S({0: 1, 1: 2, 2: 2}, order=2)
-    assert sinh_series(2, 3) == S({1: 2, 3: Fraction(4, 3)}, order=3)
-    assert exp_series(0, N) == EpsSeries.one(N)
-    cosh = exp_series(2, N) - sinh_series(2, N)
-    assert cosh * cosh - sinh_series(2, N) * sinh_series(2, N) == EpsSeries.one(N)
+    assert EpsSeriesRing(2).exp(2) == S({0: 1, 1: 2, 2: 2}, order=2)
+    assert EpsSeriesRing(3).sinh(2) == S({1: 2, 3: Fraction(4, 3)}, order=3)
+    ring = EpsSeriesRing(N)
+    assert ring.exp(0) == EpsSeries.one(N)
+    cosh = ring.exp(2) - ring.sinh(2)
+    assert cosh * cosh - ring.sinh(2) * ring.sinh(2) == EpsSeries.one(N)
     # sinh(2 eps)/eps is read through eps^(N + 1): its eps^N term is there
-    assert sinh_over_eps_series(2, N) * S({1: 1}) == sinh_series(2, N)
-    assert sinh_over_eps_series(2, N).coefficient(N) \
+    assert ring.sinh_over_eps(2) * S({1: 1}) == ring.sinh(2)
+    assert ring.sinh_over_eps(2).coefficient(N) \
         == Fraction(2 ** (N + 1), math.factorial(N + 1))
 
 
@@ -138,14 +134,14 @@ def test_eps_flip_and_stretch():
     assert a.eps_flip() == S({0: 1, 1: -2, 2: 3, 3: 4})
     assert a.eps_flip().eps_flip() == a
     assert S({1: 5, 2: 7}).stretch(2) == S({2: 5, 4: 7})
-    assert exp_series(2, N).stretch(2).coefficient(2) == 2
+    assert EpsSeriesRing(N).exp(2).stretch(2).coefficient(2) == 2
 
 
 def test_terms_beyond_the_bound_are_dropped():
     assert (S({5: 1}) * S({5: 1})).is_zero()
     assert S({9: 1}).is_zero()
     assert BiSeries({(5, 4): 1}, 8).is_zero()
-    assert sorted(exp_series(2, N).terms) == list(range(N + 1))
+    assert sorted(EpsSeriesRing(N).exp(2).terms) == list(range(N + 1))
 
 
 def test_json_form():
@@ -230,11 +226,11 @@ def test_biseries_basics():
 
 def test_biseries_exp_and_sinh():
     T = 8
-    e = exp_bi(1, 1, 1, T)  # e^{eps h}
+    e = BiSeriesRing(T).exp(1, 1, 1)  # e^{eps h}
     assert e.coefficient(0, 0) == 1
     assert e.coefficient(1, 1) == 1
     assert e.coefficient(2, 2) == Fraction(1, 2)
-    s = sinh_h(1, T)
+    s = BiSeriesRing(T).sinh_h(1)
     assert s.coefficient(0, 1) == 1
     assert s.coefficient(0, 3) == Fraction(1, 6)
     assert s.coefficient(0, 2) == 0
@@ -242,7 +238,7 @@ def test_biseries_exp_and_sinh():
 
 def test_biseries_invert_sinh():
     T = 8
-    s2 = sinh_h(1, T) * 2
+    s2 = BiSeriesRing(T).sinh_h(1) * 2
     inv = s2.invert()
     assert s2 * inv == BiSeries.one(T)
     assert inv.coefficient(0, -1) == Fraction(1, 2)
@@ -260,7 +256,7 @@ def test_biseries_slices_and_specialize():
     assert e.eps_slice(0) == ring.one
     # e^{eps h} at h = 2 eps is e^{2 eps^2}
     spec = e.specialize_h(2, T)
-    assert spec == exp_series(2, T).stretch(2)
+    assert spec == EpsSeriesRing(T).exp(2).stretch(2)
     inv = (ring.sinh_h(1) * 2).invert()
     assert inv.h_pole_order() == -1
     assert (inv * ring.monomial(1, 1, 0)).specialize_h(2, T).coefficient(0) \

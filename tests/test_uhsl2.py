@@ -16,7 +16,6 @@ from sl2star.uhsl2 import (
     limit_eps_to_zero,
     limit_h_to_zero,
     limits_report,
-    report_passed,
     specialization_report,
     xi_algebra,
     xi_relation_checks,
@@ -31,9 +30,13 @@ def xi():
     return xi_algebra(8)
 
 
+def failures(checks):
+    return [c.name for c in checks if not c.passed]
+
+
 def test_z_commutators_all_pass():
-    checks = z_commutators()
-    assert report_passed(checks), [c.name for c in checks if not c.passed]
+    checks = z_commutators(x_algebra())
+    assert not failures(checks)
 
 
 def test_z_relation_x_representation():
@@ -64,11 +67,11 @@ def test_z_relations_hold_for_random_a_tails():
                 Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
                 Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
         checks = z_commutators(x_algebra(8, tail))
-        assert report_passed(checks)
+        assert not failures(checks)
 
 
 def test_z_scaled_route():
-    assert report_passed(z_commutators_scaled())
+    assert not failures(z_commutators_scaled(x_algebra()))
 
 
 @pytest.mark.parametrize(
@@ -79,7 +82,7 @@ def test_z_scaled_route():
 @pytest.mark.parametrize("order", range(1, 13))
 def test_z_scaled_route_at_every_order(order, a_coeffs):
     checks = z_commutators_scaled(x_algebra(order, a_coeffs))
-    assert report_passed(checks), [c.name for c in checks if not c.passed]
+    assert not failures(checks)
 
 
 def test_z_scaled_route_sees_every_coefficient_of_mu(monkeypatch):
@@ -93,10 +96,8 @@ def test_z_scaled_route_sees_every_coefficient_of_mu(monkeypatch):
         for k in range(system.ring.order):
             bumped = mu2 + system.ring.eps_power(Fraction(1, 7), k)
             monkeypatch.setattr(uhsl2, "mu_squared", lambda _: bumped)
-            failed = [c.name for c in z_commutators_scaled(system)
-                      if not c.passed]
-            assert failed == ["[z2,z3] = sinh(h z1)/sinh(h) (explicit)"], \
-                (a_coeffs, k)
+            assert failures(z_commutators_scaled(system)) \
+                == ["[z2,z3] = sinh(h z1)/sinh(h) (explicit)"], (a_coeffs, k)
 
 
 def test_z_routes_pass_without_a_square_leading_coefficient():
@@ -105,17 +106,16 @@ def test_z_routes_pass_without_a_square_leading_coefficient():
     for a_coeffs in [(3,), (2,), (-4, 1), (Fraction(-1, 3),)]:
         system = x_algebra(8, a_coeffs)
         for checks in (z_commutators(system), z_commutators_scaled(system)):
-            assert report_passed(checks), \
-                (a_coeffs, [c.name for c in checks if not c.passed])
+            assert not failures(checks), a_coeffs
 
 
 def test_z_coproducts_all_pass():
-    assert report_passed(z_coproducts())
+    assert not failures(z_coproducts(x_algebra()))
 
 
 def test_xi_relations(xi):
     checks = xi_relation_checks(xi)
-    assert report_passed(checks), [c.name for c in checks if not c.passed]
+    assert not failures(checks)
 
 
 def test_xi_printed_sign_is_inconsistent():
@@ -236,12 +236,12 @@ def test_limit_eps_to_zero(xi):
 
 def test_limits_report(xi):
     checks = limits_report(xi)
-    assert report_passed(checks), [c.name for c in checks if not c.passed]
+    assert not failures(checks)
 
 
 def test_specialization_report():
-    checks = specialization_report()
-    assert report_passed(checks), [c.name for c in checks if not c.passed]
+    checks = specialization_report(8)
+    assert not failures(checks)
 
 
 def test_biseries_coefficients_stay_in_nonnegative_total_degree(xi):
