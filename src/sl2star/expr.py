@@ -227,13 +227,16 @@ class MixedAlphabetError(ExprError):
 
 
 def _collect_symbols(node: Expr, out: set) -> None:
-    if isinstance(node, Sym):
-        out.add(node.name)
-    elif isinstance(node, (Add, Sub, Mul)):
-        _collect_symbols(node.left, out)
-        _collect_symbols(node.right, out)
-    elif isinstance(node, Pow):
-        _collect_symbols(node.base, out)
+    """The symbols of ``node``, walked with a stack of its own."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sym):
+            out.add(node.name)
+        elif isinstance(node, (Add, Sub, Mul)):
+            stack += (node.left, node.right)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
 
 
 def choose_alphabet(node: Expr) -> str:
@@ -259,10 +262,11 @@ def evaluate(node: Expr, system: RewriteSystem) -> NCElement:
     Scalar subexpressions are computed in the series ring and promoted to
     multiples of the unit element only when combined with letters.
     """
-    value = _eval(node, system)
-    if isinstance(value, NCElement):
-        return value
-    return system.one * value
+    return _element(_eval(node, system), system)
+
+
+def _element(value, system: RewriteSystem) -> NCElement:
+    return value if isinstance(value, NCElement) else system.one * value
 
 
 def _scalar_symbol(name: str, system: RewriteSystem):
@@ -280,6 +284,25 @@ def _scalar_symbol(name: str, system: RewriteSystem):
 
 
 def _eval(node: Expr, system: RewriteSystem):
+    """The value of ``node``.  A loop walks the left spine of sums and
+    products; only parentheses (``MAX_NESTING``) and power bases recurse."""
+    spine = []
+    while isinstance(node, (Add, Sub, Mul)):
+        spine.append(node)
+        node = node.left
+    value = _eval_leaf(node, system)
+    for op in reversed(spine):
+        right = _eval(op.right, system)
+        if isinstance(op, Mul):
+            value = value * right
+            continue
+        if isinstance(value, NCElement) != isinstance(right, NCElement):
+            value, right = _element(value, system), _element(right, system)
+        value = value - right if isinstance(op, Sub) else value + right
+    return value
+
+
+def _eval_leaf(node: Expr, system: RewriteSystem):
     if isinstance(node, Num):
         return system.ring.constant(node.value)
     if isinstance(node, Sym):
@@ -293,17 +316,6 @@ def _eval(node: Expr, system: RewriteSystem):
             raise MixedAlphabetError(
                 f"symbol {node.name!r} does not belong to the "
                 f"{system.label}-alphabet") from None
-    if isinstance(node, Mul):
-        return _eval(node.left, system) * _eval(node.right, system)
-    if isinstance(node, (Add, Sub)):
-        left = _eval(node.left, system)
-        right = _eval(node.right, system)
-        if isinstance(left, NCElement) != isinstance(right, NCElement):
-            if not isinstance(left, NCElement):
-                left = system.one * left
-            else:
-                right = system.one * right
-        return left - right if isinstance(node, Sub) else left + right
     if isinstance(node, Pow):
         return _eval(node.base, system) ** node.exponent
     raise TypeError(f"not an expression node: {node!r}")

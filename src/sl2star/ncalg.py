@@ -88,6 +88,12 @@ M_X3 = PbwMonomial(0, 0, 1, 0)
 M_EP = PbwMonomial(0, 0, 0, 1)
 M_EM = PbwMonomial(0, 0, 0, -1)
 
+#: The coproduct of each letter as key pairs, each with coefficient 1; at
+#: eps = 0 it is the group law of the dual group.
+GENERATOR_COPRODUCT = {
+    X1: ((UNIT, M_X1), (M_X1, UNIT)), X2: ((M_X2, M_EM), (M_EP, M_X2)),
+    X3: ((M_X3, M_EM), (M_EP, M_X3)), EP: ((M_EP, M_EP),), EM: ((M_EM, M_EM),)}
+
 
 def measure(word: Word) -> tuple:
     """Termination measure (#x2/x3 letters, length, the word itself).
@@ -227,7 +233,7 @@ class RewriteSystem:
     ``rules`` maps an out-of-order adjacent pair to its replacement, a list
     of ``(word, coefficient)`` terms.  The system also carries the scalar
     ring, display names, the generator coproduct table used by the coalgebra
-    layer (the same for every instance, built from ``ring.one``), the
+    layer (``GENERATOR_COPRODUCT`` with coefficients ``ring.one``), the
     scalars of its multiplication tables, and a cache of basis-pair star
     products.  Instances are immutable after construction; the caches are
     fill-once and idempotent, so concurrent readers need no coordination.
@@ -239,15 +245,8 @@ class RewriteSystem:
         self.rules = dict(rules)
         self.symbols = dict(symbols)
         one = ring.one
-        # x1 primitive, the exponential letters group-like, x2 and x3
-        # twisted-primitive with exponential legs
-        self.coproduct_table = {
-            X1: [((UNIT, M_X1), one), ((M_X1, UNIT), one)],
-            X2: [((M_X2, M_EM), one), ((M_EP, M_X2), one)],
-            X3: [((M_X3, M_EM), one), ((M_EP, M_X3), one)],
-            EP: [((M_EP, M_EP), one)],
-            EM: [((M_EM, M_EM), one)],
-        }
+        self.coproduct_table = {g: [(pair, one) for pair in pairs]
+                                for g, pairs in GENERATOR_COPRODUCT.items()}
         self.a_series = a_series
         self.label = label
         self._star_cache = {}

@@ -1,11 +1,15 @@
-"""Lie bialgebra data for sl(2,R) and numeric Poisson-Lie verification.
+"""Lie bialgebra data for sl(2,R), and the Poisson-Lie bivector of the dual
+group, checked exactly and by numeric integration.
 
-The exact half of this module holds the sl(2,R) structure constants and the
-r-matrix r = X+ (wedge) X- as integer tensors, and computes from them the
-cobracket as the coboundary of r, the induced dual bracket and cobracket
-(transposes of these tensors), and the 1-cocycle condition.  The dual
-cobracket, transported onto the coordinate basis of the dual group, is built
-once, at import.
+The structure constants of sl(2,R) and the r-matrix r = X+ (wedge) X- are
+integer tensors; from them come the cobracket (the coboundary of r), the
+dual bracket and cobracket (their transposes) and the 1-cocycle condition.
+The bivector alpha = x2 d1^d2 - x3 d1^d3 + 4 sinh(2 x1) d2^d3, in the
+coordinates (x1, x2, x3) = (ln a, -b, c), is held once as exact basis data
+(``BIVECTOR``) and checked in integers: the Jacobi identity, multiplicativity
+for the group law ``ncalg.GENERATOR_COPRODUCT`` (Drinfeld 1983), and that its
+linear part is the cobracket, which on the simply connected dual group fixes
+it (Lu and Weinstein 1990).
 
 The numeric half realizes the dual group as pairs of triangular 2x2
 matrices, integrates the cobracket along one-parameter subgroups,
@@ -14,29 +18,22 @@ matrices, integrates the cobracket along one-parameter subgroups,
 
 in closed form, from one exponential of a 6x6 block matrix (Van Loan),
 pushes the result forward by the right-translation Jacobian, and compares
-against the closed-form bivector
-
-    alpha = x2 d1^d2 - x3 d1^d3 + 4 sinh(2 x1) d2^d3
-
-in the coordinates (x1, x2, x3) = (ln a, -b, c).  Duality leaves one
-overall normalization free; it enters as the single constant ``kappa``
-scaling the cobracket component of the torus direction, is fitted from the
-samples, and must come out identical everywhere (the expected value against
-the closed form above is 8).  This module is deliberately floating point;
-the exact algebra never imports it.
+against alpha in floating point.  Duality leaves one overall normalization
+free; it enters as the single constant ``kappa`` scaling the cobracket
+component of the torus direction, is fitted from the samples, and must come
+out 8 everywhere.  The exact algebra never imports this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-BASIS_LABELS = ("H", "X+", "X-")
+from .ncalg import GENERATOR_COPRODUCT, M_X1, M_X2, M_X3, PbwMonomial, UNIT
 
 #: duality normalization matching the closed-form bivector's sinh coefficient
 DEFAULT_KAPPA = 8.0
@@ -44,14 +41,8 @@ DEFAULT_KAPPA = 8.0
 #: largest spread of the kappa fitted at the samples of the integration lemma
 KAPPA_SPREAD_TOL = 1e-10
 
-#: sizes and pass bounds of the three numeric checks of criterion 10: the
-#: integration lemma (largest relative residual), multiplicativity and Jacobi
+#: size and pass bound (largest relative residual) of the integration lemma
 LEMMA_SAMPLES, LEMMA_TOL = 50, 1e-10
-MULTIPLICATIVITY_PAIRS, MULTIPLICATIVITY_TOL = 50, 1e-10
-JACOBI_POINTS, JACOBI_TOL = 20, 1e-6
-
-#: step of the central differences in ``jacobi_check``
-JACOBI_STEP = 1e-5
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +89,6 @@ class LieBialgebraData:
 
     bracket: np.ndarray
     cobracket: np.ndarray
-    labels: tuple = BASIS_LABELS
 
     def validate(self) -> None:
         if not np.array_equal(self.bracket, -self.bracket.transpose(1, 0, 2)):
@@ -140,18 +130,103 @@ def cocycle_check(data: LieBialgebraData) -> int:
     return int(np.abs(lhs - act + act.transpose(1, 0, 2, 3)).max())
 
 
-def classical_bracket_table() -> dict:
-    """Poisson brackets of the coordinate functions under the closed-form
-    bivector, as {(n1, n2, n3, m): coefficient} basis data.
+# ----------------------------------------------------------------------
+# the bivector, exactly
+# ----------------------------------------------------------------------
 
-    {x1,x2} = x2, {x1,x3} = -x3, {x2,x3} = 4 sinh(2 x1); the sinh is written
-    in the exponential generators: 2 e^{2x1} - 2 e^{-2x1}.
-    """
-    return {
-        (1, 2): {(0, 1, 0, 0): Fraction(1)},
-        (1, 3): {(0, 0, 1, 0): Fraction(-1)},
-        (2, 3): {(0, 0, 0, 2): Fraction(2), (0, 0, 0, -2): Fraction(-2)},
-    }
+#: The bivector as basis data over Q[x1, x2, x3, e^{+-x1}]: (i, j) ->
+#: {PbwMonomial: int} for i < j, with 4 sinh(2 x1) = 2 e^{2x1} - 2 e^{-2x1}.
+BIVECTOR = {(1, 2): {M_X2: 1}, (1, 3): {M_X3: -1},
+            (2, 3): {PbwMonomial(0, 0, 0, 2): 2, PbwMonomial(0, 0, 0, -2): -2}}
+
+# A function on n copies of the group is {n-tuple of basis monomials: int}.
+COORDINATES = {i: {(mono,): 1} for i, mono in enumerate((M_X1, M_X2, M_X3), 1)}
+
+
+def _sum(terms) -> dict:
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _mul(f: dict, g: dict, scale: int = 1) -> dict:
+    return _sum((tuple(a.classical_mul(b) for a, b in zip(u, v)), scale * c * d)
+                for u, c in f.items() for v, d in g.items())
+
+
+def partial(f: dict, copy: int, i: int) -> dict:
+    """d/dx_i on one copy; d/dx1 also brings down the m of e^{m x1}."""
+    terms = [(key, key[copy].m * c) for key, c in f.items()] if i == 1 else []
+    for key, c in f.items():
+        n = key[copy][i - 1]
+        if n:
+            lowered = key[copy]._replace(**{f"n{i}": n - 1})
+            terms.append((key[:copy] + (lowered,) + key[copy + 1:], n * c))
+    return _sum(terms)
+
+
+def poisson_bracket(pi: dict, f: dict, g: dict, copies: int = 1) -> dict:
+    """{f, g} = sum over i < j of pi^{ij} (d_i f d_j g - d_j f d_i g), on
+    each of ``copies`` copies (the product Poisson structure)."""
+    terms = []
+    for copy in range(copies):
+        for (i, j), p in pi.items():
+            p = {tuple(m if k == copy else UNIT for k in range(copies)): c
+                 for m, c in p.items()}
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                df_dg = _mul(partial(f, copy, a), partial(g, copy, b))
+                terms += _mul(p, df_dg, sign).items()
+    return _sum(terms)
+
+
+def jacobiator(pi: dict) -> dict:
+    """{x1, {x2, x3}} + cyclic, the one component of [pi, pi] in dimension 3."""
+    x = COORDINATES
+    return _sum(term for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+                for term in poisson_bracket(
+                    pi, x[i], poisson_bracket(pi, x[j], x[k])).items())
+
+
+def on_product(f: dict) -> dict:
+    """f(y x) as a function of (y, x): each letter becomes its key pairs in
+    ``GENERATOR_COPRODUCT``, the group law."""
+    terms = []
+    for (mono,), c in f.items():
+        value = {(UNIT, UNIT): c}
+        for letter in mono.word():
+            value = _mul(value, dict.fromkeys(GENERATOR_COPRODUCT[letter], 1))
+        terms += value.items()
+    return _sum(terms)
+
+
+def multiplicativity_failures(pi: dict) -> list:
+    """The pairs (i, j) where the pullback of {x_i, x_j} by the group law is
+    not the bracket on two copies of the pullbacks (Drinfeld 1983)."""
+    x = COORDINATES
+    return [(i, j) for i, j in sorted(pi)
+            if on_product(poisson_bracket(pi, x[i], x[j]))
+            != poisson_bracket(pi, on_product(x[i]), on_product(x[j]), 2)]
+
+
+def linear_part(pi: dict) -> dict:
+    """The degree <= 1 Taylor parts at x = 0, with e^{m x1} = 1 + m x1 + ..."""
+    def terms(p):
+        for mono, c in p.items():
+            degree = mono.n1 + mono.n2 + mono.n3
+            if degree == 0:
+                yield from ((UNIT, c), (M_X1, mono.m * c))
+            elif degree == 1:
+                yield mono._replace(m=0), c
+    return {pair: _sum(terms(p)) for pair, p in pi.items()}
+
+
+def linearization_failures(pi: dict, cobracket) -> list:
+    """The pairs (i, j) where the linear part of pi^{ij} is not
+    sum_k x_k delta(G_k)^{ij}, with ``cobracket[k - 1]`` = delta(G_k)."""
+    return [(i, j) for (i, j), p in sorted(linear_part(pi).items()) if p != {
+        mono: c for k, mono in enumerate((M_X1, M_X2, M_X3))
+        if (c := cobracket[k][i - 1][j - 1])}]
 
 
 # ----------------------------------------------------------------------
@@ -170,31 +245,12 @@ class DualGroupPoint:
         if not self.a > 0:
             raise ValueError("the diagonal parameter a must be positive")
 
-    def pair(self) -> tuple:
-        a, b, c = self.a, self.b, self.c
-        lower = np.array([[1.0 / a, 0.0], [b, a]])
-        upper = np.array([[a, c], [0.0, 1.0 / a]])
-        return lower, upper
-
     def coords(self) -> np.ndarray:
         return np.array([math.log(self.a), -self.b, self.c])
 
 
-IDENTITY = DualGroupPoint(1.0, 0.0, 0.0)
-
-
 def point_from_pair(lower: np.ndarray, upper: np.ndarray) -> DualGroupPoint:
     return DualGroupPoint(float(upper[0, 0]), float(lower[1, 0]), float(upper[0, 1]))
-
-
-def point_from_coords(x: Sequence[float]) -> DualGroupPoint:
-    return DualGroupPoint(math.exp(x[0]), -x[1], x[2])
-
-
-def group_mul(g: DualGroupPoint, h: DualGroupPoint) -> DualGroupPoint:
-    gl, gu = g.pair()
-    hl, hu = h.pair()
-    return point_from_pair(gl @ hl, gu @ hu)
 
 
 # tangent basis at the identity, in the coordinate directions d/dx1, d/dx2, d/dx3
@@ -316,15 +372,12 @@ class BivectorSample:
         return (c[0, 1], c[0, 2], c[1, 2])
 
 
-def right_translation_jacobian_exact(g: DualGroupPoint) -> np.ndarray:
+def right_translation_jacobian(g: DualGroupPoint) -> np.ndarray:
     """J[i, k] = d coords_i(h g) / d coords_k(h) at h = identity, in closed
-    form from the coordinate multiplication law
+    form from the group law ``ncalg.GENERATOR_COPRODUCT``.
 
-        (y1, y2, y3) . (x1, x2, x3)
-            = (y1 + x1, y2 e^{-x1} + e^{y1} x2, e^{y1} x3 + y3 e^{-x1}).
-
-    ``bivector_at`` and ``w_reference`` use it: the kappa fit of the
-    integration lemma needs the bivector to machine precision.
+    ``bivector_at`` uses it: the kappa fit of the integration lemma needs the
+    bivector to machine precision.
     """
     x1, x2, x3 = g.coords()
     s = math.exp(-x1)
@@ -336,78 +389,21 @@ def bivector_at(x: Sequence[float],
     """The integrated Poisson bivector at the group point e^X, in coordinates."""
     w = integrate_cobracket(x, kappa)
     g = exp_point(x)
-    J = right_translation_jacobian_exact(g)
+    J = right_translation_jacobian(g)
     return BivectorSample(tuple(g.coords()), J @ w @ J.T)
 
 
-def alpha_reference(x: Sequence[float], linearized: bool = False) -> BivectorSample:
-    """Closed-form bivector x2 d1^d2 - x3 d1^d3 + 4 sinh(2 x1) d2^d3.
-
-    With ``linearized`` the sinh factor is replaced by its linear part 8 x1
-    (the Lie-Poisson structure), which is Poisson as well.
-    """
+def alpha_reference(x: Sequence[float]) -> BivectorSample:
+    """Closed-form bivector x2 d1^d2 - x3 d1^d3 + 4 sinh(2 x1) d2^d3, in
+    floating point: ``BIVECTOR`` evaluated at the point x."""
     x1, x2, x3 = (float(v) for v in x)
-    c23 = 8.0 * x1 if linearized else 4.0 * math.sinh(2.0 * x1)
+    c23 = 4.0 * math.sinh(2.0 * x1)
     comp = np.array([
         [0.0, x2, -x3],
         [-x2, 0.0, c23],
         [x3, -c23, 0.0],
     ])
     return BivectorSample((x1, x2, x3), comp)
-
-
-def w_reference(g: DualGroupPoint) -> np.ndarray:
-    """Pullback of the closed-form bivector by right translation: w(g)."""
-    J = right_translation_jacobian_exact(g)
-    Jinv = np.linalg.inv(J)
-    alpha = alpha_reference(g.coords()).components
-    return Jinv @ alpha @ Jinv.T
-
-
-def ad_point(g: DualGroupPoint) -> np.ndarray:
-    """Adjoint action of the group element g on the coordinate tangent basis."""
-    gl, gu = g.pair()
-    gl_inv = np.linalg.inv(gl)
-    gu_inv = np.linalg.inv(gu)
-    out = np.zeros((3, 3))
-    for j in range(3):
-        lower = gl @ _G_LOWER[j] @ gl_inv
-        upper = gu @ _G_UPPER[j] @ gu_inv
-        out[:, j] = pair_tangent(lower, upper)
-    return out
-
-
-def multiplicativity_check(g: DualGroupPoint, h: DualGroupPoint) -> float:
-    """Residual of w(gh) = (Ad_g (x) Ad_g) w(h) + w(g) for the reference w."""
-    lhs = w_reference(group_mul(g, h))
-    A = ad_point(g)
-    rhs = A @ w_reference(h) @ A.T + w_reference(g)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def jacobi_check(point: Sequence[float], linearized: bool = False) -> float:
-    """Schouten bracket [alpha, alpha] at the point via central differences.
-
-    In dimension 3 the bracket has the single independent component
-    2 * sum_l cyclic( alpha^{1l} d_l alpha^{23} ); its absolute value is
-    returned and must vanish for a Poisson bivector.
-    """
-    x = np.asarray(point, dtype=float)
-
-    def comp(y):
-        return alpha_reference(y, linearized).components
-
-    grad = np.zeros((3, 3, 3))  # grad[l, i, j] = d_l alpha^{ij}
-    for l in range(3):
-        e = np.zeros(3)
-        e[l] = JACOBI_STEP
-        grad[l] = (comp(x + e) - comp(x - e)) / (2.0 * JACOBI_STEP)
-    a = comp(x)
-    cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    total = 0.0
-    for (i, j, k) in cyc:
-        total += sum(a[i, l] * grad[l, j, k] for l in range(3))
-    return abs(2.0 * total)
 
 
 # ----------------------------------------------------------------------
@@ -458,23 +454,3 @@ def verify_integration_lemma(seed: int = 0) -> dict:
         "max_residual": max_rel,
         "passed": max_rel < LEMMA_TOL and spread <= KAPPA_SPREAD_TOL,
     }
-
-
-def verify_multiplicativity(seed: int = 0) -> dict:
-    rng = np.random.default_rng(seed)
-    residuals = []
-    for _ in range(MULTIPLICATIVITY_PAIRS):
-        g = point_from_coords(rng.uniform(-1.0, 1.0, size=3))
-        h = point_from_coords(rng.uniform(-1.0, 1.0, size=3))
-        residuals.append(multiplicativity_check(g, h))
-    worst = float(np.max(residuals))
-    return {"max_residual": worst, "passed": worst < MULTIPLICATIVITY_TOL}
-
-
-def verify_jacobi(seed: int = 0, linearized: bool = False) -> dict:
-    rng = np.random.default_rng(seed)
-    residuals = [jacobi_check(rng.uniform(-1.0, 1.0, size=3),
-                              linearized=linearized)
-                 for _ in range(JACOBI_POINTS)]
-    worst = float(np.max(residuals))
-    return {"max_residual": worst, "passed": worst < JACOBI_TOL}

@@ -83,10 +83,20 @@ def test_cli_normalizes_a_large_power(capsys):
     assert out.strip() == "x1^100000"
 
 
+@pytest.mark.parametrize("op, printed", [("+", "3001*x1"), ("*", "x1^3001")])
+def test_cli_normalizes_a_long_flat_expression(capsys, op, printed):
+    """A sum or a product of 3,001 letters, deeper than the recursion
+    limit, is normalized."""
+    code, out = run_cli(capsys, "normalize", op.join(["x1"] * 3001))
+    assert code == 0
+    assert out.strip() == printed
+
+
 def test_importing_the_cli_loads_no_numeric_library():
-    """numpy and scipy load only for the Poisson-Lie commands."""
-    code = ("import sys, sl2star.cli; "
-            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    """numpy, scipy and the module that needs them load only for the
+    Poisson-Lie commands."""
+    code = ("import sys, sl2star.cli; print(sorted("
+            "{'numpy', 'scipy', 'sl2star.poisson'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120,

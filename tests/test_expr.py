@@ -209,6 +209,20 @@ def test_eval_scalar_and_mixed(xsys):
     assert evaluate(parse("x1^0"), xsys) == xsys.one
 
 
+def test_long_flat_expressions_evaluate(xsys):
+    """Flat sums, differences and products of 5,000 operands, inside
+    parentheses and out: the left spine is walked by a loop, not by
+    recursion."""
+    n = 5000
+    text = "(" + " - ".join(["x1"] * n) + ")*e+ + " + "*".join(["e+"] * n)
+    node = parse(text)
+    assert choose_alphabet(node) == "x"
+    assert evaluate(node, xsys) == xsys.element({
+        PbwMonomial(1, 0, 0, 1): xsys.ring.constant(2 - n),
+        PbwMonomial(0, 0, 0, n): xsys.ring.one,
+    })
+
+
 def test_eval_relation_difference_is_zero(xsys):
     rel = "e+*x2 - (" + _exp2_text(xsys) + ")*x2*e+"
     assert evaluate(parse(rel), xsys).is_zero()

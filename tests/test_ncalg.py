@@ -463,14 +463,11 @@ def test_classical_limit_of_commutators_matches_bivector(xsys):
     """The eps^1 coefficient of [x_i, x_j] is twice the Poisson bracket."""
     gens = {1: xsys.generator(X1), 2: xsys.generator(X2),
             3: xsys.generator(X3)}
-    table = poisson.classical_bracket_table()
-    for (i, j), bracket in table.items():
+    for (i, j), bracket in poisson.BIVECTOR.items():
         comm = xsys.commutator(gens[i], gens[j])
         eps1 = {m: c.coefficient(1) for m, c in comm.terms.items()
                 if c.coefficient(1)}
-        expected = {PbwMonomial(*mono): 2 * coeff
-                    for mono, coeff in bracket.items()}
-        assert eps1 == expected
+        assert eps1 == {mono: 2 * c for mono, c in bracket.items()}
 
 
 def test_element_algebra_and_scaling(xsys):

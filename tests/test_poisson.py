@@ -1,6 +1,9 @@
-"""Lie bialgebra data and the numeric Poisson-Lie verification."""
+"""Lie bialgebra data, the exact bivector checks and the numeric
+integration lemma."""
 
+import importlib.util
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +11,9 @@ import pytest
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
-from sl2star import poisson as P
+from sl2star import checks, poisson as P
+from sl2star.config import Config
+from sl2star.ncalg import PbwMonomial as M
 
 
 def test_sl2_bracket_antisymmetry_and_jacobi():
@@ -85,19 +90,8 @@ def test_validate_refuses_non_antisymmetric_structure_constants():
 def test_dual_group_point_validation():
     with pytest.raises(ValueError):
         P.DualGroupPoint(-1.0, 0.0, 0.0)
-    p = P.point_from_coords([0.5, 0.25, -0.75])
+    p = P.DualGroupPoint(math.exp(0.5), -0.25, -0.75)
     assert np.allclose(p.coords(), [0.5, 0.25, -0.75])
-
-
-def test_group_mul_matches_coordinate_law():
-    g = P.point_from_coords([0.3, -0.4, 0.9])
-    h = P.point_from_coords([-0.6, 1.1, 0.2])
-    prod = P.group_mul(h, g).coords()
-    y, x = h.coords(), g.coords()
-    expected = [y[0] + x[0],
-                y[1] * math.exp(-x[0]) + math.exp(y[0]) * x[1],
-                math.exp(y[0]) * x[2] + y[2] * math.exp(-x[0])]
-    assert np.allclose(prod, expected, atol=1e-14)
 
 
 def test_coordinate_structure_constants():
@@ -197,8 +191,6 @@ def test_alpha_reference_values():
     assert np.allclose(P.alpha_reference([0, 0, 0]).components, 0.0)
     c = P.alpha_reference([0.5, 0.0, 0.0])
     assert c.components[1, 2] == pytest.approx(4 * math.sinh(1.0))
-    lin = P.alpha_reference([0.5, 0.0, 0.0], linearized=True)
-    assert lin.components[1, 2] == pytest.approx(4.0)
 
 
 def test_bivector_sample_antisymmetry():
@@ -206,21 +198,43 @@ def test_bivector_sample_antisymmetry():
     assert np.allclose(s.components + s.components.T, 0.0)
 
 
-def test_exact_jacobian_matches_finite_differences():
-    """Central differences of group_mul: J[:, k] = d coords(h g) / d h_k."""
+def _value(f, points):
+    """A function on copies of the group at one point of each copy."""
+    return sum(c * math.prod(x[0] ** m.n1 * x[1] ** m.n2 * x[2] ** m.n3
+                             * math.exp(m.m * x[0])
+                             for m, x in zip(key, points))
+               for key, c in f.items())
+
+
+def test_jacobian_is_the_derivative_of_the_group_law():
+    """J[i, k] = d coords_i(h g) / d h_k at h = e: the group law of the
+    generator table differentiated exactly on the left copy, then evaluated
+    at (e, g)."""
     rng = np.random.default_rng(3)
-    step = 1e-5
+    derivative = [[P.partial(P.on_product(P.COORDINATES[i]), 0, k)
+                   for k in (1, 2, 3)] for i in (1, 2, 3)]
     for _ in range(20):
         g = P.exp_point(rng.uniform(-1.0, 1.0, size=3))
-        fd = np.zeros((3, 3))
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = step
-            plus = P.group_mul(P.point_from_coords(e), g).coords()
-            minus = P.group_mul(P.point_from_coords(-e), g).coords()
-            fd[:, k] = (plus - minus) / (2.0 * step)
-        assert np.allclose(P.right_translation_jacobian_exact(g), fd,
-                           rtol=0.0, atol=1e-9)
+        points = ([0.0, 0.0, 0.0], g.coords())
+        expected = [[_value(d, points) for d in row] for row in derivative]
+        assert np.allclose(P.right_translation_jacobian(g), expected,
+                           rtol=1e-14, atol=1e-14)
+
+
+def test_the_benchmark_tracer_finds_every_span(capsys):
+    """The benchmark's tracer (loaded read-only by path) patches its spans
+    by name, and says "not found" for a name the program lacks."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    captured = capsys.readouterr()
+    assert "not found" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -232,38 +246,73 @@ def test_lemma_verification_report(seed):
     assert rep["max_residual"] < P.LEMMA_TOL == 1e-10
 
 
-def test_multiplicativity():
-    g = P.point_from_coords([0.5, 0.2, -0.7])
-    assert P.multiplicativity_check(g, P.IDENTITY) == 0.0
-    assert P.multiplicativity_check(P.IDENTITY, g) == 0.0
+# -- the bivector, exactly --------------------------------------------------
+
+def test_on_product_is_the_coordinate_group_law():
+    y, x = [-0.6, 1.1, 0.2], [0.3, -0.4, 0.9]
+    expected = [y[0] + x[0],
+                y[1] * math.exp(-x[0]) + math.exp(y[0]) * x[1],
+                math.exp(y[0]) * x[2] + y[2] * math.exp(-x[0])]
+    got = [_value(P.on_product(P.COORDINATES[i]), (y, x)) for i in (1, 2, 3)]
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
+    assert P.on_product({(M(1, 0, 0, 2),): 3}) == {
+        (M(1, 0, 0, 2), M(0, 0, 0, 2)): 3, (M(0, 0, 0, 2), M(1, 0, 0, 2)): 3}
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_multiplicativity_passes_at_every_seed(seed):
-    rep = P.verify_multiplicativity(seed=seed)
-    assert rep["passed"]
-    assert rep["max_residual"] < P.MULTIPLICATIVITY_TOL == 1e-10
+def test_partial_brings_down_the_exponent_of_x1():
+    f = {(M(2, 1, 0, -3),): 5}
+    assert P.partial(f, 0, 1) == {(M(1, 1, 0, -3),): 10, (M(2, 1, 0, -3),): -15}
+    assert P.partial(f, 0, 2) == {(M(2, 0, 0, -3),): 5}
+    assert P.partial(f, 0, 3) == {}
+    two = {(M(0, 0, 0, 1), M(0, 0, 1, 0)): 1}
+    assert P.partial(two, 1, 3) == {(M(0, 0, 0, 1), M(0, 0, 0, 0)): 1}
+    assert P.partial(two, 1, 1) == {}
 
 
-def test_jacobi():
-    assert P.jacobi_check([0.0, 0.0, 0.0]) < 1e-12
-    assert P.jacobi_check([0.3, 1.2, -0.7]) < 1e-6
-    assert P.jacobi_check([0.3, 1.2, -0.7], linearized=True) < 1e-6
-    rep = P.verify_jacobi(seed=2)
-    assert rep["passed"]
+def test_coordinate_brackets_are_the_bivector():
+    x = P.COORDINATES
+    for (i, j), p in P.BIVECTOR.items():
+        assert P.poisson_bracket(P.BIVECTOR, x[i], x[j]) == {
+            (mono,): c for mono, c in p.items()}
+        assert P.poisson_bracket(P.BIVECTOR, x[j], x[i]) == {
+            (mono,): -c for mono, c in p.items()}
 
 
-def test_jacobi_negative_control(monkeypatch):
-    """Breaking the x2 coefficient must produce a visible Schouten residual
-    (guards the finite-difference formula itself)."""
-    orig = P.alpha_reference
+def test_linear_part_is_the_lie_poisson_structure():
+    assert P.linear_part(P.BIVECTOR) == {
+        (1, 2): {M(0, 1, 0, 0): 1}, (1, 3): {M(0, 0, 1, 0): -1},
+        (2, 3): {M(1, 0, 0, 0): 8}}
 
-    def broken(y, linearized=False):
-        b = orig(y, linearized)
-        comp = b.components.copy()
-        comp[0, 1] = y[1] ** 2 + 1.0
-        comp[1, 0] = -comp[0, 1]
-        return P.BivectorSample(b.point, comp)
 
-    monkeypatch.setattr(P, "alpha_reference", broken)
-    assert P.jacobi_check([0.4, 0.8, -0.2]) > 1e-3
+def test_the_exact_checks_pass():
+    pi = P.BIVECTOR
+    assert P.jacobiator(pi) == {}
+    assert P.jacobiator(P.linear_part(pi)) == {}
+    assert P.multiplicativity_failures(pi) == []
+    cobracket = P.coordinate_cobracket(P.DEFAULT_KAPPA)
+    assert P.linearization_failures(pi, cobracket) == []
+
+
+MULT = "Poisson-Lie multiplicativity of w"
+JAC = "Jacobi identity of the closed-form bivector"
+JAC_LIN = "Jacobi identity of the linearized bivector"
+LIN = "linear part of the bivector is the coordinate cobracket at kappa = 8"
+TWO_SINH = {M(0, 0, 0, 2): 2, M(0, 0, 0, -2): -2}
+
+
+@pytest.mark.parametrize("p23, failing", [
+    ({**TWO_SINH, M(0, 1, 0, 0): 1}, {MULT, JAC, JAC_LIN, LIN}),
+    ({M(0, 0, 0, 3): 2, M(0, 0, 0, -3): -2}, {MULT, LIN}),
+    ({M(0, 0, 0, 2): Fraction(3, 2), M(0, 0, 0, -2): Fraction(-3, 2)}, {LIN}),
+], ids=["plus-x2", "4-sinh-3x1", "3-sinh-2x1"])
+def test_criterion_10_sees_a_perturbed_bivector(monkeypatch, p23, failing):
+    """pi^{23} + x2, 4 sinh(3 x1) and 3 sinh(2 x1) in place of 4 sinh(2 x1):
+    each fails exactly the exact lines it breaks, and names (x2, x3)."""
+    monkeypatch.setattr(P, "BIVECTOR", {**P.BIVECTOR, (2, 3): p23})
+    report = checks.poisson_lemma(Config())
+    assert {c.name for c in report if not c.passed} == failing
+    for c in report:
+        if not c.passed and c.name in (MULT, LIN):
+            assert c.detail == "fails first on {x2, x3}"
+        if not c.passed and c.name in (JAC, JAC_LIN):
+            assert c.detail == "fails on (x1, x2, x3)"

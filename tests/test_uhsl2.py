@@ -239,8 +239,8 @@ def test_limits_report(xi):
     assert not failures(checks)
 
 
-def test_specialization_report():
-    checks = specialization_report(8)
+def test_specialization_report(xi):
+    checks = specialization_report(xi, x_algebra(8))
     assert not failures(checks)
 
 
