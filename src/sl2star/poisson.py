@@ -12,16 +12,18 @@ linear part is the cobracket, which on the simply connected dual group fixes
 it (Lu and Weinstein 1990).
 
 The numeric half realizes the dual group as pairs of triangular 2x2
-matrices, integrates the cobracket along one-parameter subgroups,
+matrices, whose group exponential has a closed form, integrates the
+cobracket along one-parameter subgroups,
 
     w(e^X) = integral_0^1 (Ad_{e^{sX}} (x) Ad_{e^{sX}}) delta(X) ds,
 
-in closed form, from one exponential of a 6x6 block matrix (Van Loan),
 pushes the result forward by the right-translation Jacobian, and compares
 against alpha in floating point.  Duality leaves one overall normalization
 free; it enters as the single constant ``kappa`` scaling the cobracket
 component of the torus direction, is fitted from the samples, and must come
-out 8 everywhere.  The exact algebra never imports this module.
+out 8 everywhere.  The integral is affine in kappa, so both of its parts
+come from one exponential of a 9x9 block matrix (Van Loan): one matrix
+exponential per sample point.  The exact algebra never imports this module.
 """
 
 from __future__ import annotations
@@ -249,10 +251,6 @@ class DualGroupPoint:
         return np.array([math.log(self.a), -self.b, self.c])
 
 
-def point_from_pair(lower: np.ndarray, upper: np.ndarray) -> DualGroupPoint:
-    return DualGroupPoint(float(upper[0, 0]), float(lower[1, 0]), float(upper[0, 1]))
-
-
 # tangent basis at the identity, in the coordinate directions d/dx1, d/dx2, d/dx3
 _G_LOWER = (
     np.array([[-1.0, 0.0], [0.0, 1.0]]),
@@ -264,12 +262,6 @@ _G_UPPER = (
     np.zeros((2, 2)),
     np.array([[0.0, 1.0], [0.0, 0.0]]),
 )
-
-
-def tangent_pair(v: Sequence[float]) -> tuple:
-    lower = sum(float(v[i]) * _G_LOWER[i] for i in range(3))
-    upper = sum(float(v[i]) * _G_UPPER[i] for i in range(3))
-    return lower, upper
 
 
 def pair_tangent(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -297,9 +289,13 @@ def ad_matrix(x: Sequence[float]) -> np.ndarray:
 
 
 def exp_point(x: Sequence[float]) -> DualGroupPoint:
-    """Group exponential of the tangent vector with coordinates x."""
-    lower, upper = tangent_pair(x)
-    return point_from_pair(expm(lower), expm(upper))
+    """Group exponential of the tangent vector with coordinates x, in closed
+    form: the exponential of the triangular pair sum_i x_i (G_lower_i,
+    G_upper_i) has a = e^{x1}, b = -x2 sinh(x1)/x1 and c = x3 sinh(x1)/x1,
+    the factor sinh(x1)/x1 being 1 at x1 = 0."""
+    x1, x2, x3 = (float(v) for v in x)
+    f = math.sinh(x1) / x1 if x1 != 0.0 else 1.0
+    return DualGroupPoint(math.exp(x1), -x2 * f, x3 * f)
 
 
 # ----------------------------------------------------------------------
@@ -331,27 +327,34 @@ def coordinate_cobracket(kappa: float = DEFAULT_KAPPA) -> np.ndarray:
     return out
 
 
-def integrate_cobracket(x: Sequence[float],
-                        kappa: float = DEFAULT_KAPPA) -> np.ndarray:
-    """w(e^X) = integral_0^1 A(s) delta(X) A(s)^T ds with A(s) = e^{s ad_X}.
+#: the coordinate cobracket as delta = _DELTA_FIXED + kappa _DELTA_PER_KAPPA
+_DELTA_FIXED = coordinate_cobracket(0.0)
+_DELTA_PER_KAPPA = coordinate_cobracket(1.0) - _DELTA_FIXED
 
-    Van Loan's block exponential (IEEE TAC 23, 1978): the exponential of
-    [[M, D], [0, -M^T]] with M = ad_X and D = delta(X) is
-    [[e^M, F12], [0, e^{-M^T}]] with
-    F12 = integral_0^1 e^{(1-s) M} D e^{-s M^T} ds, so F12 e^{M^T} is w.
+
+def integrate_cobracket(x: Sequence[float]) -> tuple:
+    """(w0, w1) with w(e^X) = w0 + kappa w1, where
+    w = integral_0^1 A(s) delta(X) A(s)^T ds and A(s) = e^{s ad_X}.
+
+    Van Loan's block exponential (IEEE TAC 23, 1978), with both kappa parts
+    of delta(X) in one 9x9 block: the exponential of
+    [[M, D0, D1], [0, -M^T, 0], [0, 0, -M^T]] with M = ad_X is
+    [[e^M, F1, F2], [0, e^{-M^T}, 0], [0, 0, e^{-M^T}]] with
+    F_k = integral_0^1 e^{(1-s) M} D_k e^{-s M^T} ds, so F_k e^{M^T} is w_k.
     """
     x = np.asarray(x, dtype=float)
-    delta = coordinate_cobracket(kappa)
     M = ad_matrix(x)
-    block = np.zeros((6, 6))
+    block = np.zeros((9, 9))
     block[:3, :3] = M
-    block[:3, 3:] = np.einsum("i,ijk->jk", x, delta)
-    block[3:, 3:] = -M.T
+    block[:3, 3:6] = np.einsum("i,ijk->jk", x, _DELTA_FIXED)
+    block[:3, 6:] = np.einsum("i,ijk->jk", x, _DELTA_PER_KAPPA)
+    block[3:6, 3:6] = block[6:, 6:] = -M.T
     F = expm(block)
-    w = F[:3, 3:] @ F[:3, :3].T
-    if not np.all(np.isfinite(w)):
+    e_mt = F[:3, :3].T
+    w0, w1 = F[:3, 3:6] @ e_mt, F[:3, 6:] @ e_mt
+    if not (np.all(np.isfinite(w0)) and np.all(np.isfinite(w1))):
         raise FloatingPointError("non-finite value in cobracket integration")
-    return w
+    return w0, w1
 
 
 @dataclass(frozen=True)
@@ -384,13 +387,19 @@ def right_translation_jacobian(g: DualGroupPoint) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [x2, s, 0.0], [x3, 0.0, s]])
 
 
-def bivector_at(x: Sequence[float],
-                kappa: float = DEFAULT_KAPPA) -> BivectorSample:
-    """The integrated Poisson bivector at the group point e^X, in coordinates."""
-    w = integrate_cobracket(x, kappa)
+def bivector_at(x: Sequence[float]) -> tuple:
+    """(base, per_kappa): the integrated Poisson bivector at the group point
+    e^X, in coordinates, is base + kappa per_kappa.
+
+    One matrix exponential in all: both parts come from the one 9x9 block of
+    ``integrate_cobracket``, and the group point (in closed form) and its
+    Jacobian, which do not depend on kappa, are computed once.
+    """
+    w0, w1 = integrate_cobracket(x)
     g = exp_point(x)
+    point = tuple(g.coords())
     J = right_translation_jacobian(g)
-    return BivectorSample(tuple(g.coords()), J @ w @ J.T)
+    return BivectorSample(point, J @ w0 @ J.T), BivectorSample(point, J @ w1 @ J.T)
 
 
 def alpha_reference(x: Sequence[float]) -> BivectorSample:
@@ -413,10 +422,9 @@ def alpha_reference(x: Sequence[float]) -> BivectorSample:
 def fit_kappa_at(x: Sequence[float], reference: BivectorSample):
     """Least-squares kappa at one sample; None when the kappa direction
     vanishes there (x1 = 0 kills it)."""
-    b0 = bivector_at(x, kappa=0.0)
-    b1 = bivector_at(x, kappa=1.0)
+    b0, b1 = bivector_at(x)
     base = np.array(b0.upper())
-    mult = np.array(b1.upper()) - base
+    mult = np.array(b1.upper())
     denom = float(mult @ mult)
     if denom < 1e-10:
         return None, base, mult

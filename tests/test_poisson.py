@@ -120,18 +120,20 @@ def test_coordinate_cobracket_shape():
 def test_coordinate_cobracket_hands_out_a_copy():
     x = [0.4, -0.3, 0.8]
     delta = P.coordinate_cobracket(8.0)
-    w = P.integrate_cobracket(x, 8.0)
+    w0, w1 = P.integrate_cobracket(x)
     expected = delta.copy()
     delta[:] = 0.0
     assert np.array_equal(P.coordinate_cobracket(8.0), expected)
-    assert np.array_equal(P.integrate_cobracket(x, 8.0), w)
+    v0, v1 = P.integrate_cobracket(x)
+    assert np.array_equal(v0, w0) and np.array_equal(v1, w1)
 
 
 def test_integrate_cobracket_closed_form():
     """For X along the torus direction the integrand is kappa x1 e^{4 s x1}
     on the (2,3) slot; integral kappa (e^{4 x1} - 1)/4."""
     x1 = 0.8
-    w = P.integrate_cobracket([x1, 0, 0], kappa=8.0)
+    w0, w1 = P.integrate_cobracket([x1, 0, 0])
+    w = w0 + 8.0 * w1
     expected = 8.0 * (math.exp(4 * x1) - 1) / 4.0
     assert abs(w[1, 2] - expected) < 1e-10
     assert abs(w[2, 1] + expected) < 1e-10
@@ -144,8 +146,8 @@ def test_integrate_cobracket_zero_cases():
     assert np.allclose(P.integrate_cobracket([0, 0, 0]), 0.0)
     # X along the torus direction with kappa = 0 has delta(X) = 0, so the
     # integrand vanishes identically
-    w = P.integrate_cobracket([0.7, 0.0, 0.0], kappa=0.0)
-    assert np.allclose(w, 0.0, atol=1e-15)
+    w0, _ = P.integrate_cobracket([0.7, 0.0, 0.0])
+    assert np.allclose(w0, 0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 8.0])
@@ -164,23 +166,62 @@ def test_integrate_cobracket_matches_quadrature(kappa):
             return A @ D @ A.T
 
         expected, _ = quad_vec(integrand, 0.0, 1.0, epsabs=1e-13)
-        assert np.allclose(P.integrate_cobracket(x, kappa), expected,
-                           rtol=0.0, atol=1e-10)
+        w0, w1 = P.integrate_cobracket(x)
+        assert np.allclose(w0 + kappa * w1, expected, rtol=0.0, atol=1e-10)
 
 
 def test_bivector_exact_on_x1_zero_plane():
     """At x1 = 0 the lemma value and the closed form agree to round-off,
     component by component (derived: the pushforward is exact
     there)."""
-    b = P.bivector_at([0.0, 0.7, -0.4], kappa=8.0)
+    base, per_kappa = P.bivector_at([0.0, 0.7, -0.4])
     ref = P.alpha_reference(P.exp_point([0.0, 0.7, -0.4]).coords())
-    assert np.allclose(b.components, ref.components, atol=1e-10)
-    assert np.allclose(b.point, ref.point, atol=1e-12)
+    assert np.allclose(base.components + 8.0 * per_kappa.components,
+                       ref.components, atol=1e-10)
+    assert np.allclose(base.point, ref.point, atol=1e-12)
+    assert per_kappa.point == base.point
 
 
 def test_bivector_at_origin_is_zero():
-    b = P.bivector_at([0.0, 0.0, 0.0])
-    assert np.allclose(b.components, 0.0, atol=1e-14)
+    base, per_kappa = P.bivector_at([0.0, 0.0, 0.0])
+    b = base.components + P.DEFAULT_KAPPA * per_kappa.components
+    assert np.allclose(b, 0.0, atol=1e-14)
+
+
+def test_fit_kappa_makes_one_exponential(monkeypatch):
+    """One kappa fit integrates once and takes one matrix exponential: the
+    group point is in closed form and both kappa parts share one block."""
+    calls = {"expm": 0, "integrate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(P, "expm", counted("expm", P.expm))
+    monkeypatch.setattr(P, "integrate_cobracket",
+                        counted("integrate", P.integrate_cobracket))
+    x = [0.5, -0.25, 0.75]
+    kappa, _, _ = P.fit_kappa_at(x, P.alpha_reference(P.exp_point(x).coords()))
+    assert kappa == pytest.approx(8.0, abs=1e-10)
+    assert calls == {"expm": 1, "integrate": 1}
+
+
+def test_exp_point_is_the_matrix_exponential():
+    """The closed-form group point is the matrix exponential of the
+    triangular pair sum_i x_i (G_lower_i, G_upper_i), at seeded points of
+    the cube and beside x1 = 0, where sinh(x1)/x1 is taken as 1."""
+    rng = np.random.default_rng(11)
+    points = [rng.uniform(-1.0, 1.0, size=3) for _ in range(20)]
+    points += [np.array([x1, 0.6, -0.9]) for x1 in (0.0, 1e-8, -1e-8)]
+    for x in points:
+        g = P.exp_point(x)
+        lower = np.array([[1.0 / g.a, 0.0], [g.b, g.a]])
+        upper = np.array([[g.a, g.c], [0.0, 1.0 / g.a]])
+        for pair, basis in ((lower, P._G_LOWER), (upper, P._G_UPPER)):
+            expected = expm(sum(x[i] * basis[i] for i in range(3)))
+            assert np.allclose(pair, expected, rtol=1e-13, atol=1e-15), x
 
 
 def test_alpha_reference_values():
