@@ -8,8 +8,9 @@ both truncated at ``config.order``.  Criteria 1 and 9 check that rewriting
 is confluent on the finitely many overlaps of the rules, not on sampled
 words.
 Criterion n draws its random inputs from ``random.Random(config.seed + s)``
-with s = 101 n (111 for criterion 11); criterion 10 draws only the points of
-its integration lemma, from ``config.seed``.  So ``--seed`` moves every draw,
+with s = 101 n (111 for criterion 11, and 414 for the A-tails of the
+isomorphism line of criterion 4); criterion 10 draws only the points of its
+integration lemma, from ``config.seed``.  So ``--seed`` moves every draw,
 and the default seed 0 gives the acceptance inputs.  A suite is a tuple of
 criteria; ``run_suite`` wraps their records in a JSON-able report.
 """
@@ -35,7 +36,7 @@ def _check(name: str, passed: bool, detail: str = "") -> RelationCheck:
 
 
 def _x_system(config: Config):
-    return x_algebra(config.order, config.a_coeffs)
+    return x_algebra(config.order)
 
 
 def _rng(config: Config, offset: int) -> random.Random:
@@ -78,6 +79,30 @@ def _associativity(system, triples, prefix: str = "") -> RelationCheck:
 def _ideal_is_coideal(system) -> bool:
     return all(coalg.coideal_check(system, rel).is_zero()
                for _, rel in system.relation_words())
+
+
+def _x2_scale(source, target):
+    """u = A'/A = mu'^2/mu^2, with A' the A of ``source``."""
+    return uhsl2.mu_squared(source) * uhsl2.mu_squared(target).invert()
+
+
+def _x2_rescaling_is_isomorphism(source, target) -> bool:
+    """phi: x2 -> u x2, the other letters fixed, maps ``source`` onto
+    ``target`` as bialgebras: it takes a basis word with n letters x2 to u^n
+    times itself, kills the eleven relations of ``source``, and (phi (x)
+    phi) Delta = Delta phi on the generators; x2 -> x2/u is its inverse."""
+    u = _x2_scale(source, target)
+    kills = all(sum((target.normal_form(word) * (c * u ** word.count(X2))
+                     for word, c in rel.items()), target.zero).is_zero()
+                for _, rel in source.relation_words())
+    commutes = all(
+        coalg.TensorElement(target, {
+            (left, right): c * u ** (left.n2 + right.n2) for (left, right), c
+            in coalg.coproduct(source.generator(g)).terms.items()})
+        == coalg.coproduct(target.generator(g)
+                           * (u if g is X2 else target.ring.one))
+        for g in (X1, X2, X3, EP, EM))
+    return kills and commutes
 
 
 def _coassociative(elements) -> bool:
@@ -142,19 +167,29 @@ def pbw_flatness(config: Config) -> List[RelationCheck]:
     ]
 
 
+def _random_a_series(rng: random.Random, constant) -> list:
+    """Ten A-series: ``constant(rng)``, then one to three random ones."""
+    return [[constant(rng)]
+            + [Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+               for _ in range(rng.randrange(1, 4))]
+            for _ in range(10)]
+
+
 def coideal(config: Config) -> List[RelationCheck]:
-    """Criterion 4: the ideal of relations is a coideal, for the configured
-    A-series and for random tails."""
+    """Criterion 4: the ideal of relations is a coideal, for A = 4 and for
+    random tails, and any nonzero A' gives the algebra of A = 4."""
     system = _x_system(config)
-    rng = _rng(config, 404)
-    tails = [[Fraction(4)] + [Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
-                              for _ in range(rng.randrange(1, 4))]
-             for _ in range(10)]
+    tails = _random_a_series(_rng(config, 404), lambda rng: 4)
+    others = _random_a_series(_rng(config, 414), lambda rng: Fraction(
+        rng.choice((-1, 1)) * rng.randrange(1, 9), rng.randrange(1, 5)))
     return [
-        _check("coideal property (configured A)", _ideal_is_coideal(system)),
+        _check("coideal property (A = 4)", _ideal_is_coideal(system)),
         _check("coideal property (10 randomized A tails)",
                all(_ideal_is_coideal(x_algebra(config.order, tail))
                    for tail in tails)),
+        _check("x2 -> (A'/A) x2 is a bialgebra isomorphism (10 random tails)",
+               all(_x2_rescaling_is_isomorphism(
+                   x_algebra(config.order, a), system) for a in others)),
     ]
 
 
@@ -209,23 +244,27 @@ def opposite_product_symmetry(config: Config) -> List[RelationCheck]:
 # -- gauge recursions -------------------------------------------------------
 
 def gauge_solver(config: Config) -> List[RelationCheck]:
-    """Criterion 7: the gauge recursion straightens the raw x1-line model."""
-    nmax = config.gauge_nmax
+    """Criterion 7: the gauge recursion straightens the raw x1-line model,
+    against the c^n_k table for n <= 12 and by identities for every n."""
+    nmax = gauge.TABLE_NMAX
     model = gauge.RawX1Model(dict(config.b_coeffs))
-    configured = gauge.verify_gauge(model, gauge.solve_gauge(model, nmax), nmax)
+    configured = gauge.verify_gauge(model, gauge.solve_gauge(model, nmax))
     rng = _rng(config, 707)
     random_ok = True
     for _ in range(20):
         b = {2 * k: Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
              for k in range(1, rng.randrange(2, 7))}
         m = gauge.RawX1Model(b)
-        random_ok &= gauge.verify_gauge(m, gauge.solve_gauge(m, nmax), nmax)
+        random_ok &= gauge.verify_gauge(m, gauge.solve_gauge(m, nmax))
     c = Fraction(5, 9)
     a2 = gauge.solve_gauge(gauge.RawX1Model({2: c}), nmax).a_at(2)
     return [
         _check("gauge solver straightens configured b", configured),
         _check("gauge solver on random even b (20 draws)", random_ok),
         _check("a_2 = c/2 for b = {2: c}", a2 == c / 2),
+        _check("the gauge holds for every n: falling-factorial identities "
+               "in n (even k <= 40)",
+               gauge.falling_factorial_identities_hold(40)),
     ]
 
 

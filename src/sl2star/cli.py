@@ -20,9 +20,7 @@ from typing import Optional
 
 from . import checks as checks_mod
 from . import coalg, gauge
-from .config import (
-    Config, int_at_least, parse_a_coeffs, parse_b_coeffs,
-)
+from .config import Config, int_at_least, parse_b_coeffs
 from .expr import choose_alphabet, evaluate, parse
 from .ncalg import x_algebra
 from .uhsl2 import xi_algebra
@@ -32,24 +30,16 @@ from .uhsl2 import xi_algebra
 ENV_PREFIX = "SL2STAR_"
 
 
-def _add_algebra_flags(parser: argparse.ArgumentParser) -> None:
+def _add_order_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", type=int_at_least(1),
                         help="series truncation order of both algebras "
                              "(default 8)")
-    parser.add_argument("--A", dest="a_coeffs", type=parse_a_coeffs,
-                        metavar="c0,c2,...",
-                        help="even coefficients of the free A-series; "
-                             "write a negative constant as --A=-4,1")
 
 
-def _add_gauge_flags(parser: argparse.ArgumentParser) -> None:
+def _add_b_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--b", dest="b_coeffs", type=parse_b_coeffs,
                         metavar="k:p/q,...",
                         help="raw even b coefficients (default 2:1/4)")
-    parser.add_argument("--nmax", dest="gauge_nmax", type=int_at_least(1),
-                        metavar="N",
-                        help="solve for a_k up to the even k >= nmax and "
-                             "verify the solution up to n = nmax (default 12)")
 
 
 def _config_from(args: argparse.Namespace) -> Config:
@@ -72,7 +62,7 @@ def cmd_expression(args) -> int:
     if choose_alphabet(ast) == "xi":
         system = xi_algebra(config.order)
     else:
-        system = x_algebra(config.order, config.a_coeffs)
+        system = x_algebra(config.order)
     result = args.op(evaluate(ast, system))
     _emit(result.to_json(), args, lambda: print(result))
     return 0
@@ -101,20 +91,19 @@ def cmd_check(args) -> int:
 
 def cmd_gauge(args) -> int:
     config = _config_from(args)
-    nmax = config.gauge_nmax
     model = gauge.RawX1Model(dict(config.b_coeffs))
-    solution = gauge.solve_gauge(model, nmax)
-    verdict = gauge.verify_gauge(model, solution, nmax)
+    solution = gauge.solve_gauge(model, args.nmax)
+    verdict = gauge.verify_gauge(model, solution)
     payload = {
         "b": {str(k): str(v) for k, v in sorted(model.b.items())},
         "a": {str(k): str(v) for k, v in sorted(solution.a.items())},
-        "nmax": nmax,
+        "nmax": args.nmax,
         "verified": verdict,
     }
     def text():
         for k, v in sorted(solution.a.items()):
             print(f"a_{k} = {v}")
-        print(f"verified up to n = {nmax}: {verdict}")
+        print(f"verified against c^n_k for n <= {gauge.TABLE_NMAX}: {verdict}")
     _emit(payload, args, text)
     return 0 if verdict else 1
 
@@ -131,19 +120,22 @@ def build_parser() -> argparse.ArgumentParser:
             ("coproduct", coalg.coproduct, "deformed coproduct")):
         p = sub.add_parser(name, help=f"{what} of an expression")
         p.add_argument("expr")
-        _add_algebra_flags(p)
+        _add_order_flag(p)
         p.set_defaults(fn=cmd_expression, op=op)
 
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("suite", choices=sorted(checks_mod.SUITES) + ["all"])
-    _add_algebra_flags(p)
+    _add_order_flag(p)
     p.add_argument("--seed", type=int_at_least(0),
                    help="moves every random draw of the checks (default 0)")
-    _add_gauge_flags(p)
+    _add_b_flag(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("gauge", help="solve and verify the gauge recursion")
-    _add_gauge_flags(p)
+    _add_b_flag(p)
+    p.add_argument("--nmax", type=int_at_least(1), default=12, metavar="N",
+                   help="solve for and print a_k up to the even k >= N "
+                        "(default 12); the gauge holds for every n")
     p.set_defaults(fn=cmd_gauge)
 
     for p in sub.choices.values():

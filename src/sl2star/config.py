@@ -1,13 +1,13 @@
 """Run configuration and the parsers of the command-line flags that set it.
 
-The free parameters the construction leaves open live here: the even
-A-series on the x2-x3 relation (constant term 4), the raw b-coefficients of
+A run has three settings: the truncation order, the raw b-coefficients of
 the x1-line model (the default 1/4 is an arbitrary nonzero placeholder, not
-a derived value), the gauge bound, and the seed of the random checks.  The
-checks' sizes and pass bounds are fixed in the check code, not settings.
-Every value comes from a command-line flag.  The parsers below are argparse
-``type=`` functions that refuse a bad value with ``ArgumentTypeError``, so
-argparse names the flag.
+a derived value), and the seed of the random checks.  A is no setting, as
+every nonzero A gives the same bialgebra (criterion 4), nor is a gauge
+bound, as the gauge holds for every n (criterion 7); the checks' sizes and
+pass bounds are fixed in the check code.  Every value comes from a flag,
+through a parser below: an argparse ``type=`` function that refuses a bad
+value with ``ArgumentTypeError``, so argparse names the flag.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from argparse import ArgumentTypeError
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping
 
 from .gauge import RawX1Model
 
@@ -43,24 +43,16 @@ def parse_fraction(text: str) -> Fraction:
             f"expected p or p/q with q nonzero, got {text.strip()!r}") from None
 
 
-def parse_a_coeffs(text: str) -> Tuple[Fraction, ...]:
-    """Comma list of even-degree coefficients: "4,0,1/3" -> A = 4 + eps^4/3.
-    An empty entry is refused, not skipped: "4,,1" must not read as "4,1"."""
-    parts = text.split(",")
-    if not all(part.strip() for part in parts):
-        raise ArgumentTypeError(
-            f"empty entry in {text!r}; write 0 for a zero coefficient")
-    coeffs = tuple(parse_fraction(part) for part in parts)
-    if coeffs[0] == 0:
-        raise ArgumentTypeError(
-            f"must start with a nonzero constant, got {text!r}")
-    return coeffs
-
-
 def parse_b_coeffs(text: str) -> Dict[int, Fraction]:
-    """Comma list of "k:p/q" pairs for the raw x1-line model."""
+    """Comma list of "k:p/q" pairs for the raw x1-line model.  An empty
+    entry is refused, not skipped: "2:1/4,,4:1/8" must not read as two
+    pairs, nor "" as the zero model."""
     out: Dict[int, Fraction] = {}
-    for part in filter(None, (p.strip() for p in text.split(","))):
+    for part in (p.strip() for p in text.split(",")):
+        if not part:
+            raise ArgumentTypeError(
+                f"empty entry in {text!r}; write k:p/q pairs, and 2:0 for "
+                f"the zero model")
         key, _, value = part.partition(":")
         try:
             k, v = int(key), parse_fraction(value)
@@ -79,8 +71,6 @@ def parse_b_coeffs(text: str) -> Dict[int, Fraction]:
 @dataclass(frozen=True)
 class Config:
     order: int = 8
-    a_coeffs: Tuple[Fraction, ...] = (Fraction(4),)
     b_coeffs: Mapping[int, Fraction] = field(
         default_factory=lambda: {2: Fraction(1, 4)})
-    gauge_nmax: int = 12
     seed: int = 0

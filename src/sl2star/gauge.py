@@ -7,6 +7,9 @@ coefficients of x^{n-1} * x), the resulting c^n_k tables, the solver for the
 a_k, and the Bernoulli-number series that appear in the products of the
 exponential letters with x2 and x3.  Everything is exact rational
 arithmetic.
+
+The a_k straighten every power (two falling-factorial identities), so the
+c^n_k table that checks them stops at n = ``TABLE_NMAX``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from functools import lru_cache
 from typing import Dict, Mapping
 
 from .series import EpsSeries, RationalLike, as_pair
+
+#: the c^n_k table that ``verify_gauge`` compares with stops at this n
+TABLE_NMAX = 12
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -78,8 +84,6 @@ def cnk_from_b(model: RawX1Model, nmax: int) -> Dict[tuple, Fraction]:
 
     starting from c^n_0 = 1.
     """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
     table = {(n, 0): Fraction(1) for n in range(1, nmax + 1)}
     for n in range(2, nmax + 1):
         for k in range(2, n + 1, 2):
@@ -99,7 +103,7 @@ def solve_gauge(model: RawX1Model, kmax: int) -> GaugeSolution:
     for every even k up to kmax rounded up to even.
 
     The recursion carries no n-dependence; that the same a_k straighten
-    every power is what verify_gauge checks.
+    every power is ``falling_factorial_identities_hold``.
     """
     a = {0: Fraction(1)}
     for k in range(2, kmax + 2, 2):
@@ -112,14 +116,45 @@ def solve_gauge(model: RawX1Model, kmax: int) -> GaugeSolution:
     return GaugeSolution(a)
 
 
-def verify_gauge(model: RawX1Model, solution: GaugeSolution, nmax: int) -> bool:
-    """Check c^n_k == a_k * n!/(n-k)! for all n <= nmax and even k <= n."""
-    table = cnk_from_b(model, nmax)
-    for n in range(1, nmax + 1):
-        for k in range(0, n + 1, 2):
+def verify_gauge(model: RawX1Model, solution: GaugeSolution) -> bool:
+    """Check c^n_k == a_k * n!/(n-k)! for n <= ``TABLE_NMAX`` and every even
+    k <= n up to the largest k the solution holds."""
+    table = cnk_from_b(model, TABLE_NMAX)
+    for n in range(1, TABLE_NMAX + 1):
+        for k in range(0, min(n, max(solution.a)) + 1, 2):
             expect = solution.a_at(k) * Fraction(
                 math.factorial(n), math.factorial(n - k))
             if table.get((n, k), 0) != expect:
+                return False
+    return True
+
+
+def falling_factorial(start: int, count: int) -> list:
+    """(n - start)!/(n - start - count)! as a polynomial in n: its integer
+    coefficients, constant term first."""
+    poly = [1]
+    for j in range(start, start + count):  # times (n - j)
+        poly = [p - j * q for p, q in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def falling_factorial_identities_hold(kmax: int) -> bool:
+    """For every even k <= kmax, as polynomials in n: n!/(n-k)! -
+    (n-1)!/(n-1-k)! = k (n-1)!/(n-k)!, and (n-1)!/(n-1-l)! (n-l-1)!/(n-k)! =
+    (n-1)!/(n-k)! for even l <= k-2.  By them the c^n_k recursion at
+    c^n_k = a_k n!/(n-k)! is k a_k = sum a_l b_{k-l} for every n."""
+    for k in range(2, kmax + 1, 2):
+        shared = falling_factorial(1, k - 1)
+        diff = [p - q for p, q in zip(falling_factorial(0, k),
+                                      falling_factorial(1, k))]
+        if diff != [k * p for p in shared] + [0]:  # the n^k terms cancel
+            return False
+        for l in range(0, k - 1, 2):
+            left = falling_factorial(1, l)
+            right = falling_factorial(l + 1, k - l - 1)
+            if [sum(p * right[d - i] for i, p in enumerate(left)
+                    if 0 <= d - i < len(right))
+                    for d in range(len(left) + len(right) - 1)] != shared:
                 return False
     return True
 

@@ -240,14 +240,13 @@ class RewriteSystem:
     """
 
     def __init__(self, ring, rules: Mapping, symbols: Mapping,
-                 a_series=None, label: str = ""):
+                 label: str = ""):
         self.ring = ring
         self.rules = dict(rules)
         self.symbols = dict(symbols)
         one = ring.one
         self.coproduct_table = {g: [(pair, one) for pair in pairs]
                                 for g, pairs in GENERATOR_COPRODUCT.items()}
-        self.a_series = a_series
         self.label = label
         self._star_cache = {}
         self._coproduct_cache = {}
@@ -564,45 +563,29 @@ class NCElement(Combination):
 def monomial_str(system: RewriteSystem, mono: PbwMonomial) -> str:
     if mono == UNIT:
         return "1"
-    parts = []
-    for g, n in ((X1, mono.n1), (X2, mono.n2), (X3, mono.n3)):
-        if n == 1:
-            parts.append(system.symbols[g])
-        elif n > 1:
-            parts.append(f"{system.symbols[g]}^{n}")
-    if mono.m > 0:
-        parts.append(system.symbols[EP] if mono.m == 1
-                     else f"{system.symbols[EP]}^{mono.m}")
-    elif mono.m < 0:
-        parts.append(system.symbols[EM] if mono.m == -1
-                     else f"{system.symbols[EM]}^{-mono.m}")
-    return "*".join(parts)
+    e = (EP, mono.m) if mono.m >= 0 else (EM, -mono.m)
+    letters = ((X1, mono.n1), (X2, mono.n2), (X3, mono.n3), e)
+    return "*".join(system.symbols[g] if n == 1 else f"{system.symbols[g]}^{n}"
+                    for g, n in letters if n)
 
 
 def _format_term(system, mono, coeff) -> tuple:
     """(sign, body) with the sign of the lowest coefficient term pulled out,
     so that printed elements stay inside the expression grammar (which has
     no unary minus)."""
-    terms = coeff.terms
-    lead_key = min(terms)
-    negative = terms[lead_key][0] < 0
-    mag = -coeff if negative else coeff
-    sign = "-" if negative else "+"
+    negative = coeff.terms[min(coeff.terms)][0] < 0
     mono_s = monomial_str(system, mono)
-    mag_s = str(mag)
+    mag_s = str(-coeff if negative else coeff)
+    atomic = " " not in mag_s
     if mono_s == "1":
-        body = mag_s if _is_atomic(mag_s) else f"({mag_s})"
+        body = mag_s if atomic else f"({mag_s})"
     elif mag_s == "1":
         body = mono_s
-    elif _is_atomic(mag_s):
+    elif atomic:
         body = f"{mag_s}*{mono_s}"
     else:
         body = f"({mag_s})*{mono_s}"
-    return sign, body
-
-
-def _is_atomic(s: str) -> bool:
-    return " " not in s
+    return "-" if negative else "+", body
 
 
 # ----------------------------------------------------------------------
@@ -673,17 +656,18 @@ def x_algebra(order: int = 8,
     """The quantized function algebra on the dual group, at truncation ``order``.
 
     ``a_coeffs`` are the even-degree coefficients (constant, eps^2, ...) of
-    the free parameter series multiplying sinh(2 x1) in the x2-x3 relation.
+    the parameter series A multiplying sinh(2 x1) in the x2-x3 relation.
     The constant term 4 is the value forced by the first-order term of the
-    underlying Poisson bivector; the tail is genuinely free and every
-    bialgebra property holds for any choice.
+    underlying Poisson bivector.  Every tail, and every nonzero A(0), gives
+    the same bialgebra up to x2 -> (A'/A) x2 (criterion 4 checks this
+    isomorphism), so the CLI and the checks use ``DEFAULT_A``.
     """
     ring = EpsSeriesRing(order)
     a_series = ring.even(list(a_coeffs))
     # shift 2 eps, x2-x3 coefficient eps A, exponential scalars e^{+-2 eps}
     rules = pbw_rules(ring.one, ring.eps_power(2, 1),
                       ring.eps_power(1, 1) * a_series, ring.exp(2), ring.exp(-2))
-    return RewriteSystem(ring, rules, X_SYMBOLS, a_series=a_series, label="x")
+    return RewriteSystem(ring, rules, X_SYMBOLS, label="x")
 
 
 def random_word(rng: random.Random, max_len: int = 6) -> Word:

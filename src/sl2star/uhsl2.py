@@ -61,8 +61,15 @@ class RelationCheck:
 # ----------------------------------------------------------------------
 
 def mu_squared(system: RewriteSystem) -> EpsSeries:
-    """mu^2 = 2 A(eps^2) sinh(2 eps)/eps, the unit with lambda^2 = eps^2 mu^2."""
-    return system.a_series * system.ring.sinh_over_eps(2) * 2
+    """mu^2 = 2 A(eps^2) sinh(2 eps)/eps, the unit with lambda^2 = eps^2 mu^2.
+
+    A is read off the x3-x2 rule scalar c = eps A, so an eps^order
+    coefficient of A is lost; no z-relation sees it, as each meets mu^2
+    through the factor eps of [x2, x3].
+    """
+    c = dict(system.rules[X3, X2])[EM, EM]
+    a = EpsSeries({e - 1: v for e, v in c.terms.items()}, system.ring.order)
+    return a * system.ring.sinh_over_eps(2) * 2
 
 
 def _exp_difference(system: RewriteSystem) -> NCElement:
@@ -86,51 +93,36 @@ def z_commutators(system: RewriteSystem) -> List[RelationCheck]:
     which needs no inverse.
     """
     ring = system.ring
-    x1 = system.generator(X1)
-    x2 = system.generator(X2)
-    x3 = system.generator(X3)
-    ep = system.generator(EP)
-    em = system.generator(EM)
+    x1, x2, x3, ep, em = map(system.generator, (X1, X2, X3, EP, EM))
     eps = ring.eps_power(1, 1)
-    checks = []
-
-    checks.append(_check_equal(
-        "[z1,z2] = 2 z2",
-        system.commutator(x1, x2), x2 * (2 * eps),
-        note="checked as [x1,x2] = 2 eps x2; the 1/(eps lambda) scaling cancels"))
-    checks.append(_check_equal(
-        "[z1,z3] = -2 z3",
-        system.commutator(x1, x3), x3 * (-2 * eps)))
-
+    e2, em2 = ring.exp(2), ring.exp(-2)
     # cross-multiplied form, exact for every admissible A: dividing by
     # lambda^2 would cost the top truncation orders when A has a tail
     lhs = system.commutator(x2, x3) * (ring.sinh(2) * 2)
     rhs = _exp_difference(system) * (ring.eps_power(1, 2) * mu_squared(system))
-    checks.append(_check_equal(
-        "[z2,z3] = sinh(h z1)/sinh(h)", lhs, rhs,
-        note="verified as [x2,x3] * 2 sinh(2 eps) = "
-             "(e^{2x1} - e^{-2x1}) * lambda^2, exact for any admissible A"))
-
-    checks.append(_check_equal(
-        "[z1, e^{+h z1/2}] = 0", system.commutator(x1, ep), system.zero))
-    checks.append(_check_equal(
-        "[z1, e^{-h z1/2}] = 0", system.commutator(x1, em), system.zero))
-
-    e2 = ring.exp(2)
-    em2 = ring.exp(-2)
-    checks.append(_check_equal(
-        "e^{+h z1/2} z2 = e^{+h} z2 e^{+h z1/2}",
-        system.star(ep, x2), system.star(x2, ep) * e2))
-    checks.append(_check_equal(
-        "e^{-h z1/2} z2 = e^{-h} z2 e^{-h z1/2}",
-        system.star(em, x2), system.star(x2, em) * em2))
-    checks.append(_check_equal(
-        "e^{+h z1/2} z3 = e^{-h} z3 e^{+h z1/2}",
-        system.star(ep, x3), system.star(x3, ep) * em2))
-    checks.append(_check_equal(
-        "e^{-h z1/2} z3 = e^{+h} z3 e^{-h z1/2}",
-        system.star(em, x3), system.star(x3, em) * e2))
-    return checks
+    return [
+        _check_equal("[z1,z2] = 2 z2", system.commutator(x1, x2),
+                     x2 * (2 * eps), note="checked as [x1,x2] = 2 eps x2; "
+                     "the 1/(eps lambda) scaling cancels"),
+        _check_equal("[z1,z3] = -2 z3", system.commutator(x1, x3),
+                     x3 * (-2 * eps)),
+        _check_equal("[z2,z3] = sinh(h z1)/sinh(h)", lhs, rhs,
+                     note="verified as [x2,x3] * 2 sinh(2 eps) = "
+                          "(e^{2x1} - e^{-2x1}) * lambda^2, exact for any "
+                          "admissible A"),
+        _check_equal("[z1, e^{+h z1/2}] = 0", system.commutator(x1, ep),
+                     system.zero),
+        _check_equal("[z1, e^{-h z1/2}] = 0", system.commutator(x1, em),
+                     system.zero),
+        _check_equal("e^{+h z1/2} z2 = e^{+h} z2 e^{+h z1/2}",
+                     system.star(ep, x2), system.star(x2, ep) * e2),
+        _check_equal("e^{-h z1/2} z2 = e^{-h} z2 e^{-h z1/2}",
+                     system.star(em, x2), system.star(x2, em) * em2),
+        _check_equal("e^{+h z1/2} z3 = e^{-h} z3 e^{+h z1/2}",
+                     system.star(ep, x3), system.star(x3, ep) * em2),
+        _check_equal("e^{-h z1/2} z3 = e^{+h} z3 e^{-h z1/2}",
+                     system.star(em, x3), system.star(x3, em) * e2),
+    ]
 
 
 def z_commutators_scaled(system: RewriteSystem) -> List[RelationCheck]:
@@ -145,18 +137,19 @@ def z_commutators_scaled(system: RewriteSystem) -> List[RelationCheck]:
     w1 = system.generator(X1)
     w2 = system.generator(X2) * mu_squared(system).invert()
     w3 = system.generator(X3)
-    checks = []
-    checks.append(_check_equal(
-        "[z1,z2] = 2 z2 (explicit)", system.commutator(w1, w2), w2 * (2 * eps)))
-    checks.append(_check_equal(
-        "[z1,z3] = -2 z3 (explicit)", system.commutator(w1, w3),
-        w3 * (-2 * eps)))
     rhs = _exp_difference(system) * (eps * (ring.sinh_over_eps(2) * 2).invert())
-    checks.append(_check_equal(
-        "[z2,z3] = sinh(h z1)/sinh(h) (explicit)", system.commutator(w2, w3), rhs,
-        note=f"verified as [x2/mu, x3/mu] = eps (e^{{2x1}} - e^{{-2x1}}) / "
-             f"(2 sinh(2 eps)/eps) with mu = lambda/eps, through eps^{ring.order}"))
-    return checks
+    return [
+        _check_equal("[z1,z2] = 2 z2 (explicit)", system.commutator(w1, w2),
+                     w2 * (2 * eps)),
+        _check_equal("[z1,z3] = -2 z3 (explicit)", system.commutator(w1, w3),
+                     w3 * (-2 * eps)),
+        _check_equal(
+            "[z2,z3] = sinh(h z1)/sinh(h) (explicit)",
+            system.commutator(w2, w3), rhs,
+            note=f"verified as [x2/mu, x3/mu] = eps (e^{{2x1}} - e^{{-2x1}}) / "
+                 f"(2 sinh(2 eps)/eps) with mu = lambda/eps, through "
+                 f"eps^{ring.order}"),
+    ]
 
 
 def z_coproducts(system: RewriteSystem) -> List[RelationCheck]:
@@ -165,31 +158,21 @@ def z_coproducts(system: RewriteSystem) -> List[RelationCheck]:
     The scale factors pass through both legs linearly, so the z-coproducts
     have exactly the generator-table form with e^{+-h z1/2} = e^{+-x1}.
     """
-    one = system.ring.one
-    checks = []
+    def check(name, g, *pairs):
+        return _check_equal(name, coalg.coproduct(system.generator(g)),
+                            coalg.TensorElement(system, dict.fromkeys(
+                                pairs, system.ring.one)))
 
-    def tensor(*pairs):
-        return coalg.TensorElement(system, {k: one for k in pairs})
-
-    checks.append(_check_equal(
-        "Delta z1 = 1 (x) z1 + z1 (x) 1",
-        coalg.coproduct(system.generator(X1)),
-        tensor((UNIT, M_X1), (M_X1, UNIT))))
-    checks.append(_check_equal(
-        "Delta z2 = z2 (x) e^{-h z1/2} + e^{+h z1/2} (x) z2",
-        coalg.coproduct(system.generator(X2)),
-        tensor((M_X2, M_EM), (M_EP, M_X2))))
-    checks.append(_check_equal(
-        "Delta z3 = z3 (x) e^{-h z1/2} + e^{+h z1/2} (x) z3",
-        coalg.coproduct(system.generator(X3)),
-        tensor((M_X3, M_EM), (M_EP, M_X3))))
-    checks.append(_check_equal(
-        "Delta e^{+h z1/2} group-like",
-        coalg.coproduct(system.generator(EP)), tensor((M_EP, M_EP))))
-    checks.append(_check_equal(
-        "Delta e^{-h z1/2} group-like",
-        coalg.coproduct(system.generator(EM)), tensor((M_EM, M_EM))))
-    return checks
+    return [
+        check("Delta z1 = 1 (x) z1 + z1 (x) 1", X1,
+              (UNIT, M_X1), (M_X1, UNIT)),
+        check("Delta z2 = z2 (x) e^{-h z1/2} + e^{+h z1/2} (x) z2", X2,
+              (M_X2, M_EM), (M_EP, M_X2)),
+        check("Delta z3 = z3 (x) e^{-h z1/2} + e^{+h z1/2} (x) z3", X3,
+              (M_X3, M_EM), (M_EP, M_X3)),
+        check("Delta e^{+h z1/2} group-like", EP, (M_EP, M_EP)),
+        check("Delta e^{-h z1/2} group-like", EM, (M_EM, M_EM)),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -221,39 +204,27 @@ def xi_algebra(total: int = 8, h_min=None) -> RewriteSystem:
 
 def xi_relation_checks(system: RewriteSystem) -> List[RelationCheck]:
     ring = system.ring
-    xi1 = system.generator(X1)
-    xi2 = system.generator(X2)
-    xi3 = system.generator(X3)
-    ep = system.generator(EP)
-    em = system.generator(EM)
+    xi1, xi2, xi3, ep, em = map(system.generator, (X1, X2, X3, EP, EM))
     eps = ring.monomial(1, 1, 0)
     s = eps * (ring.sinh_h(1) * 2).invert()
-    checks = []
-    checks.append(_check_equal(
-        "[xi1,xi2] = 2 eps xi2", system.commutator(xi1, xi2), xi2 * (eps * 2)))
-    checks.append(_check_equal(
-        "[xi1,xi3] = -2 eps xi3", system.commutator(xi1, xi3), xi3 * (eps * -2)))
-    checks.append(_check_equal(
-        "[xi2,xi3] = eps sinh(h xi1)/sinh(h)",
-        system.commutator(xi2, xi3), _exp_difference(system) * s,
-        note="sinh(h xi1) written as (E+^2 - E-^2)/2"))
-    checks.append(_check_equal(
-        "[xi1, E+] = 0", system.commutator(xi1, ep), system.zero))
-    checks.append(_check_equal(
-        "[xi1, E-] = 0", system.commutator(xi1, em), system.zero))
-    e_ph = ring.exp(1, 1, 1)
-    e_mh = ring.exp(-1, 1, 1)
-    checks.append(_check_equal(
-        "E+ xi2 = e^{+eps h} xi2 E+",
-        system.star(ep, xi2), system.star(xi2, ep) * e_ph))
-    checks.append(_check_equal(
-        "E+ xi3 = e^{-eps h} xi3 E+",
-        system.star(ep, xi3), system.star(xi3, ep) * e_mh,
-        note="sign opposite to the printed relation; forced by [xi1,xi3] and "
-             "the coideal property"))
-    checks.append(_check_equal(
-        "E+ E- = 1", system.star(ep, em), system.one))
-    return checks
+    return [
+        _check_equal("[xi1,xi2] = 2 eps xi2", system.commutator(xi1, xi2),
+                     xi2 * (eps * 2)),
+        _check_equal("[xi1,xi3] = -2 eps xi3", system.commutator(xi1, xi3),
+                     xi3 * (eps * -2)),
+        _check_equal("[xi2,xi3] = eps sinh(h xi1)/sinh(h)",
+                     system.commutator(xi2, xi3), _exp_difference(system) * s,
+                     note="sinh(h xi1) written as (E+^2 - E-^2)/2"),
+        _check_equal("[xi1, E+] = 0", system.commutator(xi1, ep), system.zero),
+        _check_equal("[xi1, E-] = 0", system.commutator(xi1, em), system.zero),
+        _check_equal("E+ xi2 = e^{+eps h} xi2 E+", system.star(ep, xi2),
+                     system.star(xi2, ep) * ring.exp(1, 1, 1)),
+        _check_equal("E+ xi3 = e^{-eps h} xi3 E+", system.star(ep, xi3),
+                     system.star(xi3, ep) * ring.exp(-1, 1, 1),
+                     note="sign opposite to the printed relation; forced by "
+                          "[xi1,xi3] and the coideal property"),
+        _check_equal("E+ E- = 1", system.star(ep, em), system.one),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -277,18 +248,15 @@ def expand_exponentials(f: NCElement) -> NCElement:
             continue
         prefix = system.monomial_element(
             PbwMonomial(mono.n1, mono.n2, mono.n3, 0))
-        half_m = Fraction(mono.m, 2)
-        k = 0
-        fact = Fraction(1)
+        half_m, k, fact = Fraction(mono.m, 2), 0, Fraction(1)
         while True:
             scalar = c * ring.monomial(half_m ** k / fact, 0, k)
-            if scalar.is_zero() and k > 0:
+            if scalar.is_zero():  # and so for every larger k: c h^k truncates
                 break
-            if not scalar.is_zero():
-                term = system.star(
-                    prefix, system.monomial_element(PbwMonomial(k, 0, 0, 0)))
-                for key, cc in term.terms.items():
-                    add_term(out, key, cc * scalar)
+            term = system.star(
+                prefix, system.monomial_element(PbwMonomial(k, 0, 0, 0)))
+            for key, cc in term.terms.items():
+                add_term(out, key, cc * scalar)
             k += 1
             fact *= k
     return NCElement(system, out)
@@ -337,39 +305,32 @@ def limit_eps_to_zero(obj):
 def limits_report(system: RewriteSystem) -> List[RelationCheck]:
     """The four corners: both limits of the commutators and coproducts."""
     ring = system.ring
-    xi1 = system.generator(X1)
-    xi2 = system.generator(X2)
-    xi3 = system.generator(X3)
+    xi1, xi2, xi3 = map(system.generator, (X1, X2, X3))
     eps = ring.monomial(1, 1, 0)
-    checks = []
-
-    c23 = system.commutator(xi2, xi3)
-    checks.append(_check_equal(
-        "h->0: [xi2,xi3] -> eps xi1", limit_h_to_zero(c23), xi1 * eps))
     c12 = system.commutator(xi1, xi2)
-    checks.append(_check_equal(
-        "h->0: [xi1,xi2] -> 2 eps xi2 (unchanged)",
-        limit_h_to_zero(c12), xi2 * (eps * 2)))
+    c23 = system.commutator(xi2, xi3)
     dxi2 = coalg.coproduct(xi2)
     prim = coalg.TensorElement(system, {(M_X2, UNIT): ring.one,
                                         (UNIT, M_X2): ring.one})
-    checks.append(_check_equal(
-        "h->0: Delta xi2 -> primitive", limit_h_to_zero(dxi2), prim))
-
-    checks.append(_check_equal(
-        "eps->0: [xi1,xi2] -> 0", limit_eps_to_zero(c12), system.zero))
-    checks.append(_check_equal(
-        "eps->0: [xi1,xi3] -> 0",
-        limit_eps_to_zero(system.commutator(xi1, xi3)), system.zero))
-    checks.append(_check_equal(
-        "eps->0: [xi2,xi3] -> 0", limit_eps_to_zero(c23), system.zero))
-    checks.append(_check_equal(
-        "eps->0: Delta xi2 unchanged", limit_eps_to_zero(dxi2), dxi2))
-
-    both = limit_eps_to_zero(limit_h_to_zero(c23))
-    checks.append(_check_equal(
-        "both limits: [xi2,xi3] -> 0", both, system.zero))
-    return checks
+    return [
+        _check_equal("h->0: [xi2,xi3] -> eps xi1", limit_h_to_zero(c23),
+                     xi1 * eps),
+        _check_equal("h->0: [xi1,xi2] -> 2 eps xi2 (unchanged)",
+                     limit_h_to_zero(c12), xi2 * (eps * 2)),
+        _check_equal("h->0: Delta xi2 -> primitive", limit_h_to_zero(dxi2),
+                     prim),
+        _check_equal("eps->0: [xi1,xi2] -> 0", limit_eps_to_zero(c12),
+                     system.zero),
+        _check_equal("eps->0: [xi1,xi3] -> 0",
+                     limit_eps_to_zero(system.commutator(xi1, xi3)),
+                     system.zero),
+        _check_equal("eps->0: [xi2,xi3] -> 0", limit_eps_to_zero(c23),
+                     system.zero),
+        _check_equal("eps->0: Delta xi2 unchanged", limit_eps_to_zero(dxi2),
+                     dxi2),
+        _check_equal("both limits: [xi2,xi3] -> 0",
+                     limit_eps_to_zero(limit_h_to_zero(c23)), system.zero),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -394,32 +355,29 @@ def specialization_report(xi: RewriteSystem,
     eps and the exponential-letter scalars at e^{2 eps^2}."""
     zring = z.ring
     total = zring.order
-    checks = []
-
-    # bracket relations: specialized xi-commutator == eps * z-commutator data
-    checks.append(_check_equal(
-        "[xi1,xi2]|_{h=2eps} = eps * (2 z2)",
-        _specialize(xi.commutator(xi.generator(X1), xi.generator(X2)), total),
-        dict((z.generator(X2) * zring.eps_power(2, 1)).terms)))
-    # cross-multiplied by 2 sinh(2 eps), as in z_commutators: the eps^total
-    # term of each specialized scalar lands above the truncation
-    checks.append(_check_equal(
-        "[xi2,xi3]|_{h=2eps} = eps * sinh(2 eps z1)/sinh(2 eps)",
-        _specialize(xi.commutator(xi.generator(X2), xi.generator(X3)), total,
-                    zring.sinh(2) * 2),
-        dict((_exp_difference(z) * zring.eps_power(1, 1)).terms),
-        note=f"verified as [xi2,xi3]|_{{h=2eps}} * 2 sinh(2 eps) = "
-             f"eps (e^{{2x1}} - e^{{-2x1}}); sees the xi scalars through "
-             f"eps^{total - 1}"))
-
-    # exponential-letter scalars: e^{+-eps h} at h = 2 eps vs e^{+-2 eps}
-    # stretched
-    checks.append(_check_equal(
-        "E+ xi2 scalar|_{h=2eps} = e^{2 eps} with eps -> eps^2",
-        xi.rules[(EP, X2)][0][1].specialize_h(2, total),
-        zring.exp(2).stretch(2)))
-    checks.append(_check_equal(
-        "E+ xi3 scalar|_{h=2eps} = e^{-2 eps} with eps -> eps^2",
-        xi.rules[(EP, X3)][0][1].specialize_h(2, total),
-        zring.exp(-2).stretch(2)))
-    return checks
+    return [
+        # bracket relations: specialized xi-commutator == eps * z-commutator
+        _check_equal(
+            "[xi1,xi2]|_{h=2eps} = eps * (2 z2)",
+            _specialize(xi.commutator(xi.generator(X1), xi.generator(X2)),
+                        total),
+            dict((z.generator(X2) * zring.eps_power(2, 1)).terms)),
+        # cross-multiplied by 2 sinh(2 eps), as in z_commutators: the
+        # eps^total term of each specialized scalar lands above the truncation
+        _check_equal(
+            "[xi2,xi3]|_{h=2eps} = eps * sinh(2 eps z1)/sinh(2 eps)",
+            _specialize(xi.commutator(xi.generator(X2), xi.generator(X3)),
+                        total, zring.sinh(2) * 2),
+            dict((_exp_difference(z) * zring.eps_power(1, 1)).terms),
+            note=f"verified as [xi2,xi3]|_{{h=2eps}} * 2 sinh(2 eps) = "
+                 f"eps (e^{{2x1}} - e^{{-2x1}}); sees the xi scalars through "
+                 f"eps^{total - 1}"),
+        # exponential-letter scalars: e^{+-eps h} at h = 2 eps against
+        # e^{+-2 eps} stretched
+        _check_equal("E+ xi2 scalar|_{h=2eps} = e^{2 eps} with eps -> eps^2",
+                     xi.rules[(EP, X2)][0][1].specialize_h(2, total),
+                     zring.exp(2).stretch(2)),
+        _check_equal("E+ xi3 scalar|_{h=2eps} = e^{-2 eps} with eps -> eps^2",
+                     xi.rules[(EP, X3)][0][1].specialize_h(2, total),
+                     zring.exp(-2).stretch(2)),
+    ]

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from sl2star import coalg
+from sl2star import checks, coalg
+from sl2star.config import Config
 from sl2star.coalg import (
     TensorElement,
     classical_coproduct,
@@ -112,6 +113,36 @@ def test_coideal_random_a_tails():
             assert coideal_check(system, rel).is_zero(), name
 
 
+ISO = "x2 -> (A'/A) x2 is a bialgebra isomorphism (10 random tails)"
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda scale, source, target: source.ring.one,
+    lambda scale, source, target: scale(source, target)
+    + source.ring.eps_power(1, 2),
+], ids=["u=1", "u+eps^2"])
+def test_criterion_04_sees_a_wrong_x2_scale(monkeypatch, wrong):
+    """x2 -> x2 and x2 -> (A'/A + eps^2) x2 break the x3-x2 rule for a
+    tail A' other than 4, and fail the isomorphism line alone."""
+    scale = checks._x2_scale
+    monkeypatch.setattr(checks, "_x2_scale",
+                        lambda source, target: wrong(scale, source, target))
+    assert {c.name for c in checks.coideal(Config()) if not c.passed} == {ISO}
+
+
+def test_x2_rescaling_maps_any_a_onto_a_4():
+    """From A' = (4, 1), (-3, 1/5) and (2, 0, 7), at orders 1, 8 and 16;
+    from (4, 1) the scale is u = 1 + eps^2/4."""
+    for order in (1, 8, 16):
+        target = x_algebra(order)
+        for a in [(4, 1), (-3, Fraction(1, 5)), (2, 0, 7)]:
+            assert checks._x2_rescaling_is_isomorphism(
+                x_algebra(order, a), target), (order, a)
+    source, target = x_algebra(8, (4, 1)), x_algebra(8)
+    assert checks._x2_scale(source, target) \
+        == target.ring.even([1, Fraction(1, 4)])
+
+
 def test_coideal_negative_control(xsys):
     # a wrong scalar on the exponential-letter relation must be detected
     bad = {(EP, X2): xsys.ring.one, (X2, EP): -xsys.ring.exp(-2)}
@@ -146,7 +177,7 @@ def test_counit_values(xsys):
     comm = xsys.commutator(xsys.generator(X2), xsys.generator(X3))
     sinh = xsys.monomial_element(PbwMonomial(0, 0, 0, 2)) \
         - xsys.monomial_element(PbwMonomial(0, 0, 0, -2))
-    rel = comm - sinh * (xsys.ring.eps_power(1, 1) * xsys.a_series)
+    rel = comm - sinh * xsys.ring.eps_power(4, 1)  # eps A with A = 4
     assert counit(rel).is_zero()
 
 

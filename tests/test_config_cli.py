@@ -1,6 +1,7 @@
 """Flag parsers, the Config defaults and the command-line surface."""
 
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
@@ -10,13 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from sl2star import checks, cli
-from sl2star.config import (
-    Config,
-    int_at_least,
-    parse_a_coeffs,
-    parse_b_coeffs,
-)
+from sl2star import checks, cli, gauge
+from sl2star.config import Config, int_at_least, parse_b_coeffs
 from sl2star.expr import evaluate, parse
 from sl2star.ncalg import EM, X1, X2, X3, x_algebra
 
@@ -24,8 +20,6 @@ SRC = str(pathlib.Path(__file__).parents[1] / "src")
 
 
 def test_parse_helpers():
-    assert parse_a_coeffs("4,0,1/3") == (Fraction(4), Fraction(0),
-                                         Fraction(1, 3))
     assert parse_b_coeffs("2:1/4,4:1/8") == {2: Fraction(1, 4),
                                              4: Fraction(1, 8)}
     assert int_at_least(1)("12") == 12 and int_at_least(0)("0") == 0
@@ -34,21 +28,32 @@ def test_parse_helpers():
 
 
 def test_defaults():
+    """A run has three settings; A and the gauge bound of the checks are
+    none (criteria 4 and 7 cover every A and every n)."""
     cfg = Config()
+    assert [f.name for f in dataclasses.fields(cfg)] \
+        == ["order", "b_coeffs", "seed"]
     assert cfg.order == 8
-    assert cfg.a_coeffs == (Fraction(4),)
     assert cfg.b_coeffs == {2: Fraction(1, 4)}
-    assert cfg.gauge_nmax == 12
+    assert cfg.seed == 0
 
 
 def test_validation():
     """The flag parsers refuse the values a Config cannot hold."""
     for parser, text in ((int_at_least(1), "0"), (int_at_least(0), "-1"),
-                         (parse_a_coeffs, "0"), (parse_a_coeffs, ""),
-                         (parse_a_coeffs, "4,1/0"), (parse_b_coeffs, "3:1"),
-                         (parse_b_coeffs, "0:1")):
+                         (parse_b_coeffs, "3:1"), (parse_b_coeffs, "0:1"),
+                         (parse_b_coeffs, "2:1/0")):
         with pytest.raises(argparse.ArgumentTypeError):
             parser(text)
+
+
+@pytest.mark.parametrize("text", ["", "2:1/4,,4:1/8", "2:1/4,", ","])
+def test_an_empty_b_entry_is_refused(text):
+    """An empty entry is not skipped: "" is not the zero model, and
+    "2:1/4,,4:1/8" is not two pairs; the message names the zero model."""
+    with pytest.raises(argparse.ArgumentTypeError, match="2:0"):
+        parse_b_coeffs(text)
+    assert parse_b_coeffs("2:0") == {2: Fraction(0)}
 
 
 # -- CLI ---------------------------------------------------------------
@@ -70,7 +75,7 @@ def test_cli_normalizes_a_long_word(capsys):
     code, out = run_cli(capsys, "normalize", "x3^6*x2^6*x1^6*e-^2")
     assert code == 0
     config = Config()
-    system = x_algebra(config.order, config.a_coeffs)
+    system = x_algebra(config.order)
     expected = system.normal_form((X3,) * 6 + (X2,) * 6 + (X1,) * 6 + (EM, EM))
     assert len(expected.terms) == 28
     assert evaluate(parse(out.strip()), system) == expected
@@ -118,8 +123,7 @@ def test_cli_product_and_commutator(capsys):
             (["(x1)*(x2)"], "x1*x2"),
             (["(x1)*(x2) - (x2)*(x1)"], "2*eps*x2"),
             (["(x2)*(x1)", "--order", "10"], "0 - 2*eps*x2 + x1*x2"),
-            (["(x2)*(x3) - (x3)*(x2)", "--A", "4,0,1/3"],
-             "0 - (4*eps + 1/3*eps^5)*e-^2 + (4*eps + 1/3*eps^5)*e+^2")):
+            (["(x2)*(x3) - (x3)*(x2)"], "0 - 4*eps*e-^2 + 4*eps*e+^2")):
         code, out = run_cli(capsys, "normalize", *argv)
         assert code == 0 and out.strip() == expected
 
@@ -161,20 +165,20 @@ def test_cli_gauge(capsys):
 
 
 def test_cli_check_reads_the_gauge_flags(capsys, monkeypatch):
-    """Criterion 7 runs at the b and nmax given to check."""
+    """Criterion 7 runs at the b given to check; check takes no --nmax."""
     seen = []
     run_suite = checks.run_suite
     monkeypatch.setattr(checks, "run_suite", lambda suite, config: (
         seen.append(config) or run_suite(suite, config)))
     code, out = run_cli(capsys, "check", "gauge", "--b", "2:1/3",
-                        "--nmax", "5", "--format", "json")
+                        "--format", "json")
     assert code == 0 and json.loads(out)["passed"] is True
-    assert seen[0].b_coeffs == {2: Fraction(1, 3)} and seen[0].gauge_nmax == 5
+    assert seen[0].b_coeffs == {2: Fraction(1, 3)}
 
 
 def test_cli_gauge_solves_through_nmax_rounded_up_to_even(capsys):
-    """The solve runs through the first even k >= nmax and the solution is
-    verified up to nmax."""
+    """The solve runs through the first even k >= nmax, and the solution
+    is compared with the c^n_k table for n <= 12."""
     for nmax, last in (("12", "12"), ("7", "8")):
         code, out = run_cli(capsys, "gauge", "--nmax", nmax, "--format", "json")
         assert code == 0
@@ -191,16 +195,18 @@ def test_cli_check_uh_prints_the_notes(capsys):
     assert "(sign opposite to the printed relation" in out
 
 
-def test_cli_check_all_takes_any_nonzero_a(capsys):
-    """The z-generators need no root of A(0): a non-square constant runs
-    every suite, and a negative one is given as --A=-4,1."""
-    code, out = run_cli(capsys, "check", "all", "--A", "2")
-    assert code == 0 and out.rstrip().endswith("all passed")
-    code, out = run_cli(capsys, "normalize", "x3*x2", "--A=-4,1")
-    system = x_algebra(8, (-4, 1))
+def test_cli_gauge_builds_the_table_only_to_n_12(capsys, monkeypatch):
+    """--nmax bounds only the a_k solved and printed: the c^n_k table that
+    checks them stops at n = 12, so its cost does not grow with nmax."""
+    bounds = []
+    cnk_from_b = gauge.cnk_from_b
+    monkeypatch.setattr(gauge, "cnk_from_b", lambda model, nmax: (
+        bounds.append(nmax) or cnk_from_b(model, nmax)))
+    code, out = run_cli(capsys, "gauge", "--nmax", "400", "--format", "json")
     assert code == 0
-    assert evaluate(parse(out.strip()), system) \
-        == system.normal_form((X3, X2))
+    data = json.loads(out)
+    assert data["verified"] is True and len(data["a"]) == 201
+    assert bounds == [12]
 
 
 def test_cli_check_bialgebra_at_order_1(capsys):
@@ -238,9 +244,9 @@ def test_cli_help_returns_zero(capsys):
     ("--nmax", ["gauge", "--nmax", "0"], {}),
     ("SL2STAR_GAUGE_KMAX", ["gauge"], {"SL2STAR_GAUGE_KMAX": "12"}),
     ("SL2STAR_ORDER", ["normalize", "x1"], {"SL2STAR_ORDER": "abc"}),
+    # --A is gone: every A is isomorphic to A = 4 (criterion 4)
     ("--A", ["normalize", "x1", "--A", "0"], {}),
     ("--A", ["normalize", "x1", "--A", ","], {}),
-    # a negative constant needs the --A=-4,1 form: "-4,1" reads as a flag
     ("--A", ["normalize", "x3*x2", "--A", "-4,1"], {}),
     ("SL2STAR_ODRER", ["normalize", "e+*x2"], {"SL2STAR_ODRER": "3"}),
     ("--kmax", ["gauge", "--kmax", "12"], {}),
@@ -266,10 +272,16 @@ def test_cli_help_returns_zero(capsys):
     ("--b", ["coproduct", "x1", "--b", "2:1"], {}),
     ("product", ["product", "x1", "x2"], {}),
     ("commutator", ["commutator", "x1", "x2"], {}),
-    # an empty entry is refused, not skipped: 4,,1 is not 4,1
     ("--A", ["normalize", "x3*x2", "--A", "4,,1", "--order", "4"], {}),
     ("--A", ["check", "uh", "--A", "4,"], {}),
     ("--b", ["gauge", "--b", "2:1/4,2:1/2"], {}),
+    # an empty entry is refused, not skipped: "" is not b = 0
+    ("--b", ["gauge", "--b", "2:1/4,,4:1/8"], {}),
+    ("--b", ["gauge", "--b", ""], {}),
+    ("--A", ["check", "all", "--A", "2"], {}),
+    ("--A", ["gauge", "--A", "4"], {}),
+    # check takes no --nmax: the gauge holds for every n (criterion 7)
+    ("--nmax", ["check", "gauge", "--nmax", "1"], {}),
 ])
 def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, env):
     for name, value in env.items():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from sl2star import gauge
+from sl2star import checks, gauge
+from sl2star.config import Config
 from sl2star.series import EpsSeries, EpsSeriesRing
 
 
@@ -47,8 +48,10 @@ def test_solve_gauge_rounds_an_odd_bound_up_to_even():
 def test_verify_gauge():
     model = gauge.RawX1Model({2: Fraction(1, 4)})
     solution = gauge.solve_gauge(model, 12)
-    assert gauge.verify_gauge(model, solution, 12)
-    assert gauge.verify_gauge(gauge.RawX1Model({}), gauge.GaugeSolution(), 8)
+    assert gauge.verify_gauge(model, solution)
+    assert gauge.verify_gauge(gauge.RawX1Model({}), gauge.GaugeSolution())
+    # a solution through k = 2 is compared at k <= 2, for every n <= 12
+    assert gauge.verify_gauge(model, gauge.solve_gauge(model, 2))
 
 
 def test_verify_gauge_negative_control():
@@ -56,7 +59,52 @@ def test_verify_gauge_negative_control():
     solution = gauge.solve_gauge(model, 12)
     corrupted = dict(solution.a)
     corrupted[2] += Fraction(1, 100)
-    assert not gauge.verify_gauge(model, gauge.GaugeSolution(corrupted), 12)
+    assert not gauge.verify_gauge(model, gauge.GaugeSolution(corrupted))
+
+
+def test_verify_gauge_has_no_bound_that_empties_it():
+    """A wrong a_2 fails however few a_k the solution holds: the table
+    always runs to n = 12, so no bound can empty the comparison."""
+    model = gauge.RawX1Model({2: Fraction(1, 4)})
+    assert not gauge.verify_gauge(model, gauge.GaugeSolution({0: 1, 2: 999}))
+
+
+def test_criterion_07_sees_a_corrupted_a2(monkeypatch):
+    """A solver whose a_2 is off fails the two lines that compare the
+    solution with the c^n_k table, and the a_2 line; the identity line
+    does not read the solver."""
+    solve = gauge.solve_gauge
+
+    def corrupted(model, kmax):
+        a = dict(solve(model, kmax).a)
+        a[2] += Fraction(1, 100)
+        return gauge.GaugeSolution(a)
+
+    monkeypatch.setattr(gauge, "solve_gauge", corrupted)
+    assert {c.name for c in checks.gauge_solver(Config()) if not c.passed} \
+        == {"gauge solver straightens configured b",
+            "gauge solver on random even b (20 draws)",
+            "a_2 = c/2 for b = {2: c}"}
+
+
+def test_falling_factorials_as_polynomials():
+    """(n - s)!/(n - s - m)! by hand: n(n-1)(n-2) and (n-1)(n-2)."""
+    assert gauge.falling_factorial(0, 3) == [0, 2, -3, 1]
+    assert gauge.falling_factorial(1, 2) == [2, -3, 1]
+    assert gauge.falling_factorial(5, 0) == [1]
+    assert gauge.falling_factorial_identities_hold(40)
+
+
+def test_the_identity_line_sees_a_falling_factorial_off_by_one(monkeypatch):
+    """One factor too many breaks both identities, and only the identity
+    line of criterion 7 reads them."""
+    falling = gauge.falling_factorial
+    monkeypatch.setattr(gauge, "falling_factorial",
+                        lambda start, count: falling(start, count + 1))
+    assert not gauge.falling_factorial_identities_hold(2)
+    assert {c.name for c in checks.gauge_solver(Config()) if not c.passed} \
+        == {"the gauge holds for every n: falling-factorial identities in n "
+            "(even k <= 40)"}
 
 
 def test_verify_gauge_randomized():
@@ -65,7 +113,7 @@ def test_verify_gauge_randomized():
         b = {2 * k: Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
              for k in range(1, rng.randrange(2, 6))}
         model = gauge.RawX1Model(b)
-        assert gauge.verify_gauge(model, gauge.solve_gauge(model, 12), 12)
+        assert gauge.verify_gauge(model, gauge.solve_gauge(model, 12))
 
 
 def test_raw_model_validation():

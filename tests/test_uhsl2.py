@@ -45,9 +45,9 @@ def test_z_relation_x_representation():
     system = x_algebra()
     ring = system.ring
     mu2 = uhsl2.mu_squared(system)
-    # lambda^2 = 2 eps A(eps^2) sinh(2 eps), built independently
+    # lambda^2 = 2 eps A(eps^2) sinh(2 eps) with A = 4, built independently
     assert mu2 * ring.eps_power(1, 2) \
-        == ring.eps_power(2, 1) * system.a_series * ring.sinh(2)
+        == ring.eps_power(2, 1) * ring.even([4]) * ring.sinh(2)
     comm = system.commutator(system.generator(X2), system.generator(X3))
     lhs = comm * mu2.invert()
     coeff = ring.eps_power(1, 1) * (ring.sinh_over_eps(2) * 2).invert()
@@ -83,6 +83,27 @@ def test_z_scaled_route():
 def test_z_scaled_route_at_every_order(order, a_coeffs):
     checks = z_commutators_scaled(x_algebra(order, a_coeffs))
     assert not failures(checks)
+
+
+@pytest.mark.parametrize("a_coeffs", [
+    (4,), (2,), (-3, Fraction(1, 5)), (4, 1, 3), (4, 0, 0, 0, 5),
+    (4, 0, 0, 0, 0, 0, 9)])
+def test_a_is_read_off_the_rule_scalar(a_coeffs):
+    """A comes from the x3-x2 rule scalar c = eps A: exact through
+    eps^(order-1), with the eps^order coefficient, which c drops, read as 0.
+    eps^2 mu^2 = 2 c sinh(2 eps) holds exactly all the same, and every z
+    line passes at orders 1 to 12."""
+    for order in range(1, 13):
+        system = x_algebra(order, a_coeffs)
+        ring = system.ring
+        a = ring.even(a_coeffs)
+        mu2 = uhsl2.mu_squared(system)
+        assert mu2 * (ring.sinh_over_eps(2) * 2).invert() \
+            == a - ring.eps_power(a.coefficient(order), order), order
+        c = ring.eps_power(1, 1) * a
+        assert mu2 * ring.eps_power(1, 2) == c * ring.sinh(2) * 2
+        for checks in (z_commutators(system), z_commutators_scaled(system)):
+            assert not failures(checks), (a_coeffs, order)
 
 
 def test_z_scaled_route_sees_every_coefficient_of_mu(monkeypatch):
