@@ -7,14 +7,11 @@ exponent key; ``s_mul`` and ``s_eps_flip`` take ``int`` exponents and
 ``s_mul_total`` takes ``(eps, h)`` exponent pairs.  Callers reach these
 functions through ``_backend.kernel``.
 
-The two series products convolve integers: each operand is written as
-integer numerators over one common denominator, the lcm of its
-denominators, the numerator products are summed per output exponent with no
-gcd, and each output coefficient is reduced once against the product of the
-two denominators.  When one operand is a single term no two products share
-an exponent, so the other operand's exponents are shifted and each of its
-coefficients is multiplied by that term's in one pass, cross-cancelled as in
-``qmul`` (a coefficient of 1 only shifts).
+A series product is three steps: ``lift`` writes a payload as integer
+numerators over one denominator, keyed by int codes; ``convolve`` multiplies
+two lifted payloads with no gcd, up to ``limit``; ``reduce`` takes one gcd per
+term.  ``add_lifted`` sums two lifted payloads.  A single term on a side just
+shifts the other side, cross-cancelled as in ``qmul``.
 """
 
 from __future__ import annotations
@@ -113,20 +110,69 @@ def s_scale(a, q):
     return {e: qmul(c, q) for e, c in a.items()}
 
 
-def _over_common_denominator(a):
-    """The terms of a payload as ``(exponent, numerator)`` pairs over the lcm
-    of its denominators, and that lcm."""
+#: an (i, j) key is coded as (i + j) * SPAN + i (eps exponents stay below
+#: SPAN): codes add as keys do, and floor division by SPAN reads the degree
+SPAN = 1 << 20
+
+
+def limit(hi, span=0):
+    """The largest code of degree ``hi``; ``span`` is 0 (int keys) or SPAN."""
+    return hi * span + span - 1 if span else hi
+
+
+def lift(a, span=0):
+    """Step 1: the payload ``a`` as ``(code, numerator)`` pairs over den, the
+    lcm of its denominators."""
     den = lcm(*[d for _, d in a.values()])
+    if span:
+        return [((i + j) * span + i, n * (den // d))
+                for (i, j), (n, d) in a.items()], den
     return [(e, n * (den // d)) for e, (n, d) in a.items()], den
 
 
-def _reduce_over(acc, den):
-    """Reduce each nonzero ``acc[e] / den`` once; drop the zeros."""
+def convolve(a, b, lim):
+    """Step 2: the product of lifted payloads, no gcd, codes above ``lim``
+    dropped; ``b``'s terms ascend by code, ``a``'s come in any order."""
+    (ta, da), (tb, db) = a, b
+    if len(ta) == 1:
+        ta, tb = tb, ta
+    if len(tb) == 1:  # no two products share a code
+        ((eb, xb),) = tb
+        lim -= eb
+        return [(ea + eb, xa * xb) for ea, xa in ta if ea <= lim], da * db
+    acc = {}
+    get = acc.get
+    for ea, xa in ta:
+        room = lim - ea
+        for eb, xb in tb:
+            if eb > room:
+                break
+            e = ea + eb
+            acc[e] = get(e, 0) + xa * xb
+    return acc.items(), da * db
+
+
+def add_lifted(a, b):
+    """The sum of two lifted payloads, over the lcm of their denominators."""
+    (ta, da), (tb, db) = a, b
+    g = gcd(da, db)
+    out = {e: x * (db // g) for e, x in ta}
+    for e, x in tb:
+        out[e] = out.get(e, 0) + x * (da // g)
+    return out.items(), da // g * db
+
+
+def reduce(p, span=0):
+    """Step 3: the lifted ``p`` as a payload, each nonzero numerator reduced
+    once against the denominator and each code turned back into its key."""
+    terms, den = p
     out = {}
-    for e, n in acc.items():
+    for e, n in terms:
         if n:
             g = gcd(n, den)
-            out[e] = (n // g, den // g)
+            if span:
+                e = e % span, e // span - e % span
+            out[e] = n // g, den // g
     return out
 
 
@@ -149,15 +195,9 @@ def s_mul(a, b, hi):
                 g2 = gcd(an, d)
                 out[ea + eb] = (n // g1) * (an // g2), (d // g2) * (ad // g1)
         return out
-    na, da = _over_common_denominator(a)
-    nb, db = _over_common_denominator(b)
-    acc = {}
-    for ea, xa in na:
-        for eb, xb in nb:
-            e = ea + eb
-            if e <= hi:
-                acc[e] = acc.get(e, 0) + xa * xb
-    return _reduce_over(acc, da * db)
+    lb = lift(b)
+    lb[0].sort()
+    return reduce(convolve(lift(a), lb, hi))
 
 
 def s_mul_total(a, b, hi):
@@ -181,17 +221,9 @@ def s_mul_total(a, b, hi):
                 out[ia + ib, ja + jb] = ((n // g1) * (an // g2),
                                          (d // g2) * (ad // g1))
         return out
-    na, da = _over_common_denominator(a)
-    nb, db = _over_common_denominator(b)
-    acc = {}
-    for (ia, ja), xa in na:
-        for (ib, jb), xb in nb:
-            i = ia + ib
-            j = ja + jb
-            if i + j <= hi:
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + xa * xb
-    return _reduce_over(acc, da * db)
+    lb = lift(b, SPAN)
+    lb[0].sort()
+    return reduce(convolve(lift(a, SPAN), lb, limit(hi, SPAN)), SPAN)
 
 
 def s_eps_flip(a):

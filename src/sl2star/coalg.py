@@ -8,13 +8,10 @@ of the ideal tensor-plus-tensor-ideal subspace is recognized by literal
 vanishing.  That turns the coideal condition, coassociativity, and the
 counit axioms into exact zero tests on finitely many terms.
 
-The accumulate loops work on coefficient payloads, the ``terms`` dicts of
-the series: coefficients are multiplied through the one payload product of
-their series type (``_mul_terms``, which holds that type's bound check),
-a unit scalar is ``ring.one`` itself and is skipped by identity, payloads
-are summed with the kernel's ``s_add``, and each nonzero output coefficient
-is wrapped as a series once.  A sum equal to 1 becomes ``ring.one`` itself,
-so the coproduct cache keeps its unit coefficients skippable.  All
+The loops sum products of coefficients in one ``series.ProductSums`` per
+call: a scalar is lifted at most once, lifted products take no gcd, and
+each output coefficient is reduced once.  A unit scalar is ``ring.one``
+itself and is skipped by identity, also in the coproduct cache.  All
 coefficients of a system's tensors and elements are scalars of its ring.
 """
 
@@ -22,11 +19,11 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ._backend import kernel
 from .ncalg import (
     Combination, NCElement, PbwMonomial, RewriteSystem, UNIT, Word, add_term,
     monomial_str,
 )
+from .series import ProductSums
 
 
 class TensorElement(Combination):
@@ -89,53 +86,30 @@ def tensor_unit(system: RewriteSystem, legs: int = 2) -> TensorElement:
     return TensorElement(system, {(UNIT,) * legs: system.ring.one}, legs)
 
 
-def _times(a: dict, c, one) -> dict:
-    """The payload ``a`` times the scalar ``c``, by the product of the
-    series type.  A unit is skipped by identity: ``c`` that is ``one``
-    leaves ``a`` as it is, and ``a`` that is the payload of ``one`` gives
-    the payload of ``c``."""
-    if c is one:
-        return a
-    if a is one.terms:
-        return c.terms
-    return one._mul_terms(a, c.terms, one._bound)
-
-
-def _add(out: dict, key, p: dict) -> None:
-    """Add the payload ``p`` into ``out[key]``; zeros are dropped later, by
-    ``_coefficients``."""
-    cur = out.get(key)
-    out[key] = p if cur is None else kernel.s_add(cur, p)
-
-
-def _coefficients(out: dict, one) -> dict:
-    """The nonzero payloads of ``out``, each wrapped once as a scalar of the
-    ring of ``one``; a payload equal to the unit is ``one`` itself."""
-    unit = one.terms
-    return {key: one if p == unit else one._wrap(p)
-            for key, p in out.items() if p}
-
-
 def star_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise star product of tensors (no braiding)."""
     s._check(t)
     system = s.system
     one = system.ring.one
-    out = {}
+    sums = ProductSums(system.ring)
+    times, add = sums.times, sums.add
+    before = range(s.legs - 2)  # the legs before the last two
     for ka, ca in s.terms.items():
+        pa = sums.lift(ca)
         for kb, cb in t.terms.items():
-            cab = _times(ca.terms, cb, one)
-            if not cab:
-                continue
-            # per-leg basis products, then the cartesian product of terms
-            leg_terms = [system._basis_star(ma, mb) for ma, mb in zip(ka, kb)]
-            keys = [((), cab)]
-            for leg in leg_terms:
-                keys = [(key + (m,), _times(p, cc, one))
-                        for key, p in keys for m, cc in leg.items()]
-            for key, p in keys:
-                _add(out, key, p)
-    return TensorElement(system, _coefficients(out, one), s.legs)
+            # per-leg basis products: heads over the legs before the last two
+            heads = [((), pa if cb is one else times(pa, cb))]
+            for i in before:
+                heads = [(key + (m,), times(p, c)) for key, p in heads
+                         for m, c in system._basis_star(ka[i], kb[i]).items()]
+            first = system._basis_star(ka[-2], kb[-2]).items()
+            last = system._basis_star(ka[-1], kb[-1]).items()
+            for key, p in heads:
+                for m, c in first:
+                    pc = p if c is one else times(p, c)
+                    for m2, c2 in last:
+                        add(key + (m, m2), pc, c2)
+    return TensorElement(system, sums.coefficients(), s.legs)
 
 
 def _word_coproduct(system: RewriteSystem, word: Word) -> TensorElement:
@@ -162,12 +136,11 @@ def _monomial_coproduct(system: RewriteSystem, mono: PbwMonomial) -> dict:
 def coproduct(f: NCElement) -> TensorElement:
     """The deformed coproduct, extended star-multiplicatively to all of F."""
     system = f.system
-    one = system.ring.one
-    out = {}
+    sums = ProductSums(system.ring)
     for mono, c in f.terms.items():
         for key, cc in _monomial_coproduct(system, mono).items():
-            _add(out, key, _times(cc.terms, c, one))
-    return TensorElement(system, _coefficients(out, one))
+            sums.add(key, c, cc)
+    return TensorElement(system, sums.coefficients())
 
 
 def coideal_check(system: RewriteSystem, relation: Mapping) -> TensorElement:
@@ -177,23 +150,21 @@ def coideal_check(system: RewriteSystem, relation: Mapping) -> TensorElement:
     The two-sided ideal is a coideal exactly when this vanishes for every
     generator; a nonzero result flags an inconsistent relation set.
     """
-    one = system.ring.one
-    out = {}
+    sums = ProductSums(system.ring)
     for word, c in relation.items():
         for key, cc in _word_coproduct(system, word).terms.items():
-            _add(out, key, _times(cc.terms, c, one))
-    return TensorElement(system, _coefficients(out, one))
+            sums.add(key, c, cc)
+    return TensorElement(system, sums.coefficients())
 
 
 def _expand_leg(t: TensorElement, leg: int) -> TensorElement:
     """Apply the coproduct to one leg of a tensor, splicing in the new pair."""
     system = t.system
-    one = system.ring.one
-    out = {}
+    sums = ProductSums(system.ring)
     for key, c in t.terms.items():
         for pair, cc in _monomial_coproduct(system, key[leg]).items():
-            _add(out, key[:leg] + pair + key[leg + 1:], _times(c.terms, cc, one))
-    return TensorElement(system, _coefficients(out, one), t.legs + 1)
+            sums.add(key[:leg] + pair + key[leg + 1:], c, cc)
+    return TensorElement(system, sums.coefficients(), t.legs + 1)
 
 
 def coassoc_defect(f: NCElement) -> TensorElement:

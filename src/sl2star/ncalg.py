@@ -38,6 +38,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .series import (
     EpsSeriesRing,
+    ProductSums,
     RationalLike,
     SeriesConfigError,
     binary_power,
@@ -458,15 +459,15 @@ class RewriteSystem:
         """The associative product: normal form of concatenation, bilinear."""
         if f.system is not self or g.system is not self:
             raise SeriesConfigError("elements of another system do not combine")
-        out = {}
+        sums = ProductSums(self.ring)
         for ma, ca in f.terms.items():
             for mb, cb in g.terms.items():
                 cab = ca * cb
                 if cab.is_zero():
                     continue
                 for mono, c in self._basis_star(ma, mb).items():
-                    add_term(out, mono, cab if c is self.ring.one else cab * c)
-        return NCElement(self, out)
+                    sums.add(mono, cab, c)
+        return NCElement(self, sums.coefficients())
 
     def commutator(self, f: "NCElement", g: "NCElement") -> "NCElement":
         return self.star(f, g) - self.star(g, f)

@@ -91,8 +91,8 @@ class _Series:
     and Fractions, equality, powers, the inverse and printing.  A subclass
     supplies its key type: the key check of its constructor, ``_mul_terms``
     (the product of two payloads truncated at the bound, which ``__mul__``
-    and the coalgebra loops share), ``_degree`` and ``_neg_key`` of a key,
-    and its substitutions.
+    and ``ProductSums`` share), ``_SPAN`` (how the kernel codes its keys),
+    ``_degree`` and ``_neg_key`` of a key, and its substitutions.
     """
 
     __slots__ = ("terms", "_bound")
@@ -237,6 +237,7 @@ class EpsSeries(_Series):
 
     _BOUND_NAME = "order"
     _UNIT_KEY = 0
+    _SPAN = 0
 
     order = property(lambda self: self._bound)
     _degree = staticmethod(lambda e: e)
@@ -274,12 +275,8 @@ class EpsSeries(_Series):
 
     # -- ring operations ------------------------------------------------
 
-    @staticmethod
-    def _mul_terms(a: dict, b: dict, hi: int) -> dict:
-        """The product of two payloads, truncated above degree ``hi``."""
-        if not a or not b:
-            return {}
-        return _q.s_mul(a, b, hi)
+    #: the product of two payloads, truncated above degree ``hi``
+    _mul_terms = staticmethod(lambda a, b, hi: _q.s_mul(a, b, hi))
 
     # -- substitutions ----------------------------------------------------
 
@@ -334,6 +331,57 @@ def _exp_coefficients(value: RationalLike, count: int) -> list:
     for k in range(1, count):
         out.append(_q.qmul(out[-1], _q.qdiv(v, (k, 1))))
     return out
+
+
+class ProductSums:
+    """Sums of products of scalars of one ring, each sum reduced once.
+
+    ``lift(c)`` lifts the scalar ``c`` (once per object), ``times(p, c)``
+    multiplies a lifted ``p`` by ``c`` with no gcd, and ``add(key, a, c)``
+    adds a * c, ``a`` lifted or a scalar, to the sum at ``key``.
+    ``coefficients()`` reduces each sum once; a sum equal to 1 is
+    ``ring.one`` itself, and ``ring.one`` factors are skipped by identity.
+    Make one per call: nothing outlives it.
+    """
+
+    def __init__(self, ring: "_SeriesRing"):
+        one = ring.one
+        hi, span = one._bound, one._SPAN
+        lim = _q.limit(hi, span)
+        memo, held, sums = {}, [], {}  # held keeps each memoized id alive
+        convolve, mul, wrap = _q.convolve, one._mul_terms, one._wrap
+
+        def lift(c):
+            p = memo.get(id(c))
+            if p is None:
+                p = memo[id(c)] = _q.lift(c.terms, span)
+                p[0].sort()  # as convolve wants its second operand
+                held.append(c)
+            return p
+
+        def times(p, c):
+            return p if c is one else convolve(p, memo.get(id(c)) or lift(c), lim)
+
+        def add(key, a, c=one):
+            if c is not one:
+                a = (convolve(a, memo.get(id(c)) or lift(c), lim)
+                     if type(a) is tuple else wrap(mul(a.terms, c.terms, hi)))
+            cur = sums.get(key)
+            sums[key] = a if cur is None else _q.add_lifted(
+                cur if type(cur) is tuple else lift(cur),
+                a if type(a) is tuple else lift(a))
+
+        def coefficients():
+            out = {}
+            for key, p in sums.items():
+                if type(p) is tuple:
+                    p = wrap(_q.reduce(p, span))
+                if p.terms:
+                    out[key] = one if p.terms == one.terms else p
+            return out
+
+        self.lift, self.times = lift, times
+        self.add, self.coefficients = add, coefficients
 
 
 class _SeriesRing:
@@ -413,6 +461,7 @@ class BiSeries(_Series):
 
     _BOUND_NAME = "total"
     _UNIT_KEY = (0, 0)
+    _SPAN = _q.SPAN
 
     total = property(lambda self: self._bound)
     _degree = staticmethod(lambda key: key[0] + key[1])
@@ -453,10 +502,8 @@ class BiSeries(_Series):
             parts.append("h" if j == 1 else f"h^{j}")
         return "*".join(parts)
 
-    @staticmethod
-    def _mul_terms(a: dict, b: dict, hi: int) -> dict:
-        """The product of two payloads, truncated above total degree ``hi``."""
-        return _q.s_mul_total(a, b, hi)
+    #: the product of two payloads, truncated above total degree ``hi``
+    _mul_terms = staticmethod(lambda a, b, hi: _q.s_mul_total(a, b, hi))
 
     # -- substitutions and slices --------------------------------------
 

@@ -20,8 +20,8 @@ from sl2star.coalg import (
     tensor_unit,
 )
 from sl2star.ncalg import (
-    EM, EP, PbwMonomial, UNIT, X1, X2, X3, add_term, random_element,
-    x_algebra,
+    EM, EP, PbwMonomial, UNIT, X1, X2, X3, random_element,
+    random_word, x_algebra,
 )
 from sl2star.series import EpsSeries
 from sl2star.uhsl2 import xi_algebra
@@ -231,76 +231,177 @@ def test_tensor_json(xsys):
     assert {"left", "right", "coeff"} == set(data["terms"][0])
 
 
-# -- the payload loops against plain series arithmetic -----------------------
+# -- the fused loops against a term-by-term oracle ---------------------------
 
-def reference_star_tensor(s, t):
-    """Componentwise star product with one series product per term."""
-    system = s.system
+class Ref:
+    """A scalar as {key: Fraction}, multiplied term by term and truncated by
+    degree, with no lifting, no common denominator and no kernel: the
+    oracle of the fused products."""
+
+    def __init__(self, terms, bound):
+        self.terms, self.bound = terms, bound
+
+    @classmethod
+    def of(cls, c):
+        return cls({k: Fraction(*q) for k, q in c.terms.items()}, c._bound)
+
+    def __mul__(self, other):
+        out = {}
+        for a, x in self.terms.items():
+            for b, y in other.terms.items():
+                k = a + b if isinstance(a, int) else (a[0] + b[0], a[1] + b[1])
+                if (k if isinstance(k, int) else sum(k)) <= self.bound:
+                    out[k] = out.get(k, 0) + x * y
+        return Ref(out, self.bound)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, x in other.terms.items():
+            out[k] = out.get(k, 0) + x
+        return Ref(out, self.bound)
+
+    def __neg__(self):
+        return Ref({k: -x for k, x in self.terms.items()}, self.bound)
+
+
+def refs(combination):
+    return {k: Ref.of(c) for k, c in combination.terms.items()}
+
+
+def ref_add(out, key, r):
+    out[key] = out[key] + r if key in out else r
+
+
+def ref_star(f, g):
     out = {}
-    for ka, ca in s.terms.items():
-        for kb, cb in t.terms.items():
-            keys = [((), ca * cb)]
+    for ma, ca in f.terms.items():
+        for mb, cb in g.terms.items():
+            for m, c in f.system._basis_star(ma, mb).items():
+                ref_add(out, m, Ref.of(ca) * Ref.of(cb) * Ref.of(c))
+    return out
+
+
+def ref_star_tensor(system, s, t):
+    """Componentwise product of two {key: Ref} tensors of any legs."""
+    out = {}
+    for ka, ra in s.items():
+        for kb, rb in t.items():
+            keys = [((), ra * rb)]
             for ma, mb in zip(ka, kb):
-                keys = [(key + (m,), c * cc) for key, c in keys
-                        for m, cc in system._basis_star(ma, mb).items()]
-            for key, c in keys:
-                add_term(out, key, c)
-    return TensorElement(system, out, s.legs)
+                keys = [(key + (m,), r * Ref.of(c)) for key, r in keys
+                        for m, c in system._basis_star(ma, mb).items()]
+            for key, r in keys:
+                ref_add(out, key, r)
+    return out
 
 
-def reference_coproduct(f):
-    """The coproduct of each basis monomial as the product of its letters'
-    coproducts, with no cache."""
-    system = f.system
+def ref_word_coproduct(system, word):
+    """The product of the letters' coproducts, with no cache."""
+    t = {(UNIT, UNIT): Ref.of(system.ring.one)}
+    for letter in word:
+        t = ref_star_tensor(system, t, refs(
+            TensorElement(system, system.coproduct_table[letter])))
+    return t
+
+
+def ref_coproduct(f):
     out = {}
     for mono, c in f.terms.items():
-        t = tensor_unit(system)
-        for letter in mono.word():
-            t = reference_star_tensor(
-                t, TensorElement(system, system.coproduct_table[letter]))
-        for key, cc in t.terms.items():
-            add_term(out, key, cc * c)
-    return TensorElement(system, out)
+        for key, r in ref_word_coproduct(f.system, mono.word()).items():
+            ref_add(out, key, r * Ref.of(c))
+    return out
 
 
-def reference_expand_leg(t, leg):
-    system = t.system
+def ref_coideal(system, relation):
     out = {}
-    for key, c in t.terms.items():
-        pairs = reference_coproduct(system.monomial_element(key[leg]))
-        for pair, cc in pairs.terms.items():
-            add_term(out, key[:leg] + pair + key[leg + 1:], c * cc)
-    return TensorElement(system, out, t.legs + 1)
+    for word, c in relation.items():
+        for key, r in ref_word_coproduct(system, word).items():
+            ref_add(out, key, r * Ref.of(c))
+    return out
+
+
+def ref_expand_leg(system, t, leg):
+    out = {}
+    for key, r in t.items():
+        for pair, r2 in ref_word_coproduct(system, key[leg].word()).items():
+            ref_add(out, key[:leg] + pair + key[leg + 1:], r * r2)
+    return out
+
+
+def assert_matches(result, oracle):
+    """Exact equality with the oracle, zeros dropped, and every coefficient
+    equal to 1 the ring's ``one`` itself."""
+    want = {}
+    for key, r in oracle.items():
+        payload = {k: (q.numerator, q.denominator)
+                   for k, q in r.terms.items() if q}
+        if payload:
+            want[key] = payload
+    assert {k: c.terms for k, c in result.terms.items()} == want
+    one = result.system.ring.one
+    assert all(c is one for c in result.terms.values() if c == 1)
+
+
+def larger_element(system, rng):
+    return random_element(system, rng, max_terms=5, max_word=4)
 
 
 def top_element(system, rng):
     """A random element times eps^3, so that products cross the truncation."""
-    return random_element(system, rng) * system.ring.eps_power(1, 3)
+    return larger_element(system, rng) * system.ring.eps_power(1, 3)
 
 
 @pytest.mark.parametrize("make_system, make_element", [
-    (lambda: x_algebra(8), random_element),
-    (lambda: x_algebra(8, (4, 1)), random_element),
+    (lambda: x_algebra(8), larger_element),
+    (lambda: x_algebra(8, (4, 1)), larger_element),
     (lambda: x_algebra(8), top_element),
-    (lambda: xi_algebra(8), random_element),
+    (lambda: xi_algebra(8), larger_element),
 ], ids=["x", "x-a-tail", "x-top", "xi"])
 def test_payload_loops_match_series_arithmetic(make_system, make_element):
+    """``star``, ``coproduct``, ``star_tensor`` on 2 and 3 legs,
+    ``_expand_leg``, ``coassoc_defect`` and ``coideal_check`` against the
+    term-by-term oracle, on random elements and tensors."""
     system = make_system()
     rng = random.Random(31)
     for _ in range(4):
         f = make_element(system, rng)
         g = make_element(system, rng)
-        df, dg = coproduct(f), coproduct(g)
-        assert df.terms == reference_coproduct(f).terms
-        assert dg.terms == reference_coproduct(g).terms
         fg = system.star(f, g)
-        d_fg = coproduct(fg)
-        assert d_fg.terms == reference_coproduct(fg).terms
-        assert star_tensor(df, dg).terms == reference_star_tensor(df, dg).terms
-        for leg in (0, 1):
-            assert coalg._expand_leg(df, leg).terms \
-                == reference_expand_leg(df, leg).terms
+        assert_matches(fg, ref_star(f, g))
+        df, dg = coproduct(f), coproduct(g)
+        assert_matches(df, ref_coproduct(f))
+        assert_matches(dg, ref_coproduct(g))
+        assert_matches(coproduct(fg), ref_coproduct(fg))
+        assert_matches(star_tensor(df, dg),
+                       ref_star_tensor(system, refs(df), refs(dg)))
+        left, right = (ref_expand_leg(system, refs(df), leg) for leg in (0, 1))
+        assert_matches(coalg._expand_leg(df, 0), left)
+        assert_matches(coalg._expand_leg(df, 1), right)
+        defect = dict(left)
+        for key, r in right.items():
+            ref_add(defect, key, -r)
+        assert_matches(coassoc_defect(f), defect)
+        # coassociativity itself, in the oracle and in the fused loops
+        assert not any(any(r.terms.values()) for r in defect.values())
         assert coassoc_defect(f).is_zero()
+        relation = {random_word(rng, 3): c
+                    for c in make_element(system, rng).terms.values()}
+        assert_matches(coideal_check(system, relation),
+                       ref_coideal(system, relation))
+    # unit coefficients, which the loops must give as ``ring.one`` itself
+    x2, x3 = system.generator(X2), system.generator(X3)
+    h = system.star(x2, x3)
+    assert_matches(h, ref_star(x2, x3))
+    assert_matches(coproduct(h), ref_coproduct(h))
+    assert any(c is system.ring.one for c in coproduct(h).terms.values())
+    assert_matches(star_tensor(coproduct(x2), coproduct(x3)), ref_star_tensor(
+        system, refs(coproduct(x2)), refs(coproduct(x3))))
+    # three legs, on small elements
+    f = random_element(system, rng, max_terms=2, max_word=2)
+    g = random_element(system, rng, max_terms=2, max_word=2)
+    s, t = coalg._expand_leg(coproduct(f), 0), coalg._expand_leg(coproduct(g), 1)
+    assert s.legs == t.legs == 3
+    assert_matches(star_tensor(s, t), ref_star_tensor(system, refs(s), refs(t)))
 
 
 def test_unit_coefficients_are_the_ring_unit(xsys):

@@ -146,3 +146,132 @@ def test_s_mul_total_matches_fraction_product(hi):
         assert kernel.s_mul_total(a, b, hi) == fraction_product(
             a, b, hi, add=add, degree=sum)
     assert sizes == set(range(10))
+
+
+
+# -- the three steps of a product: lift, convolve, reduce --------------------
+
+def total_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def lifted(a, span=0):
+    """``lift``, with the terms in ascending code as ``convolve`` wants its
+    second operand."""
+    terms, den = kernel.lift(a, span)
+    return sorted(terms), den
+
+
+def fused_product(a, b, hi, span=0):
+    lim = kernel.limit(hi, span)
+    return kernel.reduce(kernel.convolve(kernel.lift(a, span), lifted(b, span),
+                                         lim), span)
+
+
+def test_lift_writes_numerators_over_the_lcm():
+    terms, den = kernel.lift({-2: (1, 6), 0: (-3, 4), 5: (2, 1)})
+    assert den == 12
+    assert sorted(terms) == [(-2, 2), (0, -9), (5, 24)]
+    # an (i, j) key is coded so that floor division by SPAN reads its degree
+    terms, den = kernel.lift({(3, -2): (5, 2), (0, 2): (1, 3)}, kernel.SPAN)
+    assert den == 6
+    assert sorted((code // kernel.SPAN, n) for code, n in terms) == [
+        (1, 15), (2, 2)]
+    assert kernel.reduce((terms, den), kernel.SPAN) == {(3, -2): (5, 2),
+                                                        (0, 2): (1, 3)}
+
+
+@pytest.mark.parametrize("span", [0, kernel.SPAN])
+def test_three_steps_match_fraction_product(span):
+    """Int keys down to eps^-2, and (i, j) keys with h down to h^-2, against
+    the term-by-term product in Fractions."""
+    if span:
+        keys = [(i, j) for i in range(0, 6) for j in range(-2, 6)]
+        add, degree = total_add, sum
+    else:
+        keys = list(range(-2, 11))
+        add, degree = (lambda x, y: x + y), (lambda e: e)
+    rng = random.Random(17 + bool(span))
+    for hi in (2, 5, 8):
+        for _ in range(150):
+            a, b = random_payload(rng, keys), random_payload(rng, keys)
+            if a and b:
+                expected = fraction_product(a, b, hi, add=add, degree=degree)
+                assert fused_product(a, b, hi, span) == expected
+                mul = kernel.s_mul_total if span else kernel.s_mul
+                assert mul(a, b, hi) == expected
+
+
+def test_three_steps_edge_cases():
+    # wholly above hi: every product is dropped, in both key types
+    assert fused_product({4: (1, 2), 5: (1, 6)}, {3: (3, 1), 4: (-1, 4)},
+                         6) == {}
+    assert fused_product({(4, 0): (1, 2), (6, -1): (1, 6)},
+                         {(3, 1): (3, 1), (5, -1): (-1, 4)}, 7,
+                         kernel.SPAN) == {}
+    # (1 + h^-1)(1 - h^-1) = 1 - h^-2: the h^-1 sum cancels to zero and is
+    # dropped, and the h^-2 term is kept although i + j < 0
+    assert fused_product({(0, 0): (1, 1), (0, -1): (1, 1)},
+                         {(0, 0): (1, 1), (0, -1): (-1, 1)}, 3,
+                         kernel.SPAN) == {(0, 0): (1, 1), (0, -2): (-1, 1)}
+    # convolve leaves the zero in place; reduce drops it
+    lifted_sum = kernel.convolve(kernel.lift({0: (1, 1), 1: (1, 1)}),
+                                 lifted({0: (1, 1), 1: (-1, 1)}), 4)
+    assert dict(lifted_sum[0]) == {0: 1, 1: 0, 2: -1}
+    assert kernel.reduce(lifted_sum) == {0: (1, 1), 2: (-1, 1)}
+    # one gcd per term at the end: (1/2 + x/3)(1/3 + x/2) over 36
+    p = kernel.convolve(kernel.lift({0: (1, 2), 1: (1, 3)}),
+                        lifted({0: (1, 3), 1: (1, 2)}), 8)
+    assert p[1] == 36
+    assert kernel.reduce(p) == {0: (1, 6), 1: (13, 36), 2: (1, 6)}
+
+
+@pytest.mark.parametrize("total", [False, True], ids=["eps", "bi"])
+def test_product_sums_align_denominators(total):
+    """Several products at one key, over different denominators, against
+    Fraction sums; a sum equal to 1 is the ring's ``one`` itself."""
+    from sl2star.series import BiSeriesRing, EpsSeriesRing, ProductSums
+    hi = 6
+    ring = BiSeriesRing(hi) if total else EpsSeriesRing(hi)
+    if total:
+        keys = [(i, j) for i in range(0, 4) for j in range(-1, 4)]
+        add, degree = total_add, sum
+    else:
+        keys = list(range(0, 10))  # those above hi are dropped on building
+        add, degree = (lambda x, y: x + y), (lambda e: e)
+    rng = random.Random(29 + total)
+
+    def scalar():
+        return ring.series(random_payload(rng, keys), hi)
+
+    seen_dens = set()
+    for _ in range(60):
+        sums = ProductSums(ring)
+        expected = {}
+        for key in range(3):
+            for _ in range(rng.randrange(1, 5)):
+                a, b, c = scalar(), scalar(), scalar()
+                if rng.random() < 0.5:  # a scalar times a scalar
+                    sums.add(key, a, b)
+                    product = fraction_product(a.terms, b.terms, hi, add,
+                                               degree)
+                else:  # a lifted product of three
+                    sums.add(key, sums.times(sums.lift(a), b), c)
+                    product = fraction_product(
+                        fraction_product(a.terms, b.terms, hi, add, degree),
+                        c.terms, hi, add, degree)
+                seen_dens.add(max((d for _, d in product.values()), default=1))
+                acc = expected.setdefault(key, {})
+                for e, q in product.items():
+                    acc[e] = acc.get(e, 0) + Fraction(*q)
+        got = sums.coefficients()
+        for key, acc in expected.items():
+            want = {e: (q.numerator, q.denominator) for e, q in acc.items() if q}
+            assert (got[key].terms if key in got else {}) == want
+        sums = ProductSums(ring)
+        sums.add("unit", ring.constant(Fraction(1, 3)), ring.constant(3))
+        sums.add("two", ring.constant(Fraction(1, 2)), ring.constant(2))
+        sums.add("two", ring.constant(Fraction(1, 3)), ring.constant(3))
+        got = sums.coefficients()
+        assert got["unit"] is ring.one and got["two"] == 2
+    assert len(seen_dens) > 5
