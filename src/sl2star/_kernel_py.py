@@ -10,8 +10,12 @@ functions through ``_backend.kernel``.
 A series product is three steps: ``lift`` writes a payload as integer
 numerators over one denominator, keyed by int codes; ``convolve`` multiplies
 two lifted payloads with no gcd, up to ``limit``; ``reduce`` takes one gcd per
-term.  ``add_lifted`` sums two lifted payloads.  A single term on a side just
-shifts the other side, cross-cancelled as in ``qmul``.
+term.  ``add_lifted`` sums two lifted payloads, and ``cancel`` keeps a
+payload that stays lifted across many products small (zeros dropped, one
+common gcd once its denominator outgrows a machine word).  A single term on
+a side just shifts the other side, cross-cancelled as in ``qmul``.  The steps
+never change their operands, so a lift cached on a series value
+(``_Series.lifted``) can be passed to any of them.
 """
 
 from __future__ import annotations
@@ -160,6 +164,25 @@ def add_lifted(a, b):
     for e, x in tb:
         out[e] = out.get(e, 0) + x * (da // g)
     return out.items(), da // g * db
+
+
+#: a lifted denominator below this (one machine word) is carried as it is:
+#: its gcd would cost more than its growth
+CANCEL_ABOVE = 1 << 64
+
+
+def cancel(p):
+    """The lifted ``p`` with its zero numerators dropped and, once its
+    denominator reaches ``CANCEL_ABOVE``, the gcd of its numerators and
+    denominator divided out: one gcd over the terms, not one per term."""
+    terms, den = p
+    terms = [t for t in terms if t[1]]
+    if den < CANCEL_ABOVE:
+        return terms, den
+    g = gcd(den, *[x for _, x in terms])
+    if g == 1:
+        return terms, den
+    return [(e, x // g) for e, x in terms], den // g
 
 
 def reduce(p, span=0):

@@ -9,10 +9,12 @@ vanishing.  That turns the coideal condition, coassociativity, and the
 counit axioms into exact zero tests on finitely many terms.
 
 The loops sum products of coefficients in one ``series.ProductSums`` per
-call: a scalar is lifted at most once, lifted products take no gcd, and
-each output coefficient is reduced once.  A unit scalar is ``ring.one``
-itself and is skipped by identity, also in the coproduct cache.  All
-coefficients of a system's tensors and elements are scalars of its ring.
+call: a scalar enters through its cached ``lifted()`` form, so the scalars
+of the basis-star and coproduct caches are lifted once in their lifetime,
+lifted products take no gcd, and each output coefficient is reduced once.
+A unit scalar is ``ring.one`` itself and is skipped by identity, also in
+the coproduct cache.  All coefficients of a system's tensors and elements
+are scalars of its ring.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def star_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
     times, add = sums.times, sums.add
     before = range(s.legs - 2)  # the legs before the last two
     for ka, ca in s.terms.items():
-        pa = sums.lift(ca)
+        pa = ca.lifted()
         for kb, cb in t.terms.items():
             # per-leg basis products: heads over the legs before the last two
             heads = [((), pa if cb is one else times(pa, cb))]

@@ -36,6 +36,7 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
+from ._backend import kernel
 from .series import (
     EpsSeriesRing,
     ProductSums,
@@ -299,18 +300,49 @@ class RewriteSystem:
 
     def _fold(self, terms: dict, word: Word) -> dict:
         """``terms`` (basis monomial -> coefficient) times the letters of
-        ``word``, left to right.  A unit scalar is ``ring.one`` itself, and
-        a coefficient times it stays the same object."""
+        ``word``, left to right.
+
+        A coefficient stays a scalar while it is ``ring.one`` or one table
+        scalar: a unit scalar is ``ring.one`` itself, and a coefficient
+        times it stays the same object.  Any other product is taken lifted
+        (``kernel.convolve`` of cached ``lifted()`` forms, no gcd) and sums
+        at a key are merged lifted (``kernel.add_lifted``).  After each
+        letter a lifted coefficient drops its zeros and, once its
+        denominator outgrows a machine word, its common factor
+        (``kernel.cancel``), so long words at high order keep their numbers
+        small; it is reduced once, at the end of the word."""
         one = self.ring.one
+        span = one._SPAN
+        lim = kernel.limit(one._bound, span)
+        convolve, add_lifted, cancel = (kernel.convolve, kernel.add_lifted,
+                                        kernel.cancel)
         for g in word:
             letter = Gen(g)
             out = {}
             for mono, coeff in terms.items():
                 for key, c in self._letter_row(mono, letter):
-                    add_term(out, key, coeff if c is one
-                             else c if coeff is one else coeff * c)
-            terms = out
-        return terms
+                    if c is one:
+                        c = coeff
+                    elif coeff is not one:
+                        c = convolve(coeff if type(coeff) is tuple
+                                     else coeff.lifted(), c.lifted(), lim)
+                    cur = out.get(key)
+                    if cur is not None:
+                        c = add_lifted(
+                            cur if type(cur) is tuple else cur.lifted(),
+                            c if type(c) is tuple else c.lifted())
+                    out[key] = c
+            terms = {}
+            for key, c in out.items():
+                if type(c) is tuple:
+                    c = cancel(c)
+                    if c[0]:
+                        terms[key] = c
+                elif c.terms:
+                    terms[key] = c
+        wrap = one._wrap
+        return {key: wrap(kernel.reduce(c, span)) if type(c) is tuple else c
+                for key, c in terms.items()}
 
     def _letter_row(self, mono: PbwMonomial, letter: Gen) -> list:
         """x1^a x2^b x3^c e^m times one letter, as (basis monomial, scalar)

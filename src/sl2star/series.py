@@ -18,7 +18,10 @@ All values are immutable after construction and all operations are pure, so
 instances are safe to share across threads.  Coefficients are stored as
 reduced ``(num, den)`` int pairs and manipulated through the arithmetic
 kernel ``_backend.kernel``; ``fractions.Fraction`` appears only at the API
-boundary.
+boundary.  A value also caches its kernel lift (``lifted()``, integer
+numerators over one denominator, in tuples): loops that sum many products
+(``ProductSums``, the normal-form fold of ``ncalg``) multiply lifted forms
+with no gcd, and a scalar that is used again and again is lifted once.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ class _Series:
 
     A value is ``terms``, a sparse dict from an exponent key to a reduced
     rational pair with no stored zeros, plus the one bound of its ring: the
-    truncation degree.  Everything that is blind to the key type lives
+    truncation degree; ``lifted()`` caches the kernel's lift of ``terms``
+    on first use.  Everything that is blind to the key type lives
     here: sums, differences, negation and rational multiples through the
     kernel's ``s_add``/``s_sub``/``s_neg``/``s_scale``, the constructors
     ``zero``/``one``/``constant`` (each taking the bound), coercion of ints
@@ -95,7 +99,7 @@ class _Series:
     ``_degree`` and ``_neg_key`` of a key, and its substitutions.
     """
 
-    __slots__ = ("terms", "_bound")
+    __slots__ = ("terms", "_bound", "_lifted")
 
     #: name of the bound, for display
     _BOUND_NAME = "hi"
@@ -120,6 +124,18 @@ class _Series:
     @classmethod
     def one(cls, bound: int):
         return cls.constant(1, bound)
+
+    def lifted(self) -> tuple:
+        """The kernel's lift of ``terms``, ``(codes, den)`` with the
+        ``(code, numerator)`` pairs in a tuple that ascends by code, as
+        ``convolve`` wants its second operand.  Computed once per value:
+        values are immutable, so the lift is too."""
+        try:
+            return self._lifted
+        except AttributeError:
+            codes, den = _q.lift(self.terms, self._SPAN)
+            self._lifted = p = tuple(sorted(codes)), den
+            return p
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -336,9 +352,10 @@ def _exp_coefficients(value: RationalLike, count: int) -> list:
 class ProductSums:
     """Sums of products of scalars of one ring, each sum reduced once.
 
-    ``lift(c)`` lifts the scalar ``c`` (once per object), ``times(p, c)``
-    multiplies a lifted ``p`` by ``c`` with no gcd, and ``add(key, a, c)``
-    adds a * c, ``a`` lifted or a scalar, to the sum at ``key``.
+    ``times(p, c)`` multiplies a lifted ``p`` by the scalar ``c`` with no
+    gcd, and ``add(key, a, c)`` adds a * c, ``a`` lifted or a scalar, to the
+    sum at ``key``.  A scalar enters through its cached ``lifted()``; two
+    scalars multiply reduced only when one of them has a single term.
     ``coefficients()`` reduces each sum once; a sum equal to 1 is
     ``ring.one`` itself, and ``ring.one`` factors are skipped by identity.
     Make one per call: nothing outlives it.
@@ -348,28 +365,24 @@ class ProductSums:
         one = ring.one
         hi, span = one._bound, one._SPAN
         lim = _q.limit(hi, span)
-        memo, held, sums = {}, [], {}  # held keeps each memoized id alive
+        sums = {}
         convolve, mul, wrap = _q.convolve, one._mul_terms, one._wrap
 
-        def lift(c):
-            p = memo.get(id(c))
-            if p is None:
-                p = memo[id(c)] = _q.lift(c.terms, span)
-                p[0].sort()  # as convolve wants its second operand
-                held.append(c)
-            return p
-
         def times(p, c):
-            return p if c is one else convolve(p, memo.get(id(c)) or lift(c), lim)
+            return p if c is one else convolve(p, c.lifted(), lim)
 
         def add(key, a, c=one):
             if c is not one:
-                a = (convolve(a, memo.get(id(c)) or lift(c), lim)
-                     if type(a) is tuple else wrap(mul(a.terms, c.terms, hi)))
+                if type(a) is tuple:
+                    a = convolve(a, c.lifted(), lim)
+                elif len(a.terms) > 1 and len(c.terms) > 1:
+                    a = convolve(a.lifted(), c.lifted(), lim)
+                else:
+                    a = wrap(mul(a.terms, c.terms, hi))
             cur = sums.get(key)
             sums[key] = a if cur is None else _q.add_lifted(
-                cur if type(cur) is tuple else lift(cur),
-                a if type(a) is tuple else lift(a))
+                cur if type(cur) is tuple else cur.lifted(),
+                a if type(a) is tuple else a.lifted())
 
         def coefficients():
             out = {}
@@ -380,8 +393,7 @@ class ProductSums:
                     out[key] = one if p.terms == one.terms else p
             return out
 
-        self.lift, self.times = lift, times
-        self.add, self.coefficients = add, coefficients
+        self.times, self.add, self.coefficients = times, add, coefficients
 
 
 class _SeriesRing:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sl2star import checks, coalg
+from sl2star._backend import kernel
 from sl2star.config import Config
 from sl2star.coalg import (
     TensorElement,
@@ -20,7 +21,7 @@ from sl2star.coalg import (
     tensor_unit,
 )
 from sl2star.ncalg import (
-    EM, EP, PbwMonomial, UNIT, X1, X2, X3, random_element,
+    EM, EP, PbwMonomial, RewriteSystem, UNIT, X1, X2, X3, random_element,
     random_word, x_algebra,
 )
 from sl2star.series import EpsSeries
@@ -411,3 +412,46 @@ def test_unit_coefficients_are_the_ring_unit(xsys):
     units = [c for c in d.terms.values() if c == 1]
     assert len(units) == 2
     assert all(c is xsys.ring.one for c in units)
+
+
+def test_cached_lifts_are_those_of_their_terms(monkeypatch):
+    """After one ``check bialgebra`` and a 20-word fold, every cached table,
+    basis-star and coproduct scalar's ``lifted()`` equals a fresh
+    ``kernel.lift`` of its terms and is held in tuples, so no kernel step
+    can have changed it."""
+    systems = []
+    build = RewriteSystem.__init__
+
+    def recording(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        systems.append(self)
+
+    monkeypatch.setattr(RewriteSystem, "__init__", recording)
+    assert checks.run_suite("bialgebra", Config())["passed"]
+    rng = random.Random(20)
+    for system in (systems[0], xi_algebra(8)):
+        for _ in range(20):
+            system.normal_form(random_word(rng, 12))
+
+    def scalars(system):
+        yield from system._scalars.values()
+        yield from system._x1_shifts.values()
+        for row in (*system._powers.values(), *system._sums.values(),
+                    *system._x2_rows.values()):
+            yield from row
+        for terms in (*system._star_cache.values(),
+                      *system._coproduct_cache.values()):
+            yield from terms.values()
+
+    cached = 0
+    for system in systems:
+        for c in scalars(system):
+            if hasattr(c, "_lifted"):
+                cached += 1
+                codes, den = c.lifted()
+                assert type(codes) is tuple
+                assert all(type(t) is tuple for t in codes)
+                fresh, fresh_den = kernel.lift(c.terms, c._SPAN)
+                assert (codes, den) == (tuple(sorted(fresh)), fresh_den)
+    assert len({s.ring.kind for s in systems}) == 2
+    assert cached > 1000

@@ -226,6 +226,28 @@ def test_three_steps_edge_cases():
     assert kernel.reduce(p) == {0: (1, 6), 1: (13, 36), 2: (1, 6)}
 
 
+def test_cancel_keeps_a_long_product_small():
+    """Zeros are dropped at any denominator; a denominator of a machine
+    word is kept as it is, and a larger one loses the common factor, which
+    leaves the lift of the reduced payload."""
+    assert kernel.cancel(([(0, 6), (1, 0), (2, -4)], 10)) == (
+        [(0, 6), (2, -4)], 10)
+    assert kernel.cancel(([(1, 0)], 3)) == ([], 3)
+    # (1 + x/3)^k over 3^k, truncated at x^2: the denominator outgrows a
+    # word at k = 41, and cancelling leaves 9, the lcm of the reduced terms
+    p = kernel.lift({0: (1, 1), 1: (1, 3)})
+    step = lifted({0: (1, 1), 1: (1, 3)})
+    dens = {1: 3}
+    for k in range(2, 60):
+        p = kernel.cancel(kernel.convolve(p, step, 2))
+        dens[k] = p[1]
+        want = {0: 1, 1: Fraction(k, 3), 2: Fraction(k * (k - 1), 18)}
+        assert {e: Fraction(*q) for e, q in kernel.reduce(p).items()} == want
+    assert dens[40] == 3 ** 40 < kernel.CANCEL_ABOVE <= 3 ** 41
+    assert dens[41] == 9 and dens[59] == 3 ** 20
+    assert max(dens.values()) < kernel.CANCEL_ABOVE
+
+
 @pytest.mark.parametrize("total", [False, True], ids=["eps", "bi"])
 def test_product_sums_align_denominators(total):
     """Several products at one key, over different denominators, against
@@ -256,7 +278,7 @@ def test_product_sums_align_denominators(total):
                     product = fraction_product(a.terms, b.terms, hi, add,
                                                degree)
                 else:  # a lifted product of three
-                    sums.add(key, sums.times(sums.lift(a), b), c)
+                    sums.add(key, sums.times(a.lifted(), b), c)
                     product = fraction_product(
                         fraction_product(a.terms, b.terms, hi, add, degree),
                         c.terms, hi, add, degree)

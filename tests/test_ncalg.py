@@ -242,6 +242,31 @@ def test_basis_star_matches_rewriting(name):
             == {k for k, c in rewritten.items() if c is one}, (ma, mb)
 
 
+@pytest.mark.parametrize("order", [1, 8, 16])
+@pytest.mark.parametrize("algebra", ["x", "xi"])
+def test_tables_match_rewriting_on_long_words_at_every_order(algebra, order):
+    """x3^n x2^n x1^n e-^k for n <= 6 and 40 seeded words of 13-20 letters
+    (xi words with at most two xi3-before-xi2 pairs): the fold keeps its
+    coefficients lifted across many letters, and the rewriting oracle keeps
+    plain series arithmetic.  A coefficient is ``ring.one`` itself on both
+    paths or on neither."""
+    system = (x_algebra if algebra == "x" else xi_algebra)(order)
+    one = system.ring.one
+    rng = random.Random(2024)
+    words = [(X3,) * n + (X2,) * n + (X1,) * n + (EM,) * k
+             for n in range(7) for k in (0, 3)]
+    while len(words) < 14 + 40:
+        w = tuple(rng.choice(LETTERS) for _ in range(rng.randint(13, 20)))
+        if algebra == "x" or xi_inversions(w) <= 2:
+            words.append(w)
+    for w in words:
+        folded = system.normal_form(w).terms
+        rewritten = system.rewrite(w).terms
+        assert folded == rewritten, w
+        assert {k for k, c in folded.items() if c is one} \
+            == {k for k, c in rewritten.items() if c is one}, w
+
+
 def test_tables_equal_rewriting_on_words_with_deep_h_poles():
     """xi words of up to 6 letters with three or more xi3-before-xi2 pairs:
     the two paths agree on every one.  The five words with three xi3 and
