@@ -15,6 +15,14 @@ lifted products take no gcd, and each output coefficient is reduced once.
 A unit scalar is ``ring.one`` itself and is skipped by identity, also in
 the coproduct cache.  All coefficients of a system's tensors and elements
 are scalars of its ring.
+
+The scalars of both caches are interned on their system
+(``RewriteSystem._intern``): equal values are one object, so a warm cache
+of thousands of scalars holds a few hundred values.  ``star_tensor``
+multiplies the scalars of its last two legs through the system's pair
+table (``RewriteSystem._pair``), so each term of a product of tensors
+takes one lifted product, and each product of two cached scalars is taken
+once.
 """
 
 from __future__ import annotations
@@ -89,12 +97,16 @@ def tensor_unit(system: RewriteSystem, legs: int = 2) -> TensorElement:
 
 
 def star_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
-    """Componentwise star product of tensors (no braiding)."""
+    """Componentwise star product of tensors (no braiding).
+
+    A term is the product of the two coefficients, times the basis-star
+    scalars of the legs before the last two, times one pair product of the
+    last two (``RewriteSystem._pair``)."""
     s._check(t)
     system = s.system
     one = system.ring.one
     sums = ProductSums(system.ring)
-    times, add = sums.times, sums.add
+    times, add, pair = sums.times, sums.add, system._pair
     before = range(s.legs - 2)  # the legs before the last two
     for ka, ca in s.terms.items():
         pa = ca.lifted()
@@ -108,9 +120,8 @@ def star_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
             last = system._basis_star(ka[-1], kb[-1]).items()
             for key, p in heads:
                 for m, c in first:
-                    pc = p if c is one else times(p, c)
                     for m2, c2 in last:
-                        add(key + (m, m2), pc, c2)
+                        add(key + (m, m2), p, pair(c, c2))
     return TensorElement(system, sums.coefficients(), s.legs)
 
 
@@ -130,7 +141,9 @@ def _monomial_coproduct(system: RewriteSystem, mono: PbwMonomial) -> dict:
     """Coproduct of a basis monomial as a terms dict; cached on the system."""
     cached = system._coproduct_cache.get(mono)
     if cached is None:
-        cached = _word_coproduct(system, mono.word()).terms
+        intern = system._intern
+        cached = {key: intern(c) for key, c
+                  in _word_coproduct(system, mono.word()).terms.items()}
         system._coproduct_cache[mono] = cached
     return cached
 

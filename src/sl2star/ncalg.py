@@ -62,6 +62,9 @@ X1, X2, X3, EP, EM = Gen.X1, Gen.X2, Gen.X3, Gen.EP, Gen.EM
 # m up or down); plain ints 1..5 find their Gen letter here too
 _LETTER_INDEX = {X1: 0, X2: 1, X3: 2, EP: 3, EM: 4}
 _LETTERS = frozenset(_LETTER_INDEX)
+# the Gen letter of a letter given as a Gen or a plain int: a dict lookup
+# costs a tenth of a call of Gen
+_GEN = {g: g for g in Gen}
 
 Word = tuple
 
@@ -239,6 +242,16 @@ class RewriteSystem:
     scalars of its multiplication tables, and a cache of basis-pair star
     products.  Instances are immutable after construction; the caches are
     fill-once and idempotent, so concurrent readers need no coordination.
+
+    The scalars of the basis-star and coproduct caches are hash-consed
+    (Filliatre and Conchon, ML Workshop 2006): ``_intern`` maps a value,
+    keyed by its canonical ``lifted()`` form, to one series object, and a
+    unit value to ``ring.one`` itself.  The few distinct values of a cache
+    are then lifted once each, and ``_pair`` keeps the product of two of
+    them in a table, reduced and interned, so a product of two cached
+    scalars is taken once in the system's lifetime.  The pair table is keyed
+    by the two ids; each entry holds both factors, so neither can be freed
+    and its id reused while the entry lives.
     """
 
     def __init__(self, ring, rules: Mapping, symbols: Mapping,
@@ -252,6 +265,8 @@ class RewriteSystem:
         self.label = label
         self._star_cache = {}
         self._coproduct_cache = {}
+        self._interned = {one.lifted(): one}
+        self._pairs = {}
         # the multiplication tables: rule scalars, their powers and sums,
         # filled on first use
         self._scalars = _table_scalars(self.rules, one)
@@ -317,7 +332,7 @@ class RewriteSystem:
         convolve, add_lifted, cancel = (kernel.convolve, kernel.add_lifted,
                                         kernel.cancel)
         for g in word:
-            letter = Gen(g)
+            letter = _GEN[g]
             out = {}
             for mono, coeff in terms.items():
                 for key, c in self._letter_row(mono, letter):
@@ -479,11 +494,33 @@ class RewriteSystem:
 
     # -- products ---------------------------------------------------------
 
+    def _intern(self, c):
+        """The system's one series object of the value of ``c``; a unit
+        value is ``ring.one``."""
+        return self._interned.setdefault(c.lifted(), c)
+
+    def _pair(self, c, c2):
+        """The product of the scalars ``c`` and ``c2``, interned; taken once
+        per pair of objects, ``c`` itself when ``c2`` is ``ring.one`` and
+        ``c2`` when ``c`` is."""
+        one = self.ring.one
+        if c2 is one:
+            return c
+        if c is one:
+            return c2
+        key = (id(c), id(c2))
+        entry = self._pairs.get(key)
+        if entry is None:
+            entry = self._pairs[key] = (c, c2, self._intern(c * c2))
+        return entry[2]
+
     def _basis_star(self, a: PbwMonomial, b: PbwMonomial) -> dict:
         key = (a, b)
         cached = self._star_cache.get(key)
         if cached is None:
-            cached = self._fold({a: self.ring.one}, b.word())
+            intern = self._intern
+            cached = {mono: intern(c) for mono, c
+                      in self._fold({a: self.ring.one}, b.word()).items()}
             self._star_cache[key] = cached
         return cached
 

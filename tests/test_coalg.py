@@ -352,6 +352,18 @@ def top_element(system, rng):
     return larger_element(system, rng) * system.ring.eps_power(1, 3)
 
 
+def assert_star_tensor(system, s, t):
+    """``star_tensor(s, t)`` against the oracle twice: first with the pair
+    table emptied, so that every product of two cached scalars is taken
+    anew, then with the table that run filled."""
+    want = ref_star_tensor(system, refs(s), refs(t))
+    system._pairs.clear()
+    assert_matches(star_tensor(s, t), want)
+    filled = dict(system._pairs)
+    assert_matches(star_tensor(s, t), want)
+    assert system._pairs == filled
+
+
 @pytest.mark.parametrize("make_system, make_element", [
     (lambda: x_algebra(8), larger_element),
     (lambda: x_algebra(8, (4, 1)), larger_element),
@@ -359,9 +371,10 @@ def top_element(system, rng):
     (lambda: xi_algebra(8), larger_element),
 ], ids=["x", "x-a-tail", "x-top", "xi"])
 def test_payload_loops_match_series_arithmetic(make_system, make_element):
-    """``star``, ``coproduct``, ``star_tensor`` on 2 and 3 legs,
-    ``_expand_leg``, ``coassoc_defect`` and ``coideal_check`` against the
-    term-by-term oracle, on random elements and tensors."""
+    """``star``, ``coproduct``, ``star_tensor`` on 2 and 3 legs (with an
+    empty and with a full pair table), ``_expand_leg``, ``coassoc_defect``
+    and ``coideal_check`` against the term-by-term oracle, on random
+    elements and tensors."""
     system = make_system()
     rng = random.Random(31)
     for _ in range(4):
@@ -373,8 +386,7 @@ def test_payload_loops_match_series_arithmetic(make_system, make_element):
         assert_matches(df, ref_coproduct(f))
         assert_matches(dg, ref_coproduct(g))
         assert_matches(coproduct(fg), ref_coproduct(fg))
-        assert_matches(star_tensor(df, dg),
-                       ref_star_tensor(system, refs(df), refs(dg)))
+        assert_star_tensor(system, df, dg)
         left, right = (ref_expand_leg(system, refs(df), leg) for leg in (0, 1))
         assert_matches(coalg._expand_leg(df, 0), left)
         assert_matches(coalg._expand_leg(df, 1), right)
@@ -395,14 +407,13 @@ def test_payload_loops_match_series_arithmetic(make_system, make_element):
     assert_matches(h, ref_star(x2, x3))
     assert_matches(coproduct(h), ref_coproduct(h))
     assert any(c is system.ring.one for c in coproduct(h).terms.values())
-    assert_matches(star_tensor(coproduct(x2), coproduct(x3)), ref_star_tensor(
-        system, refs(coproduct(x2)), refs(coproduct(x3))))
+    assert_star_tensor(system, coproduct(x2), coproduct(x3))
     # three legs, on small elements
     f = random_element(system, rng, max_terms=2, max_word=2)
     g = random_element(system, rng, max_terms=2, max_word=2)
     s, t = coalg._expand_leg(coproduct(f), 0), coalg._expand_leg(coproduct(g), 1)
     assert s.legs == t.legs == 3
-    assert_matches(star_tensor(s, t), ref_star_tensor(system, refs(s), refs(t)))
+    assert_star_tensor(system, s, t)
 
 
 def test_unit_coefficients_are_the_ring_unit(xsys):
@@ -414,11 +425,8 @@ def test_unit_coefficients_are_the_ring_unit(xsys):
     assert all(c is xsys.ring.one for c in units)
 
 
-def test_cached_lifts_are_those_of_their_terms(monkeypatch):
-    """After one ``check bialgebra`` and a 20-word fold, every cached table,
-    basis-star and coproduct scalar's ``lifted()`` equals a fresh
-    ``kernel.lift`` of its terms and is held in tuples, so no kernel step
-    can have changed it."""
+def _record_systems(monkeypatch) -> list:
+    """The rewrite systems built from now on, in order."""
     systems = []
     build = RewriteSystem.__init__
 
@@ -427,6 +435,15 @@ def test_cached_lifts_are_those_of_their_terms(monkeypatch):
         systems.append(self)
 
     monkeypatch.setattr(RewriteSystem, "__init__", recording)
+    return systems
+
+
+def test_cached_lifts_are_those_of_their_terms(monkeypatch):
+    """After one ``check bialgebra`` and a 20-word fold, every cached table,
+    basis-star and coproduct scalar's ``lifted()`` equals a fresh
+    ``kernel.lift`` of its terms and is held in tuples, so no kernel step
+    can have changed it."""
+    systems = _record_systems(monkeypatch)
     assert checks.run_suite("bialgebra", Config())["passed"]
     rng = random.Random(20)
     for system in (systems[0], xi_algebra(8)):
@@ -455,3 +472,49 @@ def test_cached_lifts_are_those_of_their_terms(monkeypatch):
                 assert (codes, den) == (tuple(sorted(fresh)), fresh_den)
     assert len({s.ring.kind for s in systems}) == 2
     assert cached > 1000
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_cached_scalars_are_hash_consed(monkeypatch, order):
+    """After one ``check bialgebra`` and some coproducts and tensor products
+    on x and xi: equal-valued cached scalars are one object, a cached unit
+    is ``ring.one`` itself, and every pair-table entry sits under the ids
+    of its two factors and holds their product, interned.  ``_pair`` of
+    any two cached values is their product, and e^{2eps} e^{-2eps} pairs to
+    ``ring.one``."""
+    systems = _record_systems(monkeypatch)
+    assert checks.run_suite("bialgebra", Config(order=order))["passed"]
+    xi = xi_algebra(order)
+    rng = random.Random(25)
+    for system in (systems[0], xi):
+        for _ in range(6):
+            f = random_element(system, rng, max_terms=3, max_word=3)
+            g = random_element(system, rng, max_terms=3, max_word=3)
+            star_tensor(coproduct(f), coproduct(g))
+    assert xi in systems
+    for system in systems:
+        one = system.ring.one
+        interned = system._interned
+        cached = [c for terms in (*system._star_cache.values(),
+                                  *system._coproduct_cache.values())
+                  for c in terms.values()]
+        objects = {}
+        for c in cached:
+            objects.setdefault(c.lifted(), set()).add(id(c))
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert all(c is one for c in cached if c == 1)
+        assert all(interned[c.lifted()] is c for c in cached)
+        for key, (c, c2, p) in system._pairs.items():
+            assert key == (id(c), id(c2))
+            assert p == c * c2
+            assert interned[p.lifted()] is p
+        values = [interned[k] for k in sorted(objects)[:12]]
+        for c in values:
+            for c2 in values:
+                assert system._pair(c, c2) == c * c2
+        if system.ring.kind == "eps":
+            up, down = system.ring.exp(2), system.ring.exp(-2)
+        else:
+            up, down = system.ring.exp(2, 1, 0), system.ring.exp(-2, 1, 0)
+        assert system._pair(system._intern(up), system._intern(down)) is one
+    assert systems[0]._pairs and xi._pairs

@@ -224,8 +224,10 @@ def test_tables_match_rewriting_on_long_words(name):
 
 @pytest.mark.parametrize("name", TABLE_SYSTEMS)
 def test_basis_star_matches_rewriting(name):
-    """Every basis pair of total degree <= 4; a coefficient is ``ring.one``
-    itself on both paths or on neither."""
+    """Every basis pair of total degree <= 4.  The cache interns its
+    scalars, so a cached coefficient equal to 1 is ``ring.one`` itself, also
+    where rewriting leaves a unit of its own (e^{-4eps} e^{4eps} in e-^2 x2
+    x3)."""
     system = TABLE_SYSTEMS[name]()
     one = system.ring.one
     monos = [PbwMonomial(a, b, c, m) for a in range(5) for b in range(5)
@@ -238,8 +240,9 @@ def test_basis_star_matches_rewriting(name):
         table = system._basis_star(ma, mb)
         rewritten = system.rewrite(ma.word() + mb.word()).terms
         assert table == rewritten, (ma, mb)
-        assert {k for k, c in table.items() if c is one} \
-            == {k for k, c in rewritten.items() if c is one}, (ma, mb)
+        units = {k for k, c in table.items() if c == 1}
+        assert {k for k, c in table.items() if c is one} == units, (ma, mb)
+        assert {k for k, c in rewritten.items() if c is one} <= units, (ma, mb)
 
 
 @pytest.mark.parametrize("order", [1, 8, 16])
