@@ -4,8 +4,8 @@ Rationals are reduced ``(numerator, denominator)`` int pairs with a positive
 denominator; series payloads are sparse ``{exponent: rational}`` dicts with no
 stored zeros.  ``s_add``, ``s_sub``, ``s_neg`` and ``s_scale`` work for any
 exponent key; ``s_mul`` and ``s_eps_flip`` take ``int`` exponents and
-``s_mul_total`` takes ``(eps, h)`` exponent pairs.  Callers reach these
-functions through ``_backend.kernel``.
+``s_mul_total`` takes ``(eps, h)`` exponent pairs.  Only the series layer
+calls these functions, through ``_backend.kernel``.
 
 A series product is three steps: ``lift`` writes a payload as integer
 numerators over one denominator, keyed by int codes; ``convolve`` multiplies

@@ -9,20 +9,18 @@ vanishing.  That turns the coideal condition, coassociativity, and the
 counit axioms into exact zero tests on finitely many terms.
 
 The loops sum products of coefficients in one ``series.ProductSums`` per
-call: a scalar enters through its cached ``lifted()`` form, so the scalars
-of the basis-star and coproduct caches are lifted once in their lifetime,
-lifted products take no gcd, and each output coefficient is reduced once.
-A unit scalar is ``ring.one`` itself and is skipped by identity, also in
-the coproduct cache.  All coefficients of a system's tensors and elements
-are scalars of its ring.
+call, which lifts each scalar once in its lifetime, takes lifted products
+with no gcd and reduces each output coefficient once; this module never
+sees the lifted form.  A unit scalar is ``ring.one`` itself and is skipped
+by identity.  All coefficients of a system's tensors and elements are
+scalars of its ring.
 
-The scalars of both caches are interned on their system
-(``RewriteSystem._intern``): equal values are one object, so a warm cache
-of thousands of scalars holds a few hundred values.  ``star_tensor``
-multiplies the scalars of its last two legs through the system's pair
-table (``RewriteSystem._pair``), so each term of a product of tensors
-takes one lifted product, and each product of two cached scalars is taken
-once.
+The scalars of both caches are interned on the system's ring
+(``_SeriesRing._intern``): equal values are one object, so a warm cache of
+thousands of scalars holds a few hundred values.  ``star_tensor``
+multiplies the scalars of its last two legs through the ring's pair table
+(``_SeriesRing._pair``), so each term of a product of tensors takes one
+lifted product, and each product of two cached scalars is taken once.
 """
 
 from __future__ import annotations
@@ -101,18 +99,16 @@ def star_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
 
     A term is the product of the two coefficients, times the basis-star
     scalars of the legs before the last two, times one pair product of the
-    last two (``RewriteSystem._pair``)."""
+    last two (the ring's ``_pair``)."""
     s._check(t)
     system = s.system
-    one = system.ring.one
     sums = ProductSums(system.ring)
-    times, add, pair = sums.times, sums.add, system._pair
+    times, add, pair = sums.times, sums.add, system.ring._pair
     before = range(s.legs - 2)  # the legs before the last two
     for ka, ca in s.terms.items():
-        pa = ca.lifted()
         for kb, cb in t.terms.items():
             # per-leg basis products: heads over the legs before the last two
-            heads = [((), pa if cb is one else times(pa, cb))]
+            heads = [((), times(ca, cb))]
             for i in before:
                 heads = [(key + (m,), times(p, c)) for key, p in heads
                          for m, c in system._basis_star(ka[i], kb[i]).items()]
@@ -141,7 +137,7 @@ def _monomial_coproduct(system: RewriteSystem, mono: PbwMonomial) -> dict:
     """Coproduct of a basis monomial as a terms dict; cached on the system."""
     cached = system._coproduct_cache.get(mono)
     if cached is None:
-        intern = system._intern
+        intern = system.ring._intern
         cached = {key: intern(c) for key, c
                   in _word_coproduct(system, mono.word()).terms.items()}
         system._coproduct_cache[mono] = cached

@@ -36,7 +36,6 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from ._backend import kernel
 from .series import (
     EpsSeriesRing,
     ProductSums,
@@ -243,15 +242,11 @@ class RewriteSystem:
     products.  Instances are immutable after construction; the caches are
     fill-once and idempotent, so concurrent readers need no coordination.
 
-    The scalars of the basis-star and coproduct caches are hash-consed
-    (Filliatre and Conchon, ML Workshop 2006): ``_intern`` maps a value,
-    keyed by its canonical ``lifted()`` form, to one series object, and a
-    unit value to ``ring.one`` itself.  The few distinct values of a cache
-    are then lifted once each, and ``_pair`` keeps the product of two of
-    them in a table, reduced and interned, so a product of two cached
-    scalars is taken once in the system's lifetime.  The pair table is keyed
-    by the two ids; each entry holds both factors, so neither can be freed
-    and its id reused while the entry lives.
+    The scalars of the basis-star and coproduct caches are hash-consed on
+    the ring (``_SeriesRing._intern``), whose pair table keeps the product
+    of two of them; each system builds its own ring.  Scalar arithmetic goes
+    through the series API and ``ProductSums``; only ``series`` reaches the
+    kernel and the lifted form.
     """
 
     def __init__(self, ring, rules: Mapping, symbols: Mapping,
@@ -265,8 +260,6 @@ class RewriteSystem:
         self.label = label
         self._star_cache = {}
         self._coproduct_cache = {}
-        self._interned = {one.lifted(): one}
-        self._pairs = {}
         # the multiplication tables: rule scalars, their powers and sums,
         # filled on first use
         self._scalars = _table_scalars(self.rules, one)
@@ -311,53 +304,19 @@ class RewriteSystem:
         word = tuple(word)
         if not _LETTERS.issuperset(word):
             raise _unknown_letter(word)
-        return NCElement(self, self._fold({UNIT: self.ring.one}, word))
+        return NCElement(self, self._fold(UNIT, word))
 
-    def _fold(self, terms: dict, word: Word) -> dict:
-        """``terms`` (basis monomial -> coefficient) times the letters of
-        ``word``, left to right.
-
-        A coefficient stays a scalar while it is ``ring.one`` or one table
-        scalar: a unit scalar is ``ring.one`` itself, and a coefficient
-        times it stays the same object.  Any other product is taken lifted
-        (``kernel.convolve`` of cached ``lifted()`` forms, no gcd) and sums
-        at a key are merged lifted (``kernel.add_lifted``).  After each
-        letter a lifted coefficient drops its zeros and, once its
-        denominator outgrows a machine word, its common factor
-        (``kernel.cancel``), so long words at high order keep their numbers
-        small; it is reduced once, at the end of the word."""
-        one = self.ring.one
-        span = one._SPAN
-        lim = kernel.limit(one._bound, span)
-        convolve, add_lifted, cancel = (kernel.convolve, kernel.add_lifted,
-                                        kernel.cancel)
+    def _fold(self, mono: PbwMonomial, word: Word) -> dict:
+        """``mono`` times the letters of ``word``, left to right, as basis
+        monomial -> coefficient: one ``ProductSums.times_letter`` step per
+        letter through ``_letter_row``, then each coefficient reduced once
+        (a unit is ``ring.one`` itself)."""
+        sums = ProductSums(self.ring)
+        sums.add(mono, self.ring.one)
+        times_letter, row = sums.times_letter, self._letter_row
         for g in word:
-            letter = _GEN[g]
-            out = {}
-            for mono, coeff in terms.items():
-                for key, c in self._letter_row(mono, letter):
-                    if c is one:
-                        c = coeff
-                    elif coeff is not one:
-                        c = convolve(coeff if type(coeff) is tuple
-                                     else coeff.lifted(), c.lifted(), lim)
-                    cur = out.get(key)
-                    if cur is not None:
-                        c = add_lifted(
-                            cur if type(cur) is tuple else cur.lifted(),
-                            c if type(c) is tuple else c.lifted())
-                    out[key] = c
-            terms = {}
-            for key, c in out.items():
-                if type(c) is tuple:
-                    c = cancel(c)
-                    if c[0]:
-                        terms[key] = c
-                elif c.terms:
-                    terms[key] = c
-        wrap = one._wrap
-        return {key: wrap(kernel.reduce(c, span)) if type(c) is tuple else c
-                for key, c in terms.items()}
+            times_letter(row, _GEN[g])
+        return sums.coefficients()
 
     def _letter_row(self, mono: PbwMonomial, letter: Gen) -> list:
         """x1^a x2^b x3^c e^m times one letter, as (basis monomial, scalar)
@@ -494,33 +453,13 @@ class RewriteSystem:
 
     # -- products ---------------------------------------------------------
 
-    def _intern(self, c):
-        """The system's one series object of the value of ``c``; a unit
-        value is ``ring.one``."""
-        return self._interned.setdefault(c.lifted(), c)
-
-    def _pair(self, c, c2):
-        """The product of the scalars ``c`` and ``c2``, interned; taken once
-        per pair of objects, ``c`` itself when ``c2`` is ``ring.one`` and
-        ``c2`` when ``c`` is."""
-        one = self.ring.one
-        if c2 is one:
-            return c
-        if c is one:
-            return c2
-        key = (id(c), id(c2))
-        entry = self._pairs.get(key)
-        if entry is None:
-            entry = self._pairs[key] = (c, c2, self._intern(c * c2))
-        return entry[2]
-
     def _basis_star(self, a: PbwMonomial, b: PbwMonomial) -> dict:
         key = (a, b)
         cached = self._star_cache.get(key)
         if cached is None:
-            intern = self._intern
+            intern = self.ring._intern
             cached = {mono: intern(c) for mono, c
-                      in self._fold({a: self.ring.one}, b.word()).items()}
+                      in self._fold(a, b.word()).items()}
             self._star_cache[key] = cached
         return cached
 

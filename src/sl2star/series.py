@@ -18,10 +18,12 @@ All values are immutable after construction and all operations are pure, so
 instances are safe to share across threads.  Coefficients are stored as
 reduced ``(num, den)`` int pairs and manipulated through the arithmetic
 kernel ``_backend.kernel``; ``fractions.Fraction`` appears only at the API
-boundary.  A value also caches its kernel lift (``lifted()``, integer
-numerators over one denominator, in tuples): loops that sum many products
-(``ProductSums``, the normal-form fold of ``ncalg``) multiply lifted forms
-with no gcd, and a scalar that is used again and again is lifted once.
+boundary.  No other module of the package reaches the kernel.  A value
+caches its kernel lift (``lifted()``, integer numerators over one
+denominator, in tuples), and ``ProductSums``, the one place that multiplies
+and sums lifted forms (with no gcd), runs the coalgebra's loops and the
+normal-form fold of ``ncalg``, so a scalar used again and again is lifted
+once.  A ring also hash-conses the scalars its rewrite system caches.
 """
 
 from __future__ import annotations
@@ -350,15 +352,20 @@ def _exp_coefficients(value: RationalLike, count: int) -> list:
 
 
 class ProductSums:
-    """Sums of products of scalars of one ring, each sum reduced once.
+    """Sums of products of scalars of one ring, each sum reduced once; the
+    one accumulator that knows the lifted form.
 
-    ``times(p, c)`` multiplies a lifted ``p`` by the scalar ``c`` with no
-    gcd, and ``add(key, a, c)`` adds a * c, ``a`` lifted or a scalar, to the
-    sum at ``key``.  A scalar enters through its cached ``lifted()``; two
-    scalars multiply reduced only when one of them has a single term.
-    ``coefficients()`` reduces each sum once; a sum equal to 1 is
-    ``ring.one`` itself, and ``ring.one`` factors are skipped by identity.
-    Make one per call: nothing outlives it.
+    ``times(p, c)`` is ``p`` (lifted or a scalar) times the scalar ``c``,
+    lifted with no gcd; ``add(key, a, c)`` adds a * c, ``a`` lifted or a
+    scalar, to the sum at ``key``.  Two scalars multiply reduced only when
+    one of them has a single term.  ``times_letter(row, letter)`` moves each
+    sum through one letter of a word: the sum at a key goes to every key of
+    ``row(key, letter)`` times its scalar.  A sum stays a scalar while it is
+    ``ring.one`` or one row scalar; a lifted sum then drops its zeros and,
+    past a machine-word denominator, its common factor (``cancel``), so the
+    sums of a long word stay small.  ``coefficients()`` reduces each sum
+    once; a sum equal to 1 is ``ring.one`` itself, and ``ring.one`` factors
+    are skipped by identity.  Make one per call: nothing outlives it.
     """
 
     def __init__(self, ring: "_SeriesRing"):
@@ -366,9 +373,12 @@ class ProductSums:
         hi, span = one._bound, one._SPAN
         lim = _q.limit(hi, span)
         sums = {}
-        convolve, mul, wrap = _q.convolve, one._mul_terms, one._wrap
+        convolve, add_lifted, cancel = _q.convolve, _q.add_lifted, _q.cancel
+        mul, wrap = one._mul_terms, one._wrap
 
         def times(p, c):
+            if type(p) is not tuple:
+                p = p.lifted()
             return p if c is one else convolve(p, c.lifted(), lim)
 
         def add(key, a, c=one):
@@ -380,9 +390,34 @@ class ProductSums:
                 else:
                     a = wrap(mul(a.terms, c.terms, hi))
             cur = sums.get(key)
-            sums[key] = a if cur is None else _q.add_lifted(
+            sums[key] = a if cur is None else add_lifted(
                 cur if type(cur) is tuple else cur.lifted(),
                 a if type(a) is tuple else a.lifted())
+
+        def times_letter(row, letter):
+            nonlocal sums
+            out = {}
+            for key, coeff in sums.items():
+                for key2, c in row(key, letter):
+                    if c is one:
+                        c = coeff
+                    elif coeff is not one:
+                        c = convolve(coeff if type(coeff) is tuple
+                                     else coeff.lifted(), c.lifted(), lim)
+                    cur = out.get(key2)
+                    if cur is not None:
+                        c = add_lifted(
+                            cur if type(cur) is tuple else cur.lifted(),
+                            c if type(c) is tuple else c.lifted())
+                    out[key2] = c
+            sums = {}
+            for key, c in out.items():
+                if type(c) is tuple:
+                    c = cancel(c)
+                    if c[0]:
+                        sums[key] = c
+                elif c.terms:
+                    sums[key] = c
 
         def coefficients():
             out = {}
@@ -394,21 +429,52 @@ class ProductSums:
             return out
 
         self.times, self.add, self.coefficients = times, add, coefficients
+        self.times_letter = times_letter
 
 
 class _SeriesRing:
     """Factory facade fixing the bound of one series type for one
-    computation."""
+    computation, and the hash-cons tables of its scalars.
+
+    ``_intern`` maps a value, keyed by its canonical ``lifted()`` form, to
+    one series object, a unit to ``one`` itself (Filliatre and Conchon, ML
+    Workshop 2006); ``_pair`` keeps the interned product of two scalars in
+    a table keyed by their ids, and each entry holds both factors, so no id
+    is reused while it lives.  A rewrite system interns the scalars of its
+    caches on its own ring, so each product of two of them is taken once.
+    """
 
     series = _Series
 
     def __init__(self, bound: int):
         self._bound = bound
-        self.one = self.series.one(bound)
+        self.one = one = self.series.one(bound)
         self.zero = self.series.zero(bound)
+        self._interned = {one.lifted(): one}
+        self._pairs = {}
 
     def constant(self, value: RationalLike):
         return self.series.constant(value, self._bound)
+
+    def _intern(self, c):
+        """The ring's one series object of the value of ``c``; a unit value
+        is ``one``."""
+        return self._interned.setdefault(c.lifted(), c)
+
+    def _pair(self, c, c2):
+        """The product of the scalars ``c`` and ``c2``, interned; taken once
+        per pair of objects, ``c`` itself when ``c2`` is ``one`` and ``c2``
+        when ``c`` is."""
+        one = self.one
+        if c2 is one:
+            return c
+        if c is one:
+            return c2
+        key = (id(c), id(c2))
+        entry = self._pairs.get(key)
+        if entry is None:
+            entry = self._pairs[key] = (c, c2, self._intern(c * c2))
+        return entry[2]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.series._BOUND_NAME}={self._bound})"

@@ -290,7 +290,7 @@ def limit_h_to_zero(obj):
 def _h_constant_scalar(c: BiSeries) -> BiSeries:
     if c.h_pole_order() < 0:
         raise PoleAtHZeroError(f"pole at h = 0 remains in {c}")
-    return c._wrap({k: v for k, v in c.terms.items() if k[1] == 0})
+    return BiSeries({k: v for k, v in c.terms.items() if k[1] == 0}, c.total)
 
 
 def limit_eps_to_zero(obj):

@@ -357,11 +357,12 @@ def assert_star_tensor(system, s, t):
     table emptied, so that every product of two cached scalars is taken
     anew, then with the table that run filled."""
     want = ref_star_tensor(system, refs(s), refs(t))
-    system._pairs.clear()
+    pairs = system.ring._pairs
+    pairs.clear()
     assert_matches(star_tensor(s, t), want)
-    filled = dict(system._pairs)
+    filled = dict(pairs)
     assert_matches(star_tensor(s, t), want)
-    assert system._pairs == filled
+    assert pairs == filled
 
 
 @pytest.mark.parametrize("make_system, make_element", [
@@ -493,8 +494,9 @@ def test_cached_scalars_are_hash_consed(monkeypatch, order):
             star_tensor(coproduct(f), coproduct(g))
     assert xi in systems
     for system in systems:
-        one = system.ring.one
-        interned = system._interned
+        ring = system.ring
+        one = ring.one
+        interned = ring._interned
         cached = [c for terms in (*system._star_cache.values(),
                                   *system._coproduct_cache.values())
                   for c in terms.values()]
@@ -504,17 +506,17 @@ def test_cached_scalars_are_hash_consed(monkeypatch, order):
         assert all(len(ids) == 1 for ids in objects.values())
         assert all(c is one for c in cached if c == 1)
         assert all(interned[c.lifted()] is c for c in cached)
-        for key, (c, c2, p) in system._pairs.items():
+        for key, (c, c2, p) in ring._pairs.items():
             assert key == (id(c), id(c2))
             assert p == c * c2
             assert interned[p.lifted()] is p
         values = [interned[k] for k in sorted(objects)[:12]]
         for c in values:
             for c2 in values:
-                assert system._pair(c, c2) == c * c2
-        if system.ring.kind == "eps":
-            up, down = system.ring.exp(2), system.ring.exp(-2)
+                assert ring._pair(c, c2) == c * c2
+        if ring.kind == "eps":
+            up, down = ring.exp(2), ring.exp(-2)
         else:
-            up, down = system.ring.exp(2, 1, 0), system.ring.exp(-2, 1, 0)
-        assert system._pair(system._intern(up), system._intern(down)) is one
-    assert systems[0]._pairs and xi._pairs
+            up, down = ring.exp(2, 1, 0), ring.exp(-2, 1, 0)
+        assert ring._pair(ring._intern(up), ring._intern(down)) is one
+    assert systems[0].ring._pairs and xi.ring._pairs

@@ -277,8 +277,8 @@ def test_product_sums_align_denominators(total):
                     sums.add(key, a, b)
                     product = fraction_product(a.terms, b.terms, hi, add,
                                                degree)
-                else:  # a lifted product of three
-                    sums.add(key, sums.times(a.lifted(), b), c)
+                else:  # a lifted product of three; times takes either form
+                    sums.add(key, sums.times(a if key else a.lifted(), b), c)
                     product = fraction_product(
                         fraction_product(a.terms, b.terms, hi, add, degree),
                         c.terms, hi, add, degree)

@@ -251,8 +251,9 @@ def test_tables_match_rewriting_on_long_words_at_every_order(algebra, order):
     """x3^n x2^n x1^n e-^k for n <= 6 and 40 seeded words of 13-20 letters
     (xi words with at most two xi3-before-xi2 pairs): the fold keeps its
     coefficients lifted across many letters, and the rewriting oracle keeps
-    plain series arithmetic.  A coefficient is ``ring.one`` itself on both
-    paths or on neither."""
+    plain series arithmetic.  A folded coefficient equal to 1 is
+    ``ring.one`` itself, and so is every one that rewriting leaves as
+    ``ring.one``."""
     system = (x_algebra if algebra == "x" else xi_algebra)(order)
     one = system.ring.one
     rng = random.Random(2024)
@@ -266,8 +267,17 @@ def test_tables_match_rewriting_on_long_words_at_every_order(algebra, order):
         folded = system.normal_form(w).terms
         rewritten = system.rewrite(w).terms
         assert folded == rewritten, w
-        assert {k for k, c in folded.items() if c is one} \
-            == {k for k, c in rewritten.items() if c is one}, w
+        units = {k for k, c in folded.items() if c == 1}
+        assert {k for k, c in folded.items() if c is one} == units, w
+        assert {k for k, c in rewritten.items() if c is one} <= units, w
+
+
+def test_a_unit_left_by_the_fold_is_ring_one(xsys):
+    """e-^2 x2 x3 is x2 x3 e-^2 with the scalar e^{-4eps} e^{4eps}: the
+    fold returns that unit as ``ring.one`` itself, not as a fresh series."""
+    terms = xsys.normal_form((EM, EM, X2, X3)).terms
+    assert terms == {PbwMonomial(0, 1, 1, -2): xsys.ring.one}
+    assert terms[PbwMonomial(0, 1, 1, -2)] is xsys.ring.one
 
 
 def test_tables_equal_rewriting_on_words_with_deep_h_poles():
