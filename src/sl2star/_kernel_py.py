@@ -1,20 +1,20 @@
 """Pure-Python arithmetic kernel.
 
 Rationals are reduced ``(numerator, denominator)`` int pairs with a positive
-denominator; series payloads are sparse ``{exponent: rational}`` dicts with no
-stored zeros.  ``s_add``, ``s_sub``, ``s_neg`` and ``s_scale`` work for any
-exponent key; ``s_mul`` and ``s_eps_flip`` take ``int`` exponents and
-``s_mul_total`` takes ``(eps, h)`` exponent pairs.  Only the series layer
-calls these functions, through ``_backend.kernel``.
+denominator; series payloads are sparse ``{key: rational}`` dicts with no
+stored zeros, keyed by ``int`` exponents or by ``(eps, h)`` exponent pairs.
+``s_add``, ``s_neg`` and ``s_scale`` work for any key; ``s_mul`` takes
+``span``, which says how ``lift`` codes the keys (0 for ints, ``SPAN`` for
+pairs).  Only the series layer calls these functions, through
+``_backend.kernel``.
 
-A series product is three steps: ``lift`` writes a payload as integer
-numerators over one denominator, keyed by int codes; ``convolve`` multiplies
-two lifted payloads with no gcd, up to ``limit``; ``reduce`` takes one gcd per
-term.  ``add_lifted`` sums two lifted payloads, and ``cancel`` keeps a
-payload that stays lifted across many products small (zeros dropped, one
-common gcd once its denominator outgrows a machine word).  A single term on
-a side just shifts the other side, cross-cancelled as in ``qmul``.  The steps
-never change their operands, so a lift cached on a series value
+``s_mul``, the one series product, is three steps: ``lift`` writes a payload
+as integer numerators over one denominator, keyed by int codes; ``convolve``
+multiplies two lifted payloads with no gcd, up to ``limit``; ``reduce`` takes
+one gcd per term.  ``add_lifted`` sums two lifted payloads, and ``cancel``
+keeps a payload that stays lifted across many products small (zeros
+dropped, one common gcd once its denominator outgrows a machine word).  The
+steps never change their operands, so a lift cached on a series value
 (``_Series.lifted``) can be passed to any of them.
 """
 
@@ -46,14 +46,6 @@ def qadd(a, b):
     return qnorm(an * bd + bn * ad, ad * bd)
 
 
-def qsub(a, b):
-    an, ad = a
-    bn, bd = b
-    if ad == bd:
-        return qnorm(an - bn, ad)
-    return qnorm(an * bd - bn * ad, ad * bd)
-
-
 def qmul(a, b):
     an, ad = a
     bn, bd = b
@@ -82,21 +74,6 @@ def s_add(a, b):
             out[e] = q
         else:
             s = qadd(cur, q)
-            if s[0] == 0:
-                del out[e]
-            else:
-                out[e] = s
-    return out
-
-
-def s_sub(a, b):
-    out = dict(a)
-    for e, q in b.items():
-        cur = out.get(e)
-        if cur is None:
-            out[e] = (-q[0], q[1])
-        else:
-            s = qsub(cur, q)
             if s[0] == 0:
                 del out[e]
             else:
@@ -199,57 +176,9 @@ def reduce(p, span=0):
     return out
 
 
-def s_mul(a, b, hi):
-    """Cauchy product of two exponent dicts, dropping exponents above hi."""
-    if len(a) < 2 or len(b) < 2:
-        # with a single term on one side no two products share an exponent
-        if len(b) > 1:
-            a, b = b, a
-        if not b:
-            return {}
-        ((eb, (n, d)),) = b.items()
-        lim = hi - eb
-        if n == d:  # a reduced pair: the coefficient is 1
-            return {ea + eb: ca for ea, ca in a.items() if ea <= lim}
-        out = {}
-        for ea, (an, ad) in a.items():
-            if ea <= lim:
-                g1 = gcd(n, ad)
-                g2 = gcd(an, d)
-                out[ea + eb] = (n // g1) * (an // g2), (d // g2) * (ad // g1)
-        return out
-    lb = lift(b)
-    lb[0].sort()
-    return reduce(convolve(lift(a), lb, hi))
-
-
-def s_mul_total(a, b, hi):
-    """Product of two {(i, j): rational} dicts, dropping total degree i + j
-    above hi."""
-    if len(a) < 2 or len(b) < 2:
-        if len(b) > 1:
-            a, b = b, a
-        if not b:
-            return {}
-        (((ib, jb), (n, d)),) = b.items()
-        lim = hi - ib - jb
-        if n == d:  # a reduced pair: the coefficient is 1
-            return {(ia + ib, ja + jb): ca for (ia, ja), ca in a.items()
-                    if ia + ja <= lim}
-        out = {}
-        for (ia, ja), (an, ad) in a.items():
-            if ia + ja <= lim:
-                g1 = gcd(n, ad)
-                g2 = gcd(an, d)
-                out[ia + ib, ja + jb] = ((n // g1) * (an // g2),
-                                         (d // g2) * (ad // g1))
-        return out
-    lb = lift(b, SPAN)
-    lb[0].sort()
-    return reduce(convolve(lift(a, SPAN), lb, limit(hi, SPAN)), SPAN)
-
-
-def s_eps_flip(a):
-    """Substitute eps -> -eps: negate coefficients at odd exponents."""
-    return {e: ((-n, d) if e & 1 else (n, d)) for e, (n, d) in a.items()}
-
+def s_mul(a, b, hi, span=0):
+    """The product of two payloads, keys of degree above ``hi`` dropped:
+    ``a`` lifted, ``b`` lifted and sorted, convolved and reduced."""
+    tb, db = lift(b, span)
+    tb.sort()
+    return reduce(convolve(lift(a, span), (tb, db), limit(hi, span)), span)

@@ -8,9 +8,10 @@ inverted, and no root is ever taken).  ``BiSeries`` keys them by an ``(i, j)``
 exponent pair: the two-parameter variant in ``(eps, h)`` used by the
 two-parameter algebra, truncated by total degree, Laurent in ``h`` (for
 1/sinh(h)).  A value is its terms plus the one bound of its ring, nothing
-else.  Sums, differences, negation, rational multiples, equality, powers
-and the inverse are the core's; each key type has its own product and
-substitutions.  The standard series (exp, sinh, sinh/eps, the even
+else.  Sums, differences, negation, rational multiples, products,
+equality, powers, the inverse and eps -> -eps are the core's, and one
+kernel product serves both key types; each key type adds its key check and
+its other substitutions.  The standard series (exp, sinh, sinh/eps, the even
 A-series, sinh h) have one constructor each, a method of the ring
 (``EpsSeriesRing``, ``BiSeriesRing``) that fixes the bound.
 
@@ -22,8 +23,10 @@ boundary.  No other module of the package reaches the kernel.  A value
 caches its kernel lift (``lifted()``, integer numerators over one
 denominator, in tuples), and ``ProductSums``, the one place that multiplies
 and sums lifted forms (with no gcd), runs the coalgebra's loops and the
-normal-form fold of ``ncalg``, so a scalar used again and again is lifted
-once.  A ring also hash-conses the scalars its rewrite system caches.
+normal-form fold of ``ncalg`` on those cached lifts, so inside them a
+scalar used again and again is lifted once; a product ``a * b`` of two
+values lifts both afresh.  A ring also hash-conses the scalars its rewrite
+system caches.
 """
 
 from __future__ import annotations
@@ -91,14 +94,14 @@ class _Series:
     rational pair with no stored zeros, plus the one bound of its ring: the
     truncation degree; ``lifted()`` caches the kernel's lift of ``terms``
     on first use.  Everything that is blind to the key type lives
-    here: sums, differences, negation and rational multiples through the
-    kernel's ``s_add``/``s_sub``/``s_neg``/``s_scale``, the constructors
-    ``zero``/``one``/``constant`` (each taking the bound), coercion of ints
-    and Fractions, equality, powers, the inverse and printing.  A subclass
-    supplies its key type: the key check of its constructor, ``_mul_terms``
-    (the product of two payloads truncated at the bound, which ``__mul__``
-    and ``ProductSums`` share), ``_SPAN`` (how the kernel codes its keys),
-    ``_degree`` and ``_neg_key`` of a key, and its substitutions.
+    here: sums, differences (a sum with the negation), negation, rational
+    multiples and products through the kernel's ``s_add``/``s_neg``/
+    ``s_scale``/``s_mul``, the constructors ``zero``/``one``/``constant``
+    (each taking the bound), coercion of ints and Fractions, equality,
+    powers, the inverse, eps -> -eps and printing.  A subclass supplies its
+    key type: the key check of its constructor, ``_SPAN`` (how the kernel
+    codes its keys), ``_degree``, ``_neg_key`` and ``_eps_of`` (the eps
+    exponent) of a key, and its other substitutions.
     """
 
     __slots__ = ("terms", "_bound", "_lifted")
@@ -187,7 +190,7 @@ class _Series:
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
-        return self._wrap(_q.s_sub(self.terms, other.terms))
+        return self._wrap(_q.s_add(self.terms, _q.s_neg(other.terms)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -204,7 +207,8 @@ class _Series:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
-        return self._wrap(self._mul_terms(self.terms, other.terms, self._bound))
+        return self._wrap(_q.s_mul(self.terms, other.terms, self._bound,
+                                   self._SPAN))
 
     __rmul__ = __mul__
 
@@ -243,6 +247,12 @@ class _Series:
             result = result + acc
         return result * pivot_inv
 
+    def eps_flip(self):
+        """Substitute eps -> -eps: negate the terms of odd eps exponent."""
+        eps_of = self._eps_of
+        return self._wrap({k: ((-n, d) if eps_of(k) & 1 else (n, d))
+                           for k, (n, d) in self.terms.items()})
+
 
 class EpsSeries(_Series):
     """Truncated power series in eps with exact coefficients.
@@ -258,7 +268,7 @@ class EpsSeries(_Series):
     _SPAN = 0
 
     order = property(lambda self: self._bound)
-    _degree = staticmethod(lambda e: e)
+    _degree = _eps_of = staticmethod(lambda e: e)
     _neg_key = staticmethod(lambda e: -e)
 
     def __init__(self, terms: Mapping[int, tuple], order: int):
@@ -291,16 +301,7 @@ class EpsSeries(_Series):
             return ""
         return "eps" if e == 1 else f"eps^{e}"
 
-    # -- ring operations ------------------------------------------------
-
-    #: the product of two payloads, truncated above degree ``hi``
-    _mul_terms = staticmethod(lambda a, b, hi: _q.s_mul(a, b, hi))
-
     # -- substitutions ----------------------------------------------------
-
-    def eps_flip(self) -> "EpsSeries":
-        """Substitute eps -> -eps."""
-        return self._wrap(_q.s_eps_flip(self.terms))
 
     def stretch(self, k: int) -> "EpsSeries":
         """Substitute eps -> eps^k for k >= 1 (exponents scale by k)."""
@@ -357,8 +358,8 @@ class ProductSums:
 
     ``times(p, c)`` is ``p`` (lifted or a scalar) times the scalar ``c``,
     lifted with no gcd; ``add(key, a, c)`` adds a * c, ``a`` lifted or a
-    scalar, to the sum at ``key``.  Two scalars multiply reduced only when
-    one of them has a single term.  ``times_letter(row, letter)`` moves each
+    scalar, to the sum at ``key``: a product is always a ``convolve`` of
+    the two lifts.  ``times_letter(row, letter)`` moves each
     sum through one letter of a word: the sum at a key goes to every key of
     ``row(key, letter)`` times its scalar.  A sum stays a scalar while it is
     ``ring.one`` or one row scalar; a lifted sum then drops its zeros and,
@@ -370,11 +371,11 @@ class ProductSums:
 
     def __init__(self, ring: "_SeriesRing"):
         one = ring.one
-        hi, span = one._bound, one._SPAN
-        lim = _q.limit(hi, span)
+        span = one._SPAN
+        lim = _q.limit(one._bound, span)
         sums = {}
         convolve, add_lifted, cancel = _q.convolve, _q.add_lifted, _q.cancel
-        mul, wrap = one._mul_terms, one._wrap
+        wrap = one._wrap
 
         def times(p, c):
             if type(p) is not tuple:
@@ -383,12 +384,7 @@ class ProductSums:
 
         def add(key, a, c=one):
             if c is not one:
-                if type(a) is tuple:
-                    a = convolve(a, c.lifted(), lim)
-                elif len(a.terms) > 1 and len(c.terms) > 1:
-                    a = convolve(a.lifted(), c.lifted(), lim)
-                else:
-                    a = wrap(mul(a.terms, c.terms, hi))
+                a = times(a, c)
             cur = sums.get(key)
             sums[key] = a if cur is None else add_lifted(
                 cur if type(cur) is tuple else cur.lifted(),
@@ -543,6 +539,7 @@ class BiSeries(_Series):
 
     total = property(lambda self: self._bound)
     _degree = staticmethod(lambda key: key[0] + key[1])
+    _eps_of = staticmethod(lambda key: key[0])
     _neg_key = staticmethod(lambda key: (-key[0], -key[1]))
 
     def __init__(self, terms: Mapping[tuple, tuple], total: int):
@@ -580,16 +577,7 @@ class BiSeries(_Series):
             parts.append("h" if j == 1 else f"h^{j}")
         return "*".join(parts)
 
-    #: the product of two payloads, truncated above total degree ``hi``
-    _mul_terms = staticmethod(lambda a, b, hi: _q.s_mul_total(a, b, hi))
-
     # -- substitutions and slices --------------------------------------
-
-    def eps_flip(self) -> "BiSeries":
-        """Substitute eps -> -eps (h untouched)."""
-        return self._wrap(
-            {(i, j): ((-n, d) if i % 2 else (n, d))
-             for (i, j), (n, d) in self.terms.items()})
 
     def h_pole_order(self) -> int:
         """Most negative h exponent present (0 if none)."""

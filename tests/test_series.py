@@ -181,6 +181,9 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + EpsSeries.zero(12) == a
     assert a * EpsSeries.one(12) == a
+    # eps -> -eps is an involution and a ring map
+    assert a.eps_flip().eps_flip() == a
+    assert (a * b).eps_flip() == a.eps_flip() * b.eps_flip()
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,6 +225,10 @@ def test_biseries_basics():
     assert (one + eps) * (one - eps) == one - eps * eps
     assert (eps * h).eps_flip() == -(eps * h)
     assert (h * h).eps_flip() == h * h
+    # only odd eps exponents change sign; h, and h^-1, are left alone
+    assert (eps + h + eps * h).eps_flip() == -eps + h - eps * h
+    assert BiSeries({(1, -1): 2, (2, -1): 3, (3, 0): 5}, T).eps_flip() \
+        == BiSeries({(1, -1): -2, (2, -1): 3, (3, 0): -5}, T)
 
 
 def test_biseries_exp_and_sinh():
@@ -333,6 +340,8 @@ def test_biseries_product_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a * BiSeries.one(BI_TOTAL) == a
+    assert a.eps_flip().eps_flip() == a
+    assert (a * b).eps_flip() == a.eps_flip() * b.eps_flip()
 
 
 @settings(max_examples=40, deadline=None)
