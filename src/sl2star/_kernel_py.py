@@ -3,18 +3,19 @@
 Rationals are reduced ``(numerator, denominator)`` int pairs with a positive
 denominator; series payloads are sparse ``{key: rational}`` dicts with no
 stored zeros, keyed by ``int`` exponents or by ``(eps, h)`` exponent pairs.
-``s_add``, ``s_neg`` and ``s_scale`` work for any key; ``s_mul`` takes
-``span``, which says how ``lift`` codes the keys (0 for ints, ``SPAN`` for
-pairs).  Only the series layer calls these functions, through
-``_backend.kernel``.
+``limit``, ``lift``, ``reduce``, ``s_add`` and ``s_mul`` take ``span``,
+which says how ``lift`` codes the keys (0 for ints, ``SPAN`` for pairs).
+Only the series layer calls these functions, through ``_backend.kernel``.
 
-``s_mul``, the one series product, is three steps: ``lift`` writes a payload
-as integer numerators over one denominator, keyed by int codes; ``convolve``
-multiplies two lifted payloads with no gcd, up to ``limit``; ``reduce`` takes
-one gcd per term.  ``add_lifted`` sums two lifted payloads, and ``cancel``
-keeps a payload that stays lifted across many products small (zeros
-dropped, one common gcd once its denominator outgrows a machine word).  The
-steps never change their operands, so a lift cached on a series value
+There is one rational arithmetic, in three steps: ``lift`` writes a payload
+as integer numerators over one denominator, keyed by int codes; one lifted
+step combines lifted payloads with no gcd, ``convolve`` a product up to
+``limit`` and ``add_lifted`` a sum; ``reduce`` takes one gcd per term.  The
+one series product ``s_mul`` and the one series sum ``s_add`` are those
+three steps; ``qnorm`` reduces a single rational.  ``cancel`` keeps a
+payload that stays lifted across many products small (zeros dropped, one
+common gcd once its denominator outgrows a machine word).  The steps never
+change their operands, so a lift cached on a series value
 (``_Series.lifted``) can be passed to any of them.
 """
 
@@ -36,59 +37,6 @@ def qnorm(n, d):
         n //= g
         d //= g
     return (n, d)
-
-
-def qadd(a, b):
-    an, ad = a
-    bn, bd = b
-    if ad == bd:
-        return qnorm(an + bn, ad)
-    return qnorm(an * bd + bn * ad, ad * bd)
-
-
-def qmul(a, b):
-    an, ad = a
-    bn, bd = b
-    if an == 0 or bn == 0:
-        return (0, 1)
-    # cross-cancel before multiplying to keep the bignums small
-    g1 = gcd(an if an > 0 else -an, bd)
-    g2 = gcd(bn if bn > 0 else -bn, ad)
-    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
-
-
-def qdiv(a, b):
-    bn, bd = b
-    if bn == 0:
-        raise ZeroDivisionError("rational division by zero")
-    if bn < 0:
-        return qmul(a, (-bd, -bn))
-    return qmul(a, (bd, bn))
-
-
-def s_add(a, b):
-    out = dict(a)
-    for e, q in b.items():
-        cur = out.get(e)
-        if cur is None:
-            out[e] = q
-        else:
-            s = qadd(cur, q)
-            if s[0] == 0:
-                del out[e]
-            else:
-                out[e] = s
-    return out
-
-
-def s_neg(a):
-    return {e: (-n, d) for e, (n, d) in a.items()}
-
-
-def s_scale(a, q):
-    if q[0] == 0:
-        return {}
-    return {e: qmul(c, q) for e, c in a.items()}
 
 
 #: an (i, j) key is coded as (i + j) * SPAN + i (eps exponents stay below
@@ -182,3 +130,8 @@ def s_mul(a, b, hi, span=0):
     tb, db = lift(b, span)
     tb.sort()
     return reduce(convolve(lift(a, span), (tb, db), limit(hi, span)), span)
+
+
+def s_add(a, b, span=0):
+    """The sum of two payloads: both lifted, added and reduced."""
+    return reduce(add_lifted(lift(a, span), lift(b, span)), span)

@@ -29,7 +29,7 @@ from typing import Mapping
 
 from .ncalg import (
     Combination, NCElement, PbwMonomial, RewriteSystem, UNIT, Word, add_term,
-    monomial_str,
+    monomial_str, on_product,
 )
 from .series import ProductSums
 
@@ -212,20 +212,10 @@ def counit_contract(t: TensorElement, side: str) -> NCElement:
 
 
 def classical_coproduct(f: NCElement) -> TensorElement:
-    """The undeformed coproduct: generator table extended with the
-    commutative product on both legs."""
-    system = f.system
+    """The undeformed coproduct: the pull-back of f through the group law,
+    ``ncalg.on_product``, with f's coefficients."""
     out = {}
     for mono, c in f.terms.items():
-        t = tensor_unit(system)
-        for letter in mono.word():
-            letter_cop = system.coproduct_table[letter]
-            acc = {}
-            for key, cc in t.terms.items():
-                for pair, c2 in letter_cop:
-                    add_term(acc, tuple(a.classical_mul(b) for a, b in zip(key, pair)),
-                             cc * c2)
-            t = TensorElement(system, acc)
-        for key, cc in t.terms.items():
-            add_term(out, key, cc * c)
-    return TensorElement(system, out)
+        for pair, n in on_product({(mono,): 1}).items():
+            add_term(out, pair, c * n)
+    return TensorElement(f.system, out)

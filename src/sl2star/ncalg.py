@@ -99,6 +99,33 @@ GENERATOR_COPRODUCT = {
     X3: ((M_X3, M_EM), (M_EP, M_X3)), EP: ((M_EP, M_EP),), EM: ((M_EM, M_EM),)}
 
 
+# A function on n copies of the group is {n-tuple of basis monomials: int},
+# multiplied by ``classical_mul`` leg by leg.
+
+def _sum(terms) -> dict:
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _mul(f: dict, g: dict, scale: int = 1) -> dict:
+    return _sum((tuple(a.classical_mul(b) for a, b in zip(u, v)), scale * c * d)
+                for u, c in f.items() for v, d in g.items())
+
+
+def on_product(f: dict) -> dict:
+    """f(y x) as a function of (y, x): each letter becomes its key pairs in
+    ``GENERATOR_COPRODUCT``, the group law."""
+    terms = []
+    for (mono,), c in f.items():
+        value = {(UNIT, UNIT): c}
+        for letter in mono.word():
+            value = _mul(value, dict.fromkeys(GENERATOR_COPRODUCT[letter], 1))
+        terms += value.items()
+    return _sum(terms)
+
+
 def measure(word: Word) -> tuple:
     """Termination measure (#x2/x3 letters, length, the word itself).
 

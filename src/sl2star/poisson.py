@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .ncalg import GENERATOR_COPRODUCT, M_X1, M_X2, M_X3, PbwMonomial, UNIT
+from .ncalg import M_X1, M_X2, M_X3, PbwMonomial, UNIT, _mul, _sum, on_product
 
 #: duality normalization matching the closed-form bivector's sinh coefficient
 DEFAULT_KAPPA = 8.0
@@ -145,18 +145,6 @@ BIVECTOR = {(1, 2): {M_X2: 1}, (1, 3): {M_X3: -1},
 COORDINATES = {i: {(mono,): 1} for i, mono in enumerate((M_X1, M_X2, M_X3), 1)}
 
 
-def _sum(terms) -> dict:
-    out = {}
-    for key, c in terms:
-        out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
-
-
-def _mul(f: dict, g: dict, scale: int = 1) -> dict:
-    return _sum((tuple(a.classical_mul(b) for a, b in zip(u, v)), scale * c * d)
-                for u, c in f.items() for v, d in g.items())
-
-
 def partial(f: dict, copy: int, i: int) -> dict:
     """d/dx_i on one copy; d/dx1 also brings down the m of e^{m x1}."""
     terms = [(key, key[copy].m * c) for key, c in f.items()] if i == 1 else []
@@ -188,18 +176,6 @@ def jacobiator(pi: dict) -> dict:
     return _sum(term for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
                 for term in poisson_bracket(
                     pi, x[i], poisson_bracket(pi, x[j], x[k])).items())
-
-
-def on_product(f: dict) -> dict:
-    """f(y x) as a function of (y, x): each letter becomes its key pairs in
-    ``GENERATOR_COPRODUCT``, the group law."""
-    terms = []
-    for (mono,), c in f.items():
-        value = {(UNIT, UNIT): c}
-        for letter in mono.word():
-            value = _mul(value, dict.fromkeys(GENERATOR_COPRODUCT[letter], 1))
-        terms += value.items()
-    return _sum(terms)
 
 
 def multiplicativity_failures(pi: dict) -> list:

@@ -8,12 +8,14 @@ inverted, and no root is ever taken).  ``BiSeries`` keys them by an ``(i, j)``
 exponent pair: the two-parameter variant in ``(eps, h)`` used by the
 two-parameter algebra, truncated by total degree, Laurent in ``h`` (for
 1/sinh(h)).  A value is its terms plus the one bound of its ring, nothing
-else.  Sums, differences, negation, rational multiples, products,
-equality, powers, the inverse and eps -> -eps are the core's, and one
-kernel product serves both key types; each key type adds its key check and
-its other substitutions.  The standard series (exp, sinh, sinh/eps, the even
-A-series, sinh h) have one constructor each, a method of the ring
-(``EpsSeriesRing``, ``BiSeriesRing``) that fixes the bound.
+else.  The constructor, the JSON form, sums, differences, negation,
+rational multiples, products, equality, powers, the inverse and
+eps -> -eps are the core's; every operation goes through the kernel's one
+rational arithmetic (lift, one lifted step, reduce) for both key types, and
+each key type adds how its keys are coded and its other substitutions.  The
+standard series (exp, sinh, sinh/eps, the even A-series, sinh h) have one
+constructor each, a method of the ring (``EpsSeriesRing``,
+``BiSeriesRing``) that fixes the bound.
 
 All values are immutable after construction and all operations are pure, so
 instances are safe to share across threads.  Coefficients are stored as
@@ -32,13 +34,14 @@ system caches.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Mapping, Union
 
 from ._backend import kernel
 
 _q = kernel
 
-RationalLike = Union[int, Fraction, tuple, str]
+RationalLike = Union[int, Fraction, tuple]
 
 DEFAULT_ORDER = 8
 
@@ -69,16 +72,13 @@ class SeriesDomainError(SeriesError):
 
 
 def as_pair(x: RationalLike) -> tuple:
-    """Coerce an int/Fraction/"p/q" string/pair into a reduced (num, den) pair."""
+    """Coerce an int, a Fraction or a pair into a reduced (num, den) pair."""
     if isinstance(x, tuple):
         return _q.qnorm(x[0], x[1])
     if isinstance(x, int):
         return (x, 1)
     if isinstance(x, Fraction):
         return (x.numerator, x.denominator)
-    if isinstance(x, str):
-        num, _, den = x.partition("/")
-        return _q.qnorm(int(num), int(den) if den else 1)
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
@@ -93,15 +93,17 @@ class _Series:
     A value is ``terms``, a sparse dict from an exponent key to a reduced
     rational pair with no stored zeros, plus the one bound of its ring: the
     truncation degree; ``lifted()`` caches the kernel's lift of ``terms``
-    on first use.  Everything that is blind to the key type lives
-    here: sums, differences (a sum with the negation), negation, rational
-    multiples and products through the kernel's ``s_add``/``s_neg``/
-    ``s_scale``/``s_mul``, the constructors ``zero``/``one``/``constant``
-    (each taking the bound), coercion of ints and Fractions, equality,
-    powers, the inverse, eps -> -eps and printing.  A subclass supplies its
-    key type: the key check of its constructor, ``_SPAN`` (how the kernel
-    codes its keys), ``_degree``, ``_neg_key`` and ``_eps_of`` (the eps
-    exponent) of a key, and its other substitutions.
+    on first use.  Everything that is blind to the key type lives here:
+    the one constructor and JSON form, sums through the kernel's ``s_add``,
+    products through its ``s_mul``, and through those differences (a sum
+    with the negation), negation and rational multiples (products with a
+    constant); the constructors ``zero``/``one``/``constant`` (each taking
+    the bound), coercion of ints and Fractions, equality, powers, the
+    inverse, eps -> -eps and printing.  A subclass supplies its key type:
+    ``_SPAN`` (how the kernel codes its keys), and ``_degree``,
+    ``_neg_key``, ``_eps_of`` (the eps exponent, which the constructor
+    refuses below 0) and ``_key_json`` of a key, and its other
+    substitutions.
     """
 
     __slots__ = ("terms", "_bound", "_lifted")
@@ -110,6 +112,25 @@ class _Series:
     _BOUND_NAME = "hi"
     #: the key of the constant term
     _UNIT_KEY = None
+
+    def __init__(self, terms: Mapping, bound: int):
+        """Zero coefficients and keys of degree above ``bound`` are dropped;
+        a negative eps exponent is refused, inside the bound or beyond it."""
+        if bound < 1:
+            raise SeriesConfigError(f"{self._BOUND_NAME} must be >= 1")
+        clean = {}
+        for key, c in terms.items():
+            c = as_pair(c)
+            if c[0] == 0:
+                continue
+            if self._eps_of(key) < 0:
+                raise SeriesDomainError(
+                    f"eps exponent {self._eps_of(key)} is negative: "
+                    f"{type(self).__name__} is a power series in eps")
+            if self._degree(key) <= bound:
+                clean[key] = c
+        self.terms = clean
+        self._bound = bound
 
     def _wrap(self, terms: dict):
         """A value of this ring whose terms are already clean (not copied)."""
@@ -181,7 +202,7 @@ class _Series:
         if other is NotImplemented:
             return NotImplemented
         self._check(other)
-        return self._wrap(_q.s_add(self.terms, other.terms))
+        return self._wrap(_q.s_add(self.terms, other.terms, self._SPAN))
 
     __radd__ = __add__
 
@@ -189,8 +210,7 @@ class _Series:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check(other)
-        return self._wrap(_q.s_add(self.terms, _q.s_neg(other.terms)))
+        return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -199,12 +219,11 @@ class _Series:
         return other - self
 
     def __neg__(self):
-        return self._wrap(_q.s_neg(self.terms))
+        return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._wrap(_q.s_scale(self.terms, as_pair(other)))
-        if not isinstance(other, type(self)):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         self._check(other)
         return self._wrap(_q.s_mul(self.terms, other.terms, self._bound,
@@ -237,7 +256,7 @@ class _Series:
                 "inverse needs a unique lowest-total-degree monomial")
         bound = self._bound
         c = self.terms[pivots[0]]
-        pivot_inv = type(self)({self._neg_key(pivots[0]): _q.qdiv((1, 1), c)}, bound)
+        pivot_inv = type(self)({self._neg_key(pivots[0]): (c[1], c[0])}, bound)
         u = self * pivot_inv - 1
         acc = result = self.one(bound)
         for _ in range(bound + abs(dmin) + 1):
@@ -252,6 +271,11 @@ class _Series:
         eps_of = self._eps_of
         return self._wrap({k: ((-n, d) if eps_of(k) & 1 else (n, d))
                            for k, (n, d) in self.terms.items()})
+
+    def to_json(self) -> dict:
+        return {"terms": [[self._key_json(k), pair_str(c)]
+                          for k, c in sorted(self.terms.items())],
+                self._BOUND_NAME: self._bound}
 
 
 class EpsSeries(_Series):
@@ -268,26 +292,8 @@ class EpsSeries(_Series):
     _SPAN = 0
 
     order = property(lambda self: self._bound)
-    _degree = _eps_of = staticmethod(lambda e: e)
+    _degree = _eps_of = _key_json = staticmethod(lambda e: e)
     _neg_key = staticmethod(lambda e: -e)
-
-    def __init__(self, terms: Mapping[int, tuple], order: int):
-        if order < 1:
-            raise SeriesConfigError("truncation order must be >= 1")
-        clean = {}
-        for e, c in terms.items():
-            c = as_pair(c)
-            if c[0] == 0:
-                continue
-            if e > order:
-                continue
-            if e < 0:
-                raise SeriesDomainError(
-                    f"eps exponent {e} is negative: an EpsSeries is a power "
-                    f"series (only units invert)")
-            clean[e] = c
-        self.terms = clean
-        self._bound = order
 
     # -- misc queries ---------------------------------------------------
 
@@ -309,14 +315,6 @@ class EpsSeries(_Series):
             raise SeriesDomainError("stretch factor must be >= 1")
         return self._wrap({e * k: c for e, c in self.terms.items()
                            if e * k <= self.order})
-
-    # -- serialization ------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [[e, pair_str(c)] for e, c in sorted(self.terms.items())],
-            "order": self.order,
-        }
 
 
 def format_terms(terms: Mapping, power_str) -> str:
@@ -345,11 +343,8 @@ def format_terms(terms: Mapping, power_str) -> str:
 
 def _exp_coefficients(value: RationalLike, count: int) -> list:
     """value^k / k! for 0 <= k < count, as reduced pairs."""
-    v = as_pair(value)
-    out = [(1, 1)]
-    for k in range(1, count):
-        out.append(_q.qmul(out[-1], _q.qdiv(v, (k, 1))))
-    return out
+    n, d = as_pair(value)
+    return [_q.qnorm(n ** k, d ** k * factorial(k)) for k in range(count)]
 
 
 class ProductSums:
@@ -541,22 +536,7 @@ class BiSeries(_Series):
     _degree = staticmethod(lambda key: key[0] + key[1])
     _eps_of = staticmethod(lambda key: key[0])
     _neg_key = staticmethod(lambda key: (-key[0], -key[1]))
-
-    def __init__(self, terms: Mapping[tuple, tuple], total: int):
-        if total < 1:
-            raise SeriesConfigError("total degree bound must be >= 1")
-        clean = {}
-        for (i, j), c in terms.items():
-            c = as_pair(c)
-            if c[0] == 0:
-                continue
-            if i < 0:
-                raise SeriesDomainError("negative eps exponent in BiSeries")
-            if i + j > total:
-                continue
-            clean[(i, j)] = c
-        self.terms = clean
-        self._bound = total
+    _key_json = staticmethod(list)
 
     @classmethod
     def monomial(cls, value: RationalLike, i: int, j: int,
@@ -595,13 +575,6 @@ class BiSeries(_Series):
         for (i, j), (n, d) in self.terms.items():
             out[i + j] = out.get(i + j, 0) + Fraction(n, d) * f ** j
         return EpsSeries(out, order)
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [[[i, j], pair_str(c)]
-                      for (i, j), c in sorted(self.terms.items())],
-            "total": self.total,
-        }
 
 
 class BiSeriesRing(_SeriesRing):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sl2star import _kernel_py as kernel
-from sl2star.series import EpsSeries
+from sl2star.series import BiSeries, EpsSeries
 
 SPAN = kernel.SPAN
 
@@ -56,15 +56,69 @@ def test_qnorm_invariants():
         kernel.qnorm(1, 0)
 
 
+def as_terms(key, q):
+    """The terms of the one-term series q * key: reduced, no zero kept."""
+    return {key: (q.numerator, q.denominator)} if q else {}
+
+
 def test_rational_ops_match_fraction():
+    """``qnorm``, and the arithmetic of one-term series of both key types
+    (a constant, and an h^-1 monomial, coded through SPAN)."""
+    types = [(EpsSeries, 0, 0, 0), (BiSeries, (0, -1), (0, -2), (0, 1))]
     rng = random.Random(7)
     for _ in range(200):
         a, b = random_pair(rng), random_pair(rng)
         fa, fb = Fraction(*a), Fraction(*b)
-        assert Fraction(*kernel.qadd(a, b)) == fa + fb
-        assert Fraction(*kernel.qmul(a, b)) == fa * fb
-        if fb:
-            assert Fraction(*kernel.qdiv(a, b)) == fa / fb
+        k = rng.randrange(1, 6)
+        assert kernel.qnorm(a[0] * k, -a[1] * k) == (-fa).as_integer_ratio()
+        for cls, key, square, inverse in types:
+            x, y = cls({key: a}, 4), cls({key: b}, 4)
+            assert (x + y).terms == as_terms(key, fa + fb)
+            assert (x - y).terms == as_terms(key, fa - fb)
+            assert (-x).terms == as_terms(key, -fa)
+            assert (x * fb).terms == (fb * x).terms == as_terms(key, fa * fb)
+            assert (x * y).terms == as_terms(square, fa * fb)
+            if fb:
+                assert y.invert().terms == as_terms(inverse, 1 / fb)
+
+
+def fraction_sum(a, b):
+    out = {}
+    for p in (a, b):
+        for e, q in p.items():
+            out[e] = out.get(e, 0) + Fraction(*q)
+    return {e: (c.numerator, c.denominator) for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("span", [0, SPAN], ids=["int", "pair"])
+def test_s_add_matches_fraction_sum(span):
+    """Int keys down to eps^-3, and (i, j) keys with h down to h^-3, against
+    the sum in Fractions: overlaps that cancel to zero are dropped, and an
+    empty operand leaves the other as it is."""
+    if span:
+        keys = [(i, j) for i in range(0, 6) for j in range(-3, 6)]
+        # (eps h^-1 + h^-2) + (-eps h^-1 + h^-2 / 2) = 3/2 h^-2
+        assert kernel.s_add({(1, -1): (1, 1), (0, -2): (1, 1)},
+                            {(1, -1): (-1, 1), (0, -2): (1, 2)},
+                            span) == {(0, -2): (3, 2)}
+    else:
+        keys = list(range(-3, 11))
+        assert kernel.s_add({-1: (1, 3), 2: (1, 2)},
+                            {-1: (-1, 3), 2: (1, 2)}) == {2: (1, 1)}
+    rng = random.Random(19 + bool(span))
+    cancelled = 0
+    for _ in range(300):
+        a, b = random_payload(rng, keys), random_payload(rng, keys)
+        if rng.random() < 0.3:  # b takes away some of a's terms
+            b.update((e, (-n, d)) for e, (n, d) in a.items()
+                     if rng.random() < 0.7)
+        expected = fraction_sum(a, b)
+        cancelled += len(a.keys() & b.keys()) - len(a.keys() & b.keys()
+                                                    & expected.keys())
+        assert kernel.s_add(a, b, span) == kernel.s_add(b, a, span) == expected
+        assert kernel.s_add(a, {}, span) == kernel.s_add({}, a, span) == a
+    assert kernel.s_add({}, {}, span) == {}
+    assert cancelled > 50
 
 
 @pytest.mark.parametrize("hi", [4, 8, 12])

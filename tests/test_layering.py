@@ -5,9 +5,11 @@
 series value's lift or its private fields.  Every other module of the
 package multiplies and sums scalars through the series API and
 ``series.ProductSums``, so a second copy of the lifted arithmetic cannot
-grow outside it unseen.
+grow outside it unseen.  Inside it, the kernel keeps one rational
+arithmetic, whose public functions are pinned here.
 """
 
+import ast
 import pathlib
 import re
 
@@ -35,3 +37,14 @@ def test_only_the_series_layer_reaches_the_kernel(name):
             for i, line in enumerate(text.splitlines(), 1)
             if FORBIDDEN.search(line)]
     assert not hits, "\n".join(hits)
+
+
+def test_the_kernel_keeps_one_arithmetic():
+    """The kernel's public functions: a second rational arithmetic beside
+    lift, one lifted step and reduce cannot grow back unseen."""
+    tree = ast.parse((PACKAGE / "_kernel_py.py").read_text())
+    names = {node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef)
+             and not node.name.startswith("_")}
+    assert names == {"qnorm", "limit", "lift", "convolve", "add_lifted",
+                     "cancel", "reduce", "s_add", "s_mul"}

@@ -144,6 +144,29 @@ def test_terms_beyond_the_bound_are_dropped():
     assert sorted(EpsSeriesRing(N).exp(2).terms) == list(range(N + 1))
 
 
+@pytest.mark.parametrize("cls, kept, zero, beyond, negative", [
+    (EpsSeries, [0, 3, 8], [1], [9, 12], [-1, -20]),
+    (BiSeries, [(0, 0), (1, -1), (3, 5), (0, 8)], [(2, 0)],
+     [(9, 0), (5, 4), (0, 9)], [(-1, 2), (-1, 20)]),
+], ids=["eps", "bi"])
+def test_one_constructor_for_both_key_types(cls, kept, zero, beyond,
+                                            negative):
+    """Zero coefficients and keys of degree above the bound are dropped; a
+    negative eps exponent is refused inside the bound and beyond it (checked
+    before the degree); a bound below 1 is refused."""
+    terms = {k: Fraction(1, n) for n, k in enumerate(kept, 2)}
+    s = cls({**terms, **dict.fromkeys(zero, (0, 5)),
+             **dict.fromkeys(beyond, 1)}, 8)
+    assert s.terms == {k: (1, n) for n, k in enumerate(kept, 2)}
+    assert cls({**dict.fromkeys(zero, 0), **terms}, 8) == s
+    for key in negative:
+        with pytest.raises(SeriesDomainError, match="is negative"):
+            cls({key: 1}, 8)
+    for bound in (0, -3):
+        with pytest.raises(SeriesConfigError, match="must be >= 1"):
+            cls({}, bound)
+
+
 def test_json_form():
     a = S({0: 1, 1: Fraction(2, 3), 5: -7})
     assert a.to_json() == {"terms": [[0, "1"], [1, "2/3"], [5, "-7"]],
