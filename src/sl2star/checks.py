@@ -299,7 +299,7 @@ def poisson_lemma(config: Config) -> List[RelationCheck]:
     """Criterion 10: the cocycle, the integration lemma against the closed
     form, and, exactly, multiplicativity, the Jacobi identity and the
     linear part of the bivector."""
-    from . import poisson  # numpy and scipy stay off the exact criteria
+    from . import poisson  # numpy stays off the exact criteria
 
     lemma = poisson.verify_integration_lemma(seed=config.seed)
     pi = poisson.BIVECTOR

@@ -12,8 +12,7 @@ linear part is the cobracket, which on the simply connected dual group fixes
 it (Lu and Weinstein 1990).
 
 The numeric half realizes the dual group as pairs of triangular 2x2
-matrices, whose group exponential has a closed form, integrates the
-cobracket along one-parameter subgroups,
+matrices, integrates the cobracket along one-parameter subgroups,
 
     w(e^X) = integral_0^1 (Ad_{e^{sX}} (x) Ad_{e^{sX}}) delta(X) ds,
 
@@ -21,9 +20,9 @@ pushes the result forward by the right-translation Jacobian, and compares
 against alpha in floating point.  Duality leaves one overall normalization
 free; it enters as the single constant ``kappa`` scaling the cobracket
 component of the torus direction, is fitted from the samples, and must come
-out 8 everywhere.  The integral is affine in kappa, so both of its parts
-come from one exponential of a 9x9 block matrix (Van Loan): one matrix
-exponential per sample point.  The exact algebra never imports this module.
+out 8 everywhere.  ad_X is triangular on the coordinate basis, so the group
+exponential and the integral are in closed form, with no matrix
+exponential.  The exact algebra never imports this module.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .ncalg import M_X1, M_X2, M_X3, PbwMonomial, UNIT, _mul, _sum, on_product
 
@@ -312,25 +310,31 @@ def integrate_cobracket(x: Sequence[float]) -> tuple:
     """(w0, w1) with w(e^X) = w0 + kappa w1, where
     w = integral_0^1 A(s) delta(X) A(s)^T ds and A(s) = e^{s ad_X}.
 
-    Van Loan's block exponential (IEEE TAC 23, 1978), with both kappa parts
-    of delta(X) in one 9x9 block: the exponential of
-    [[M, D0, D1], [0, -M^T, 0], [0, 0, -M^T]] with M = ad_X is
-    [[e^M, F1, F2], [0, e^{-M^T}, 0], [0, 0, e^{-M^T}]] with
-    F_k = integral_0^1 e^{(1-s) M} D_k e^{-s M^T} ds, so F_k e^{M^T} is w_k.
+    ad_X = [[0, 0, 0], [u, lam, 0], [v, 0, lam]] with lam = 2 x1, so A(s) =
+    [[1, 0, 0], [u g, E, 0], [v g, 0, E]] with E = e^{lam s}, g = (E - 1)/lam.
+    For D = x . delta, either kappa part, the integrand above the diagonal is
+    d01 E, d02 E and (u d02 - v d01) g E + d12 E^2, and E, g E = (E^2 - E)/lam
+    and E^2 integrate to phi1 = expm1(lam)/lam, phi1^2/2 and
+    phi2 = expm1(2 lam)/(2 lam), all without cancellation near lam = 0.
     """
     x = np.asarray(x, dtype=float)
     M = ad_matrix(x)
-    block = np.zeros((9, 9))
-    block[:3, :3] = M
-    block[:3, 3:6] = np.einsum("i,ijk->jk", x, _DELTA_FIXED)
-    block[:3, 6:] = np.einsum("i,ijk->jk", x, _DELTA_PER_KAPPA)
-    block[3:6, 3:6] = block[6:, 6:] = -M.T
-    F = expm(block)
-    e_mt = F[:3, :3].T
-    w0, w1 = F[:3, 3:6] @ e_mt, F[:3, 6:] @ e_mt
-    if not (np.all(np.isfinite(w0)) and np.all(np.isfinite(w1))):
-        raise FloatingPointError("non-finite value in cobracket integration")
-    return w0, w1
+    u, lam, v = float(M[1, 0]), float(M[1, 1]), float(M[2, 0])
+    try:
+        phi1, phi2 = (math.expm1(t) / t if t else 1.0 for t in (lam, 2.0 * lam))
+    except OverflowError:      # refused below: w is then not finite
+        phi1 = phi2 = math.inf
+
+    def part(delta):
+        (_, d01, d02), (_, _, d12), _ = np.einsum("i,ijk->jk", x, delta).tolist()
+        w01, w02 = d01 * phi1, d02 * phi1
+        w12 = (u * d02 - v * d01) * phi1 * phi1 / 2.0 + d12 * phi2
+        if not all(map(math.isfinite, (w01, w02, w12))):
+            raise FloatingPointError("non-finite value in cobracket integration"
+                                     f" at x = {x.tolist()}")
+        return np.array([[0.0, w01, w02], [-w01, 0.0, w12], [-w02, -w12, 0.0]])
+
+    return part(_DELTA_FIXED), part(_DELTA_PER_KAPPA)
 
 
 @dataclass(frozen=True)
@@ -365,12 +369,7 @@ def right_translation_jacobian(g: DualGroupPoint) -> np.ndarray:
 
 def bivector_at(x: Sequence[float]) -> tuple:
     """(base, per_kappa): the integrated Poisson bivector at the group point
-    e^X, in coordinates, is base + kappa per_kappa.
-
-    One matrix exponential in all: both parts come from the one 9x9 block of
-    ``integrate_cobracket``, and the group point (in closed form) and its
-    Jacobian, which do not depend on kappa, are computed once.
-    """
+    e^X, in coordinates, is base + kappa per_kappa."""
     w0, w1 = integrate_cobracket(x)
     g = exp_point(x)
     point = tuple(g.coords())

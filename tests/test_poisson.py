@@ -3,7 +3,11 @@ integration lemma."""
 
 import importlib.util
 import math
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -152,12 +156,20 @@ def test_integrate_cobracket_zero_cases():
 
 @pytest.mark.parametrize("kappa", [0.0, 8.0])
 def test_integrate_cobracket_matches_quadrature(kappa):
-    """At general points the block exponential agrees with adaptive
-    quadrature of the integrand e^{s ad_X} delta(X) e^{s ad_X}^T."""
+    """At general points, and beside and on x1 = 0, the closed form agrees
+    with adaptive quadrature of the integrand e^{s ad_X} delta(X)
+    e^{s ad_X}^T.  Its premise holds at the seeded points: ad_X has a zero
+    first row and the triangular shape [[0, 0, 0], [u, 2 x1, 0], [v, 0, 2 x1]]."""
     delta = P.coordinate_cobracket(kappa)
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        x = rng.uniform(-1.0, 1.0, size=3)
+    seeded = [rng.uniform(-1.0, 1.0, size=3) for _ in range(10)]
+    for x in seeded:
+        M = P.ad_matrix(x)
+        assert M[0].tolist() == [0.0, 0.0, 0.0]
+        assert M[1, 2] == M[2, 1] == 0.0
+        assert np.diag(M).tolist() == [0.0, 2.0 * x[0], 2.0 * x[0]]
+    near_zero = [np.array([x1, 0.6, -0.9]) for x1 in (0.0, 1e-8, -1e-8, 1e-3)]
+    for x in seeded + near_zero:
         M = P.ad_matrix(x)
         D = np.einsum("i,ijk->jk", x, delta)
 
@@ -167,7 +179,16 @@ def test_integrate_cobracket_matches_quadrature(kappa):
 
         expected, _ = quad_vec(integrand, 0.0, 1.0, epsabs=1e-13)
         w0, w1 = P.integrate_cobracket(x)
-        assert np.allclose(w0 + kappa * w1, expected, rtol=0.0, atol=1e-10)
+        assert np.allclose(w0 + kappa * w1, expected, rtol=0.0, atol=1e-10), x
+
+
+def test_integrate_cobracket_names_the_point_where_it_overflows():
+    """e^{2 lam} with lam = 2 x1 = 800 overflows a float: the integration
+    refuses the point by name instead of returning inf or nan."""
+    with pytest.raises(FloatingPointError,
+                       match=r"^non-finite value in cobracket integration "
+                             r"at x = \[400\.0, 0\.1, 0\.1\]$"):
+        P.integrate_cobracket([400.0, 0.1, 0.1])
 
 
 def test_bivector_exact_on_x1_zero_plane():
@@ -188,24 +209,31 @@ def test_bivector_at_origin_is_zero():
     assert np.allclose(b, 0.0, atol=1e-14)
 
 
-def test_fit_kappa_makes_one_exponential(monkeypatch):
-    """One kappa fit integrates once and takes one matrix exponential: the
-    group point is in closed form and both kappa parts share one block."""
-    calls = {"expm": 0, "integrate": 0}
+def test_fit_kappa_takes_no_matrix_exponential():
+    """One kappa fit integrates once, in closed form: with scipy blocked
+    from import, the fit at a point gives kappa = 8."""
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        from sl2star import poisson as P
+        calls = []
+        integrate = P.integrate_cobracket
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+        def counted(x):
+            calls.append(x)
+            return integrate(x)
 
-    monkeypatch.setattr(P, "expm", counted("expm", P.expm))
-    monkeypatch.setattr(P, "integrate_cobracket",
-                        counted("integrate", P.integrate_cobracket))
-    x = [0.5, -0.25, 0.75]
-    kappa, _, _ = P.fit_kappa_at(x, P.alpha_reference(P.exp_point(x).coords()))
-    assert kappa == pytest.approx(8.0, abs=1e-10)
-    assert calls == {"expm": 1, "integrate": 1}
+        P.integrate_cobracket = counted
+        x = [0.5, -0.25, 0.75]
+        kappa, _, _ = P.fit_kappa_at(x, P.alpha_reference(P.exp_point(x).coords()))
+        print(repr(kappa), len(calls))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    kappa, calls = proc.stdout.split()
+    assert float(kappa) == pytest.approx(8.0, abs=1e-10)
+    assert calls == "1"
 
 
 def test_exp_point_is_the_matrix_exponential():
@@ -264,7 +292,8 @@ def test_jacobian_is_the_derivative_of_the_group_law():
 
 def test_the_benchmark_tracer_finds_every_span(capsys):
     """The benchmark's tracer (loaded read-only by path) patches its spans
-    by name, and says "not found" for a name the program lacks."""
+    by name, and says "not found" for a name the program lacks: only for
+    ``poisson.expm``."""
     path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -275,7 +304,11 @@ def test_the_benchmark_tracer_finds_every_span(capsys):
     finally:
         tracer.uninstall()
     captured = capsys.readouterr()
-    assert "not found" not in captured.out + captured.err
+    assert captured.out == ""
+    # the frozen benchmark still lists the matrix exponential that the
+    # closed-form integral replaced; every other span must be found
+    assert captured.err.splitlines() == [
+        "trace: sl2star.poisson.expm not found; its metrics read 0"]
 
 
 @pytest.mark.parametrize("seed", range(20))
