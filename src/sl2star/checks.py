@@ -6,13 +6,14 @@ tests run these functions on the default ``Config()``.  Every check runs at
 the criterion's size and tolerance on the algebras the Config describes,
 both truncated at ``config.order``.  Criteria 1 and 9 check that rewriting
 is confluent on the finitely many overlaps of the rules, not on sampled
-words.
-Criterion n draws its random inputs from ``random.Random(config.seed + s)``
-with s = 101 n (111 for criterion 11, and 414 for the A-tails of the
-isomorphism line of criterion 4); criterion 10 draws only the points of its
-integration lemma, from ``config.seed``.  So ``--seed`` moves every draw,
-and the default seed 0 gives the acceptance inputs.  A suite is a tuple of
-criteria; ``run_suite`` wraps their records in a JSON-able report.
+words, and criterion 11 checks the flip on the eleven rules, not on sampled
+pairs.  Criterion n draws its random inputs from
+``random.Random(config.seed + s)`` with s = 101 n (414 for the A-series of
+criterion 4); criterion 11 draws nothing, and criterion 10 draws only the
+points of its integration lemma, from ``config.seed``.  So ``--seed`` moves
+every draw, and the default seed 0 gives the acceptance inputs.  A suite
+is a tuple of criteria; ``run_suite`` wraps their records in a JSON-able
+report.
 """
 
 from __future__ import annotations
@@ -43,22 +44,23 @@ def _rng(config: Config, offset: int) -> random.Random:
     return random.Random(config.seed + offset)
 
 
+def _names(system, words) -> str:
+    return ", ".join(".".join(system.symbols[g] for g in w) for w in words)
+
+
 # -- checks of criteria 1, 2, 4 and 5, which criterion 9 runs on xi too ----
 
 def _rewriting(system, words, prefix: str = "") -> List[RelationCheck]:
     """Rewriting terminates and is confluent (every rule lowers the measure,
     every overlap of two rules resolves: Bergman's diamond lemma; a failure
     lists them), and the tables give the rewritten forms of ``words``."""
-    def names(words):
-        return ", ".join(".".join(system.symbols[g] for g in w) for w in words)
-
     raising = rules_raising_measure(system.rules)
     unresolved = system.unresolved_overlaps()
     return [
         _check(f"every {prefix}rule lowers the termination measure",
-               not raising, names(raising)),
+               not raising, _names(system, raising)),
         _check(f"every overlap of two {prefix}rules resolves", not unresolved,
-               names(unresolved)),
+               _names(system, unresolved)),
         _check(f"{prefix}table normal form equals rewriting ({len(words)} words)",
                all(system.normal_form(w) == system.rewrite(w) for w in words)),
     ]
@@ -167,26 +169,23 @@ def pbw_flatness(config: Config) -> List[RelationCheck]:
     ]
 
 
-def _random_a_series(rng: random.Random, constant) -> list:
-    """Ten A-series: ``constant(rng)``, then one to three random ones."""
-    return [[constant(rng)]
+def _random_a_series(rng: random.Random) -> list:
+    """Ten A-series: a random nonzero constant, then one to three random
+    coefficients."""
+    return [[Fraction(rng.choice((-1, 1)) * rng.randrange(1, 9),
+                      rng.randrange(1, 5))]
             + [Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
                for _ in range(rng.randrange(1, 4))]
             for _ in range(10)]
 
 
 def coideal(config: Config) -> List[RelationCheck]:
-    """Criterion 4: the ideal of relations is a coideal, for A = 4 and for
-    random tails, and any nonzero A' gives the algebra of A = 4."""
+    """Criterion 4: the ideal of relations is a coideal for A = 4, and any
+    nonzero A' gives the bialgebra of A = 4, so its ideal is a coideal too."""
     system = _x_system(config)
-    tails = _random_a_series(_rng(config, 404), lambda rng: 4)
-    others = _random_a_series(_rng(config, 414), lambda rng: Fraction(
-        rng.choice((-1, 1)) * rng.randrange(1, 9), rng.randrange(1, 5)))
+    others = _random_a_series(_rng(config, 414))
     return [
         _check("coideal property (A = 4)", _ideal_is_coideal(system)),
-        _check("coideal property (10 randomized A tails)",
-               all(_ideal_is_coideal(x_algebra(config.order, tail))
-                   for tail in tails)),
         _check("x2 -> (A'/A) x2 is a bialgebra isomorphism (10 random tails)",
                all(_x2_rescaling_is_isomorphism(
                    x_algebra(config.order, a), system) for a in others)),
@@ -233,12 +232,13 @@ def nontrivial_deformation(config: Config) -> List[RelationCheck]:
 
 
 def opposite_product_symmetry(config: Config) -> List[RelationCheck]:
-    """Criterion 11: star(f, g) = flip(star(flip g, flip f))."""
+    """Criterion 11: star(f, g) = flip(star(flip g, flip f)) for every f and
+    g, with flip the word reversal with eps -> -eps: it maps each rule into
+    the ideal, so it descends to the quotient.  A failure names the rules."""
     system = _x_system(config)
-    pairs = _random_tuples(system, _rng(config, 111), 100, 2)
-    return [_check("opposite-product symmetry (100 pairs)", all(
-        system.star(f, g) == system.star(g.eps_flip(), f.eps_flip()).eps_flip()
-        for f, g in pairs))]
+    unflipped = system.unflipped_rules()
+    return [_check("the flip maps each rule into the ideal", not unflipped,
+                   _names(system, unflipped))]
 
 
 # -- gauge recursions -------------------------------------------------------
@@ -247,8 +247,8 @@ def gauge_solver(config: Config) -> List[RelationCheck]:
     """Criterion 7: the gauge recursion straightens the raw x1-line model,
     against the c^n_k table for n <= 12 and by identities for every n."""
     nmax = gauge.TABLE_NMAX
-    model = gauge.RawX1Model(dict(config.b_coeffs))
-    configured = gauge.verify_gauge(model, gauge.solve_gauge(model, nmax))
+    model = gauge.RawX1Model({2: Fraction(1, 4)})
+    fixed = gauge.verify_gauge(model, gauge.solve_gauge(model, nmax))
     rng = _rng(config, 707)
     random_ok = True
     for _ in range(20):
@@ -259,7 +259,7 @@ def gauge_solver(config: Config) -> List[RelationCheck]:
     c = Fraction(5, 9)
     a2 = gauge.solve_gauge(gauge.RawX1Model({2: c}), nmax).a_at(2)
     return [
-        _check("gauge solver straightens configured b", configured),
+        _check("gauge solver straightens b = {2: 1/4}", fixed),
         _check("gauge solver on random even b (20 draws)", random_ok),
         _check("a_2 = c/2 for b = {2: c}", a2 == c / 2),
         _check("the gauge holds for every n: falling-factorial identities "

@@ -36,12 +36,6 @@ def _add_order_flag(parser: argparse.ArgumentParser) -> None:
                              "(default 8)")
 
 
-def _add_b_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--b", dest="b_coeffs", type=parse_b_coeffs,
-                        metavar="k:p/q,...",
-                        help="raw even b coefficients (default 2:1/4)")
-
-
 def _config_from(args: argparse.Namespace) -> Config:
     """The Config of the flags given; a flag left out keeps its default."""
     return Config(**{f.name: getattr(args, f.name) for f in fields(Config)
@@ -90,8 +84,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    config = _config_from(args)
-    model = gauge.RawX1Model(dict(config.b_coeffs))
+    model = gauge.RawX1Model(args.b_coeffs)
     solution = gauge.solve_gauge(model, args.nmax)
     verdict = gauge.verify_gauge(model, solution)
     payload = {
@@ -128,11 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_order_flag(p)
     p.add_argument("--seed", type=int_at_least(0),
                    help="moves every random draw of the checks (default 0)")
-    _add_b_flag(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("gauge", help="solve and verify the gauge recursion")
-    _add_b_flag(p)
+    p.add_argument("--b", dest="b_coeffs", type=parse_b_coeffs,
+                   default="2:1/4", metavar="k:p/q,...",
+                   help="raw even b coefficients (default 2:1/4)")
     p.add_argument("--nmax", type=int_at_least(1), default=12, metavar="N",
                    help="solve for and print a_k up to the even k >= N "
                         "(default 12); the gauge holds for every n")

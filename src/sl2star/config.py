@@ -1,21 +1,22 @@
 """Run configuration and the parsers of the command-line flags that set it.
 
-A run has three settings: the truncation order, the raw b-coefficients of
-the x1-line model (the default 1/4 is an arbitrary nonzero placeholder, not
-a derived value), and the seed of the random checks.  A is no setting, as
-every nonzero A gives the same bialgebra (criterion 4), nor is a gauge
-bound, as the gauge holds for every n (criterion 7); the checks' sizes and
-pass bounds are fixed in the check code.  Every value comes from a flag,
-through a parser below: an argparse ``type=`` function that refuses a bad
-value with ``ArgumentTypeError``, so argparse names the flag.
+A run of the checks has two settings: the truncation order and the seed of
+the random checks.  A is no setting, as every nonzero A gives the same
+bialgebra (criterion 4), nor are the b-coefficients of the x1-line model or
+a gauge bound, as the gauge holds for every b and every n (criterion 7);
+the checks' sizes and pass bounds are fixed in the check code.  The
+``gauge`` command reads its b from its own flag (the default 2:1/4 is an
+arbitrary nonzero placeholder, not a derived value).  Every value comes from
+a flag, through a parser below: an argparse ``type=`` function that refuses
+a bad value with ``ArgumentTypeError``, so argparse names the flag.
 """
 
 from __future__ import annotations
 
 from argparse import ArgumentTypeError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict
 
 from .gauge import RawX1Model
 
@@ -71,6 +72,4 @@ def parse_b_coeffs(text: str) -> Dict[int, Fraction]:
 @dataclass(frozen=True)
 class Config:
     order: int = 8
-    b_coeffs: Mapping[int, Fraction] = field(
-        default_factory=lambda: {2: Fraction(1, 4)})
     seed: int = 0

@@ -25,7 +25,8 @@ measure, so no word comes back once it is reduced, and each is reduced
 once, with its summed coefficient.  Confluence is not assumed anywhere: it
 is checked on the overlaps of the rules (``unresolved_overlaps``), the
 finite check of Bergman's diamond lemma, together with the measure decrease
-of every rule (``rules_raising_measure``).
+of every rule (``rules_raising_measure``), and so is the flip that gives
+the opposite-product symmetry (``unflipped_rules``).
 """
 
 from __future__ import annotations
@@ -478,6 +479,22 @@ class RewriteSystem:
                 and self._reduce({w + (c,): k for w, k in rules[a, b]})
                 != self._reduce({(a,) + w: k for w, k in rules[b, c]})]
 
+    def unflipped_rules(self) -> list:
+        """The rule pairs whose relation the flip does not map into the
+        ideal: its flip does not rewrite to zero.  The flip reverses each
+        word and sends eps to -eps, an anti-automorphism of the free
+        algebra.  An empty list means it maps the ideal into itself, so it
+        descends to the quotient, where the product of f and g is the flip
+        of (flip g) times (flip f) for every f and g."""
+        out = []
+        for pair, terms in sorted(self.rules.items()):
+            flipped = {pair[::-1]: self.ring.one}
+            for word, c in terms:
+                add_term(flipped, word[::-1], -c.eps_flip())
+            if not self._reduce(flipped).is_zero():
+                out.append(pair)
+        return out
+
     # -- products ---------------------------------------------------------
 
     def _basis_star(self, a: PbwMonomial, b: PbwMonomial) -> dict:
@@ -552,22 +569,6 @@ class NCElement(Combination):
         if n < 0:
             raise ValueError("negative star powers are not defined")
         return binary_power(self, n, self.system.one)
-
-    def eps_flip(self) -> "NCElement":
-        """The eps-parity anti-involution: reverse each basis word, eps -> -eps.
-
-        This realizes the opposite-product symmetry: the product of f and g
-        equals the flip of (flip g) * (flip f).  Flipping only the stored
-        coefficients would not be well defined modulo the ideal; the word
-        reversal is part of the map.
-        """
-        system = self.system
-        out = {}
-        for mono, c in self.terms.items():
-            flipped = c.eps_flip()
-            for key, d in system.normal_form(mono.word()[::-1]).terms.items():
-                add_term(out, key, d * flipped)
-        return NCElement(system, out)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -381,13 +381,12 @@ def alpha_reference(x: Sequence[float]) -> BivectorSample:
     """Closed-form bivector x2 d1^d2 - x3 d1^d3 + 4 sinh(2 x1) d2^d3, in
     floating point: ``BIVECTOR`` evaluated at the point x."""
     x1, x2, x3 = (float(v) for v in x)
-    c23 = 4.0 * math.sinh(2.0 * x1)
-    comp = np.array([
-        [0.0, x2, -x3],
-        [-x2, 0.0, c23],
-        [x3, -c23, 0.0],
-    ])
-    return BivectorSample((x1, x2, x3), comp)
+    comp = np.zeros((3, 3))
+    for (i, j), p in BIVECTOR.items():
+        comp[i - 1, j - 1] = sum(c * x1 ** n1 * x2 ** n2 * x3 ** n3
+                                 * math.exp(m * x1)
+                                 for (n1, n2, n3, m), c in p.items())
+    return BivectorSample((x1, x2, x3), comp - comp.T)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2star import checks, cli, gauge
+from sl2star import cli, gauge
 from sl2star.config import Config, int_at_least, parse_b_coeffs
 from sl2star.expr import evaluate, parse
 from sl2star.ncalg import EM, X1, X2, X3, x_algebra
@@ -28,13 +28,11 @@ def test_parse_helpers():
 
 
 def test_defaults():
-    """A run has three settings; A and the gauge bound of the checks are
-    none (criteria 4 and 7 cover every A and every n)."""
+    """A run of the checks has two settings; A, b and the gauge bound are
+    none (criteria 4 and 7 cover every A, every b and every n)."""
     cfg = Config()
-    assert [f.name for f in dataclasses.fields(cfg)] \
-        == ["order", "b_coeffs", "seed"]
+    assert [f.name for f in dataclasses.fields(cfg)] == ["order", "seed"]
     assert cfg.order == 8
-    assert cfg.b_coeffs == {2: Fraction(1, 4)}
     assert cfg.seed == 0
 
 
@@ -164,16 +162,13 @@ def test_cli_gauge(capsys):
     assert data["a"]["4"] == "5/128"
 
 
-def test_cli_check_reads_the_gauge_flags(capsys, monkeypatch):
-    """Criterion 7 runs at the b given to check; check takes no --nmax."""
-    seen = []
-    run_suite = checks.run_suite
-    monkeypatch.setattr(checks, "run_suite", lambda suite, config: (
-        seen.append(config) or run_suite(suite, config)))
-    code, out = run_cli(capsys, "check", "gauge", "--b", "2:1/3",
-                        "--format", "json")
-    assert code == 0 and json.loads(out)["passed"] is True
-    assert seen[0].b_coeffs == {2: Fraction(1, 3)}
+def test_cli_check_takes_no_gauge_flags(capsys):
+    """Criterion 7 passes for every b and every n, so check takes no --b and
+    no --nmax; the gauge command reads its own --b."""
+    assert cli.main(["check", "gauge", "--b", "2:1/3"]) == 2
+    assert "--b" in capsys.readouterr().err
+    code, out = run_cli(capsys, "gauge", "--b", "2:1/3", "--format", "json")
+    assert code == 0 and json.loads(out)["b"] == {"2": "1/3"}
 
 
 def test_cli_gauge_solves_through_nmax_rounded_up_to_even(capsys):
@@ -282,6 +277,9 @@ def test_cli_help_returns_zero(capsys):
     ("--A", ["gauge", "--A", "4"], {}),
     # check takes no --nmax: the gauge holds for every n (criterion 7)
     ("--nmax", ["check", "gauge", "--nmax", "1"], {}),
+    # nor --b: the gauge holds for every b (criterion 7)
+    ("--b", ["check", "gauge", "--b", "2:1/3"], {}),
+    ("--b", ["check", "all", "--b", "2:1/4"], {}),
 ])
 def test_cli_refuses_a_bad_setting_by_name(capsys, monkeypatch, setting, argv, env):
     for name, value in env.items():

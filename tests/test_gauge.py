@@ -82,7 +82,7 @@ def test_criterion_07_sees_a_corrupted_a2(monkeypatch):
 
     monkeypatch.setattr(gauge, "solve_gauge", corrupted)
     assert {c.name for c in checks.gauge_solver(Config()) if not c.passed} \
-        == {"gauge solver straightens configured b",
+        == {"gauge solver straightens b = {2: 1/4}",
             "gauge solver on random even b (20 draws)",
             "a_2 = c/2 for b = {2: c}"}
 

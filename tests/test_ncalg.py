@@ -10,13 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from sl2star import poisson
+from sl2star import checks, ncalg, poisson
+from sl2star.config import Config
 from sl2star.expr import evaluate, parse
 from sl2star.ncalg import (
     EM, EP, NCElement, PbwMonomial, RewriteSystem, X1, X2, X3, X_SYMBOLS,
     add_term, measure, pbw_rules, random_element, random_word,
     rules_raising_measure, word_to_monomial, x_algebra,
 )
+from sl2star.series import EpsSeries
 from sl2star.uhsl2 import xi_algebra
 
 
@@ -474,27 +476,39 @@ def test_classical_mul():
         == PbwMonomial(1, 1, 0, 2)
 
 
-def test_eps_flip_examples(xsys):
-    x2 = xsys.generator(X2)
-    assert (x2 * eps_el(xsys, 2)).eps_flip() == x2 * eps_el(xsys, -2)
-    x1sq = xsys.monomial_element(PbwMonomial(2, 0, 0, 0))
-    assert x1sq.eps_flip() == x1sq
-
-
-def test_eps_flip_is_reversal_oracle(xsys, rng):
-    """normal_form(reverse(w)) equals the flip of normal_form(w)."""
-    for _ in range(50):
-        w = random_word(rng, 6)
-        assert xsys.normal_form(tuple(reversed(w))) \
-            == xsys.normal_form(w).eps_flip()
+def flip(f):
+    """The flip of an element, by its definition: each basis word reversed
+    and normal-ordered, each coefficient with eps -> -eps."""
+    out = {}
+    for mono, c in f.terms.items():
+        for key, d in f.system.normal_form(mono.word()[::-1]).terms.items():
+            add_term(out, key, d * c.eps_flip())
+    return NCElement(f.system, out)
 
 
 def test_opposite_product_symmetry(xsys, rng):
-    for _ in range(30):
+    """The consequence of the flip line of criterion 11, on 100 pairs."""
+    for _ in range(100):
         f = random_element(xsys, rng)
         g = random_element(xsys, rng)
-        assert xsys.star(f, g) \
-            == xsys.star(g.eps_flip(), f.eps_flip()).eps_flip()
+        assert xsys.star(f, g) == flip(xsys.star(flip(g), flip(f)))
+
+
+@pytest.mark.parametrize("order", range(1, 17))
+@pytest.mark.parametrize("a_coeffs", [(4,), (4, 1, 3)], ids=["A=4", "A-tail"])
+def test_the_flip_maps_each_rule_into_the_ideal(order, a_coeffs):
+    assert x_algebra(order, a_coeffs).unflipped_rules() == []
+
+
+def test_the_flip_line_names_the_rule_an_odd_a_breaks(monkeypatch):
+    """c -> c + eps^2 puts an odd part into A: the flip line fails, on the
+    x3.x2 rule alone."""
+    pbw = ncalg.pbw_rules
+    monkeypatch.setattr(ncalg, "pbw_rules", lambda one, shift, c, up, down: pbw(
+        one, shift, c + EpsSeries({2: 1}, one.order), up, down))
+    assert x_algebra(8).unflipped_rules() == [(X3, X2)]
+    [line] = checks.opposite_product_symmetry(Config())
+    assert (line.passed, line.detail) == (False, "x3.x2")
 
 
 def test_classical_limit_of_commutators_matches_bivector(xsys):
