@@ -38,7 +38,8 @@ from .ncalg import M_X1, M_X2, M_X3, PbwMonomial, UNIT, _mul, _sum, on_product
 #: duality normalization matching the closed-form bivector's sinh coefficient
 DEFAULT_KAPPA = 8.0
 
-#: largest spread of the kappa fitted at the samples of the integration lemma
+#: largest spread of the kappa fitted at the samples of the integration
+#: lemma, and largest distance of their median from ``DEFAULT_KAPPA``
 KAPPA_SPREAD_TOL = 1e-10
 
 #: size and pass bound (largest relative residual) of the integration lemma
@@ -411,7 +412,9 @@ def verify_integration_lemma(seed: int = 0) -> dict:
 
     Draws ``LEMMA_SAMPLES`` tangent vectors uniformly in the cube
     |x_i| <= 1, fits the single kappa, and reports the fitted value, its
-    spread across samples and the largest relative residual.
+    spread across samples and the largest relative residual.  It passes
+    when the residual is below ``LEMMA_TOL`` and the fitted kappa is
+    ``DEFAULT_KAPPA`` at every point, both to ``KAPPA_SPREAD_TOL``.
     """
     rng = np.random.default_rng(seed)
     samples = []
@@ -434,5 +437,6 @@ def verify_integration_lemma(seed: int = 0) -> dict:
         "kappa": kappa_hat,
         "kappa_spread": spread,
         "max_residual": max_rel,
-        "passed": max_rel < LEMMA_TOL and spread <= KAPPA_SPREAD_TOL,
+        "passed": (max_rel < LEMMA_TOL and spread <= KAPPA_SPREAD_TOL
+                   and abs(kappa_hat - DEFAULT_KAPPA) <= KAPPA_SPREAD_TOL),
     }

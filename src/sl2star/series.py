@@ -307,15 +307,6 @@ class EpsSeries(_Series):
             return ""
         return "eps" if e == 1 else f"eps^{e}"
 
-    # -- substitutions ----------------------------------------------------
-
-    def stretch(self, k: int) -> "EpsSeries":
-        """Substitute eps -> eps^k for k >= 1 (exponents scale by k)."""
-        if k < 1:
-            raise SeriesDomainError("stretch factor must be >= 1")
-        return self._wrap({e * k: c for e, c in self.terms.items()
-                           if e * k <= self.order})
-
 
 def format_terms(terms: Mapping, power_str) -> str:
     """Human-readable sum of rational-coefficient monomials, ascending key."""
@@ -566,15 +557,6 @@ class BiSeries(_Series):
     def eps_slice(self, i0: int) -> "BiSeries":
         """Terms with eps exponent exactly i0 (kept as a BiSeries)."""
         return self._wrap({k: c for k, c in self.terms.items() if k[0] == i0})
-
-    def specialize_h(self, factor: RationalLike, order: int) -> EpsSeries:
-        """Substitute h -> factor * eps, producing a one-parameter series
-        (a term of negative total degree is refused)."""
-        f = Fraction(*as_pair(factor))
-        out = {}
-        for (i, j), (n, d) in self.terms.items():
-            out[i + j] = out.get(i + j, 0) + Fraction(n, d) * f ** j
-        return EpsSeries(out, order)
 
 
 class BiSeriesRing(_SeriesRing):

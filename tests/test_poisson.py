@@ -378,13 +378,14 @@ TWO_SINH = {M(0, 0, 0, 2): 2, M(0, 0, 0, -2): -2}
 @pytest.mark.parametrize("p23, failing", [
     ({**TWO_SINH, M(0, 1, 0, 0): 1}, {MULT, JAC, JAC_LIN, LIN, LEMMA}),
     ({M(0, 0, 0, 3): 2, M(0, 0, 0, -3): -2}, {MULT, LIN, LEMMA}),
-    ({M(0, 0, 0, 2): Fraction(3, 2), M(0, 0, 0, -2): Fraction(-3, 2)}, {LIN}),
+    ({M(0, 0, 0, 2): Fraction(3, 2), M(0, 0, 0, -2): Fraction(-3, 2)},
+     {LIN, LEMMA}),
 ], ids=["plus-x2", "4-sinh-3x1", "3-sinh-2x1"])
 def test_criterion_10_sees_a_perturbed_bivector(monkeypatch, p23, failing):
     """pi^{23} + x2, 4 sinh(3 x1) and 3 sinh(2 x1) in place of 4 sinh(2 x1):
     each fails exactly the lines it breaks, and the exact ones name (x2,
-    x3).  The numeric lemma fits 3 sinh(2 x1) with kappa = 6, which only
-    the linear part at kappa = 8 refuses."""
+    x3).  The numeric lemma fits 3 sinh(2 x1) with kappa = 6, and refuses
+    it as it does every kappa but 8."""
     monkeypatch.setattr(P, "BIVECTOR", {**P.BIVECTOR, (2, 3): p23})
     report = checks.poisson_lemma(Config())
     assert {c.name for c in report if not c.passed} == failing

@@ -10,13 +10,14 @@ from sl2star.ncalg import (
     EM, EP, PbwMonomial, UNIT, X1, X2, X3,
     random_element, random_word, x_algebra,
 )
+from sl2star.series import BiSeries
 from sl2star.uhsl2 import (
     PoleAtHZeroError,
+    base_change_check,
     expand_exponentials,
     limit_eps_to_zero,
     limit_h_to_zero,
     limits_report,
-    specialization_report,
     xi_algebra,
     xi_relation_checks,
     z_commutators,
@@ -205,6 +206,49 @@ def test_xi_full_bialgebra_suite(xi):
         assert coalg.counit_contract(d, "right") == f
 
 
+@pytest.mark.parametrize("total", [*range(1, 17), 32])
+def test_the_base_change_x_to_xi_is_a_bialgebra_isomorphism(total):
+    """phi maps the eleven x rules onto the xi rules and commutes with the
+    coproduct on the letters; below total degree 2 the factor lambda of x3
+    vanishes, and the detail says so."""
+    check = base_change_check(x_algebra(total), xi_algebra(total))
+    assert check.passed
+    assert check.detail == ("exact" if total >= 2 else
+                            "lambda starts at total degree 2, above the "
+                            "truncation 1: x3 maps to 0")
+
+
+def _bi(one, i, j):
+    return BiSeries.monomial(1, i, j, one.total)
+
+
+#: scalar mutants of xi_algebra, each with the rule pairs phi names
+XI_MUTANTS = {
+    "shift + eps^3": (lambda one, shift, c, up, down: (
+        one, shift + _bi(one, 3, 0), c, up, down), "x2.x1, x3.x1"),
+    "up * (1 + eps h^2)": (lambda one, shift, c, up, down: (
+        one, shift, c, up * (one + _bi(one, 1, 2)), down), "e+.x2, e-.x3"),
+    "c * (1 + h^2)": (lambda one, shift, c, up, down: (
+        one, shift, c * (one + _bi(one, 0, 2)), up, down), "x3.x2"),
+    "c * (1 + eps^2)": (lambda one, shift, c, up, down: (
+        one, shift, c * (one + _bi(one, 2, 0)), up, down), "x3.x2"),
+}
+
+
+@pytest.mark.parametrize("name", XI_MUTANTS)
+def test_the_base_change_names_the_rules_of_an_xi_mutant(monkeypatch, name):
+    """Each rule meets its scalar through its letter factors, of total
+    degree up to 3 (x3.x1), so from total 6 every broken rule is named."""
+    change, named = XI_MUTANTS[name]
+    pbw_rules = uhsl2.pbw_rules
+    monkeypatch.setattr(uhsl2, "pbw_rules",
+                        lambda *scalars: pbw_rules(*change(*scalars)))
+    for total in (6, 8, 16, 32):
+        check = base_change_check(x_algebra(total), xi_algebra(total))
+        assert not check.passed
+        assert check.detail == f"fails on {named}", total
+
+
 @pytest.mark.parametrize("total", range(1, 17))
 def test_the_xi_flip_maps_each_rule_into_the_ideal(total):
     """Word reversal with eps -> -eps, h fixed, descends to the xi algebra:
@@ -262,11 +306,6 @@ def test_limit_eps_to_zero(xi):
 
 def test_limits_report(xi):
     checks = limits_report(xi)
-    assert not failures(checks)
-
-
-def test_specialization_report(xi):
-    checks = specialization_report(xi, x_algebra(8))
     assert not failures(checks)
 
 
