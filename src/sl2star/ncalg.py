@@ -15,6 +15,10 @@ letter has a closed form whose scalars are read from the rules, and are
 cached as powers and geometric sums (``RewriteSystem._letter_row``).  The
 normal form of a word folds its letters onto the unit, and the star product
 of two basis monomials folds the letters of the right one onto the left.
+The table scalars are interned on the system's ring when they are filled,
+and a coefficient that is still one scalar object is multiplied by the
+next one through the ring's pair table (``_SeriesRing._pair``): products
+along a word keep landing on the same few values, so each is taken once.
 
 Rewriting by the rules (``RewriteSystem.rewrite``) is kept as the
 independent oracle of the tables.  It terminates because every rule strictly
@@ -270,11 +274,14 @@ class RewriteSystem:
     products.  Instances are immutable after construction; the caches are
     fill-once and idempotent, so concurrent readers need no coordination.
 
-    The scalars of the basis-star and coproduct caches are hash-consed on
-    the ring (``_SeriesRing._intern``), whose pair table keeps the product
-    of two of them; each system builds its own ring.  Scalar arithmetic goes
-    through the series API and ``ProductSums``; only ``series`` reaches the
-    kernel and the lifted form.
+    The scalars of the multiplication tables (``_powers``, ``_x1_shifts``,
+    ``_x2_rows``) and of the basis-star and coproduct caches are
+    hash-consed on the ring (``_SeriesRing._intern``) when they are filled,
+    and its pair table keeps the product of two of them: the fold
+    multiplies a scalar chain through ``_pair``, so a product of two table
+    scalars is taken once per system; each system builds its own ring.
+    Scalar arithmetic goes through the series API and ``ProductSums``;
+    only ``series`` reaches the kernel and the lifted form.
     """
 
     def __init__(self, ring, rules: Mapping, symbols: Mapping,
@@ -337,8 +344,9 @@ class RewriteSystem:
     def _fold(self, mono: PbwMonomial, word: Word) -> dict:
         """``mono`` times the letters of ``word``, left to right, as basis
         monomial -> coefficient: one ``ProductSums.times_letter`` step per
-        letter through ``_letter_row``, then each coefficient reduced once
-        (a unit is ``ring.one`` itself)."""
+        letter through ``_letter_row`` (a scalar chain through the ring's
+        pair table), then each coefficient reduced once (a unit is
+        ``ring.one`` itself)."""
         sums = ProductSums(self.ring)
         sums.add(mono, self.ring.one)
         times_letter, row = sums.times_letter, self._letter_row
@@ -374,9 +382,9 @@ class RewriteSystem:
             row = [(PbwMonomial(a + 1, b, c, m), self.ring.one)]
             shift = self._x1_shifts.get((b, c))
             if shift is None:
-                shift = (self._scalars[(X2, X1), (X2,)] * b
-                         + self._scalars[(X3, X1), (X3,)] * c)
-                self._x1_shifts[b, c] = shift
+                shift = self._x1_shifts[b, c] = self.ring._intern(
+                    self._scalars[(X2, X1), (X2,)] * b
+                    + self._scalars[(X3, X1), (X3,)] * c)
             if not shift.is_zero():
                 row.append((mono, shift))
             return row
@@ -394,7 +402,8 @@ class RewriteSystem:
         if row is None:
             up = self._e_past(X2, m)
             row = (up,) if c == 0 else (up,) + tuple(
-                up * self._scalars[(X3, X2), (e, e)] * self._d_sum(e, c)
+                self.ring._intern(up * self._scalars[(X3, X2), (e, e)]
+                                  * self._d_sum(e, c))
                 for e in (EP, EM))
             self._x2_rows[c, m] = row
         return row
@@ -406,7 +415,8 @@ class RewriteSystem:
         e = EP if m >= 0 else EM
         powers = self._powers[e, x]
         while len(powers) <= abs(m):
-            powers.append(powers[-1] * self._scalars[(e, x), (x, e)])
+            powers.append(self.ring._intern(
+                powers[-1] * self._scalars[(e, x), (x, e)]))
         return powers[abs(m)]
 
     def _d_sum(self, e: Gen, c: int):
@@ -695,7 +705,9 @@ def x_algebra(order: int = 8,
     ``a_coeffs`` are the even-degree coefficients (constant, eps^2, ...) of
     the parameter series A multiplying sinh(2 x1) in the x2-x3 relation.
     The constant term 4 is the value forced by the first-order term of the
-    underlying Poisson bivector.  Every tail, and every nonzero A(0), gives
+    underlying Poisson bivector.  A itself, exact through ``order``, is kept
+    as ``a_series`` on the system: the rule scalar eps A drops its
+    eps^order coefficient.  Every tail, and every nonzero A(0), gives
     the same bialgebra up to x2 -> (A'/A) x2 (criterion 4 checks this
     isomorphism), so the CLI and the checks use ``DEFAULT_A``.
     """
@@ -704,7 +716,9 @@ def x_algebra(order: int = 8,
     # shift 2 eps, x2-x3 coefficient eps A, exponential scalars e^{+-2 eps}
     rules = pbw_rules(ring.one, ring.eps_power(2, 1),
                       ring.eps_power(1, 1) * a_series, ring.exp(2), ring.exp(-2))
-    return RewriteSystem(ring, rules, X_SYMBOLS, label="x")
+    system = RewriteSystem(ring, rules, X_SYMBOLS, label="x")
+    system.a_series = a_series
+    return system
 
 
 def random_word(rng: random.Random, max_len: int = 6) -> Word:

@@ -27,8 +27,9 @@ denominator, in tuples), and ``ProductSums``, the one place that multiplies
 and sums lifted forms (with no gcd), runs the coalgebra's loops and the
 normal-form fold of ``ncalg`` on those cached lifts, so inside them a
 scalar used again and again is lifted once; a product ``a * b`` of two
-values lifts both afresh.  A ring also hash-conses the scalars its rewrite
-system caches.
+values lifts both afresh.  A ring also hash-conses the scalars of its
+rewrite system's tables and caches, and keeps the product of two of them
+once, in a pair table that the fold and the coalgebra share.
 """
 
 from __future__ import annotations
@@ -344,24 +345,29 @@ class ProductSums:
 
     ``times(p, c)`` is ``p`` (lifted or a scalar) times the scalar ``c``,
     lifted with no gcd; ``add(key, a, c)`` adds a * c, ``a`` lifted or a
-    scalar, to the sum at ``key``: a product is always a ``convolve`` of
-    the two lifts.  ``times_letter(row, letter)`` moves each
-    sum through one letter of a word: the sum at a key goes to every key of
-    ``row(key, letter)`` times its scalar.  A sum stays a scalar while it is
-    ``ring.one`` or one row scalar; a lifted sum then drops its zeros and,
-    past a machine-word denominator, its common factor (``cancel``), so the
-    sums of a long word stay small.  ``coefficients()`` reduces each sum
-    once; a sum equal to 1 is ``ring.one`` itself, and ``ring.one`` factors
-    are skipped by identity.  Make one per call: nothing outlives it.
+    scalar, to the sum at ``key``: there a product is always a
+    ``convolve`` of the two lifts.  ``times_letter(row, letter)`` moves
+    each sum through one letter of a word: the sum at a key goes to every
+    key of ``row(key, letter)`` times its scalar.  A sum stays a scalar
+    object while it is ``ring.one``, a row scalar or a product of row
+    scalars: the row scalars are interned on the ring, and such a sum is
+    multiplied through the ring's pair table (``_SeriesRing._pair``), so
+    its product is one interned object too and a chain of them is a chain
+    of table lookups.  Only a sum merged from two paths is lifted; it is
+    multiplied by ``convolve`` and drops its zeros and, past a machine-word
+    denominator, its common factor (``cancel``), so the sums of a long
+    word stay small.  ``coefficients()`` reduces each sum once; a sum
+    equal to 1 is ``ring.one`` itself, and ``ring.one`` factors are skipped
+    by identity.  Make one per call: nothing outlives it.
     """
 
+    __slots__ = ("times", "add", "coefficients", "times_letter")
+
     def __init__(self, ring: "_SeriesRing"):
-        one = ring.one
-        span = one._SPAN
-        lim = _q.limit(one._bound, span)
+        one, span, lim, wrap = ring._sums_constants
+        pair = ring._pair
         sums = {}
         convolve, add_lifted, cancel = _q.convolve, _q.add_lifted, _q.cancel
-        wrap = one._wrap
 
         def times(p, c):
             if type(p) is not tuple:
@@ -381,11 +387,12 @@ class ProductSums:
             out = {}
             for key, coeff in sums.items():
                 for key2, c in row(key, letter):
-                    if c is one:
+                    if type(coeff) is not tuple:
+                        c = pair(coeff, c)
+                    elif c is one:
                         c = coeff
-                    elif coeff is not one:
-                        c = convolve(coeff if type(coeff) is tuple
-                                     else coeff.lifted(), c.lifted(), lim)
+                    else:
+                        c = convolve(coeff, c.lifted(), lim)
                     cur = out.get(key2)
                     if cur is not None:
                         c = add_lifted(
@@ -423,7 +430,11 @@ class _SeriesRing:
     Workshop 2006); ``_pair`` keeps the interned product of two scalars in
     a table keyed by their ids, and each entry holds both factors, so no id
     is reused while it lives.  A rewrite system interns the scalars of its
-    caches on its own ring, so each product of two of them is taken once.
+    multiplication tables and of its caches on its own ring, and the
+    normal-form fold and the coalgebra multiply them through ``_pair``, so
+    each product of two of them is taken once.  ``_sums_constants`` holds
+    what each ``ProductSums`` of the ring reads: ``one``, the key span, the
+    truncation limit of a lifted product and ``one._wrap``.
     """
 
     series = _Series
@@ -434,6 +445,8 @@ class _SeriesRing:
         self.zero = self.series.zero(bound)
         self._interned = {one.lifted(): one}
         self._pairs = {}
+        span = one._SPAN
+        self._sums_constants = (one, span, _q.limit(bound, span), one._wrap)
 
     def constant(self, value: RationalLike):
         return self.series.constant(value, self._bound)

@@ -63,15 +63,11 @@ class RelationCheck:
 # ----------------------------------------------------------------------
 
 def mu_squared(system: RewriteSystem) -> EpsSeries:
-    """mu^2 = 2 A(eps^2) sinh(2 eps)/eps, the unit with lambda^2 = eps^2 mu^2.
-
-    A is read off the x3-x2 rule scalar c = eps A, so an eps^order
-    coefficient of A is lost; no z-relation sees it, as each meets mu^2
-    through the factor eps of [x2, x3].
-    """
-    c = dict(system.rules[X3, X2])[EM, EM]
-    a = EpsSeries({e - 1: v for e, v in c.terms.items()}, system.ring.order)
-    return a * system.ring.sinh_over_eps(2) * 2
+    """mu^2 = 2 A(eps^2) sinh(2 eps)/eps, the unit with lambda^2 = eps^2 mu^2,
+    exact through the order: A is the series that ``x_algebra`` keeps on
+    the system, not the rule scalar eps A, which drops A's eps^order
+    coefficient."""
+    return system.a_series * system.ring.sinh_over_eps(2) * 2
 
 
 def _exp_difference(system: RewriteSystem) -> NCElement:

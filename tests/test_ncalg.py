@@ -282,6 +282,77 @@ def test_a_unit_left_by_the_fold_is_ring_one(xsys):
     assert terms[PbwMonomial(0, 1, 1, -2)] is xsys.ring.one
 
 
+def seeded_words(algebra, seed, count, lengths=(6, 12)):
+    """``count`` seeded words; xi words keep at most two xi3-before-xi2
+    pairs."""
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        w = tuple(rng.choice(LETTERS) for _ in range(rng.randint(*lengths)))
+        if algebra == "x" or xi_inversions(w) <= 2:
+            words.append(w)
+    return words
+
+
+def make_system(algebra, order):
+    return (x_algebra if algebra == "x" else xi_algebra)(order)
+
+
+@pytest.mark.parametrize("order", [1, 8, 16])
+@pytest.mark.parametrize("algebra", ["x", "xi"])
+def test_table_scalars_are_interned(algebra, order):
+    """Every scalar of the multiplication tables (the powers of the
+    exponential scalars, the x1 shifts, the x2 rows) is the ring's one
+    object of its value, so the fold's pair table keys their products by
+    id."""
+    system = make_system(algebra, order)
+    for w in seeded_words(algebra, 31, 100):
+        system.normal_form(w)
+    intern = system.ring._intern
+    scalars = [c for table in (system._powers.values(),
+                               system._x2_rows.values())
+               for row in table for c in row]
+    scalars += system._x1_shifts.values()
+    assert len(scalars) > 40
+    assert all(intern(c) is c for c in scalars)
+
+
+@pytest.mark.parametrize("order", [1, 8, 16])
+@pytest.mark.parametrize("algebra", ["x", "xi"])
+def test_normal_forms_do_not_depend_on_the_pair_table(algebra, order):
+    """Seeded words give the same normal form on a fresh system, whose pair
+    table is empty, and on a system whose pair table other words have
+    filled; both equal rewriting, and a unit is ``ring.one`` on both."""
+    filled = make_system(algebra, order)
+    for w in seeded_words(algebra, 32, 200):
+        filled.normal_form(w)
+    assert len(filled.ring._pairs) > 20
+    for w in seeded_words(algebra, 33, 30):
+        fresh = make_system(algebra, order)
+        cold = fresh.normal_form(w)
+        warm = filled.normal_form(w)
+        assert cold == fresh.rewrite(w), w
+        assert warm.terms == cold.terms, w
+        for element, system in ((cold, fresh), (warm, filled)):
+            one = system.ring.one
+            assert all(c is one for c in element.terms.values() if c == 1)
+
+
+@pytest.mark.parametrize("algebra", ["x", "xi"])
+def test_a_second_pass_adds_no_pair(algebra):
+    """Products of table scalars land on the same few values, so the fold
+    takes each once: a second pass over the same 300 words finds every
+    product in the pair table and adds no entry, and no interned value."""
+    system = make_system(algebra, 8)
+    ring = system.ring
+    words = seeded_words(algebra, 34, 300)
+    first = [system.normal_form(w) for w in words]
+    pairs, interned = dict(ring._pairs), dict(ring._interned)
+    assert pairs
+    assert [system.normal_form(w) for w in words] == first
+    assert ring._pairs == pairs and ring._interned == interned
+
+
 def test_tables_equal_rewriting_on_words_with_deep_h_poles():
     """xi words of up to 6 letters with three or more xi3-before-xi2 pairs:
     the two paths agree on every one.  The five words with three xi3 and

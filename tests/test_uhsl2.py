@@ -10,7 +10,7 @@ from sl2star.ncalg import (
     EM, EP, PbwMonomial, UNIT, X1, X2, X3,
     random_element, random_word, x_algebra,
 )
-from sl2star.series import BiSeries
+from sl2star.series import BiSeries, EpsSeries
 from sl2star.uhsl2 import (
     PoleAtHZeroError,
     base_change_check,
@@ -90,21 +90,35 @@ def test_z_scaled_route_at_every_order(order, a_coeffs):
     (4,), (2,), (-3, Fraction(1, 5)), (4, 1, 3), (4, 0, 0, 0, 5),
     (4, 0, 0, 0, 0, 0, 9)])
 def test_a_is_read_off_the_rule_scalar(a_coeffs):
-    """A comes from the x3-x2 rule scalar c = eps A: exact through
-    eps^(order-1), with the eps^order coefficient, which c drops, read as 0.
-    eps^2 mu^2 = 2 c sinh(2 eps) holds exactly all the same, and every z
-    line passes at orders 1 to 12."""
+    """A read off the x3-x2 rule scalar c = eps A is exact only through
+    eps^(order-1): c drops the eps^order coefficient.  So ``mu_squared``
+    reads the A that ``x_algebra`` keeps, and mu^2 = 2 A sinh(2 eps)/eps
+    is exact through eps^order; eps^2 mu^2 = 2 c sinh(2 eps) holds exactly
+    all the same, and every z line passes at orders 1 to 12."""
     for order in range(1, 13):
         system = x_algebra(order, a_coeffs)
         ring = system.ring
         a = ring.even(a_coeffs)
-        mu2 = uhsl2.mu_squared(system)
-        assert mu2 * (ring.sinh_over_eps(2) * 2).invert() \
+        c = dict(system.rules[X3, X2])[EM, EM]
+        assert EpsSeries({e - 1: v for e, v in c.terms.items()}, order) \
             == a - ring.eps_power(a.coefficient(order), order), order
-        c = ring.eps_power(1, 1) * a
+        assert system.a_series == a
+        mu2 = uhsl2.mu_squared(system)
+        assert mu2 * (ring.sinh_over_eps(2) * 2).invert() == a, order
         assert mu2 * ring.eps_power(1, 2) == c * ring.sinh(2) * 2
         for checks in (z_commutators(system), z_commutators_scaled(system)):
             assert not failures(checks), (a_coeffs, order)
+
+
+@pytest.mark.parametrize("a_coeffs", [(4, 1), (4, 1, 3)])
+@pytest.mark.parametrize("order", range(1, 9))
+def test_mu_squared_is_exact_through_the_order(order, a_coeffs):
+    """mu^2 at order N is the order-(N + 4) value cut at N: no coefficient
+    of A is lost at the truncation edge (for A = (4, 1) at order 2 the
+    rule scalar alone gives 16 + 32/3 eps^2, not 16 + 44/3 eps^2)."""
+    far = uhsl2.mu_squared(x_algebra(order + 4, a_coeffs))
+    cut = EpsSeries({e: v for e, v in far.terms.items() if e <= order}, order)
+    assert uhsl2.mu_squared(x_algebra(order, a_coeffs)) == cut
 
 
 def test_z_scaled_route_sees_every_coefficient_of_mu(monkeypatch):
